@@ -27,8 +27,8 @@ class WellProblem:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
-        if not (self.length > 0 and self.m > 0):
-            raise ValueError("L and m must be strictly positive")
+        if not (0 < self.length < np.inf and 0 < self.m < np.inf):
+            raise ValueError("L and m must be finite and strictly positive")
         if self.n_max < 1:
             raise ValueError("n_max must be a positive integer")
 

@@ -32,6 +32,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text):
+    """argparse type for every float flag: inf and nan are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
+    return value
+
+
 def _load_config(path):
     """key=value lines; unknown keys rejected."""
     values = {}
@@ -81,8 +92,8 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--precision", type=int, default=None, help="significant digits (6..17)")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--hbar-c", type=float, default=None, help="eV nm")
-    parser.add_argument("--mass", type=float, default=None, help="particle rest energy, eV")
+    parser.add_argument("--hbar-c", type=_finite_float, default=None, help="eV nm")
+    parser.add_argument("--mass", type=_finite_float, default=None, help="particle rest energy, eV")
 
 
 def _resolve(parser, args):
@@ -95,19 +106,21 @@ def _resolve(parser, args):
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
     try:
-        hbar_c = args.hbar_c if args.hbar_c is not None else float(conf.get("hbar_c", 197.0))
-        mass = args.mass if args.mass is not None else float(conf.get("mass_c2", 0.5e6))
+        hbar_c = (
+            args.hbar_c if args.hbar_c is not None else _finite_float(conf.get("hbar_c", 197.0))
+        )
+        mass = args.mass if args.mass is not None else _finite_float(conf.get("mass_c2", 0.5e6))
         precision = (
             args.precision if args.precision is not None else int(conf.get("precision", 12))
         )
         seed = args.seed if args.seed is not None else int(conf.get("seed", 0))
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(f"bad config value: {exc}")
     if not 6 <= precision <= 17:
         parser.error(f"precision must be in [6, 17], got {precision}")
     if hbar_c <= 0 or mass <= 0:
         parser.error("hbar_c and mass must be positive")
-    return PhysicalConstants(hbar_c=hbar_c, mass_c2=mass), mass, precision, seed
+    return PhysicalConstants(hbar_c=hbar_c), mass, precision, seed
 
 
 def cmd_barrier(parser, args) -> int:
@@ -219,14 +232,17 @@ def cmd_point(parser, args) -> int:
     constants, mass, precision, _ = _resolve(parser, args)
     if args.v0 <= 0 or args.length <= 0 or args.e_over_v0 <= 0:
         parser.error("--v0, --length and --e-over-v0 must be positive")
-    prob = scattering.BarrierProblem(
-        e_energy=args.e_over_v0 * args.v0,
-        v0=args.v0,
-        length=args.length,
-        m=mass,
-        incident_spin=args.spin,
-        constants=constants,
-    )
+    try:
+        prob = scattering.BarrierProblem(
+            e_energy=args.e_over_v0 * args.v0,
+            v0=args.v0,
+            length=args.length,
+            m=mass,
+            incident_spin=args.spin,
+            constants=constants,
+        )
+    except ValueError as exc:  # E = (E/V0) * V0 can overflow
+        parser.error(str(exc))
     try:
         _, numeric = scattering.solve_barrier(prob)
     except scattering.CriticalBandError:
@@ -420,25 +436,25 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_barrier = sub.add_parser("barrier", help="rectangular barrier sweep")
-    p_barrier.add_argument("--v0", type=float, required=True, help="barrier height, eV")
-    p_barrier.add_argument("--length", type=float, required=True, help="barrier width, nm")
-    p_barrier.add_argument("--emin", type=float, default=1.01, help="lowest E/V0")
-    p_barrier.add_argument("--emax", type=float, default=3.0, help="highest E/V0")
+    p_barrier.add_argument("--v0", type=_finite_float, required=True, help="barrier height, eV")
+    p_barrier.add_argument("--length", type=_finite_float, required=True, help="barrier width, nm")
+    p_barrier.add_argument("--emin", type=_finite_float, default=1.01, help="lowest E/V0")
+    p_barrier.add_argument("--emax", type=_finite_float, default=3.0, help="highest E/V0")
     p_barrier.add_argument("--steps", type=int, default=200)
     p_barrier.add_argument("--method", choices=("numeric", "closed", "both"), default="numeric")
     p_barrier.add_argument("--spin", choices=(spinors.UP, spinors.DOWN), default=spinors.UP)
     _add_common(p_barrier)
 
     p_step = sub.add_parser("step", help="potential step sweep")
-    p_step.add_argument("--v0", type=float, required=True)
-    p_step.add_argument("--emin", type=float, default=0.05)
-    p_step.add_argument("--emax", type=float, default=3.0)
+    p_step.add_argument("--v0", type=_finite_float, required=True)
+    p_step.add_argument("--emin", type=_finite_float, default=0.05)
+    p_step.add_argument("--emax", type=_finite_float, default=3.0)
     p_step.add_argument("--steps", type=int, default=200)
     p_step.add_argument("--spin", choices=(spinors.UP, spinors.DOWN), default=spinors.UP)
     _add_common(p_step)
 
     p_well = sub.add_parser("well", help="periodic well levels")
-    p_well.add_argument("--length", type=float, required=True, help="half-width L, nm")
+    p_well.add_argument("--length", type=_finite_float, required=True, help="half-width L, nm")
     p_well.add_argument("--nmax", type=int, default=10)
     p_well.add_argument("--numeric", action="store_true", help="also root-find the levels")
     _add_common(p_well)
@@ -446,8 +462,8 @@ def build_parser() -> _Parser:
     p_pauli = sub.add_parser("pauli", help="grid identity convergence table")
     p_pauli.add_argument("--base-size", type=int, default=32)
     p_pauli.add_argument("--levels", type=int, default=3)
-    p_pauli.add_argument("--extent", type=float, default=8.0)
-    p_pauli.add_argument("--bz", type=float, default=0.3)
+    p_pauli.add_argument("--extent", type=_finite_float, default=8.0)
+    p_pauli.add_argument("--bz", type=_finite_float, default=0.3)
     _add_common(p_pauli)
 
     p_check = sub.add_parser("check", help="identity and property suite")
@@ -455,9 +471,9 @@ def build_parser() -> _Parser:
     _add_common(p_check)
 
     p_point = sub.add_parser("point", help="both solvers at one energy")
-    p_point.add_argument("--v0", type=float, required=True)
-    p_point.add_argument("--length", type=float, required=True)
-    p_point.add_argument("--e-over-v0", type=float, required=True)
+    p_point.add_argument("--v0", type=_finite_float, required=True)
+    p_point.add_argument("--length", type=_finite_float, required=True)
+    p_point.add_argument("--e-over-v0", type=_finite_float, required=True)
     p_point.add_argument("--spin", choices=(spinors.UP, spinors.DOWN), default=spinors.UP)
     _add_common(p_point)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import adjoint, mat_mul
+from .numerics import adjoint
 
 SQRT2 = np.sqrt(2.0)
 
@@ -120,7 +120,7 @@ def identity_suite(g: GammaSet, e: EtaSet) -> IdentityReport:
     gams = g.vector()
     for mu in range(4):
         for nu in range(mu, 4):
-            anti = mat_mul(gams[mu], gams[nu]) + mat_mul(gams[nu], gams[mu])
+            anti = gams[mu] @ gams[nu] + gams[nu] @ gams[mu]
             target = 2.0 * _METRIC[mu, nu] * eye
             rep.add(f"anticommutator_g{mu}_g{nu}", max_abs(anti - target))
     prod = 1j * gams[0] @ gams[1] @ gams[2] @ gams[3]
@@ -130,13 +130,13 @@ def identity_suite(g: GammaSet, e: EtaSet) -> IdentityReport:
     for mu in range(4):
         rep.add(
             f"gamma5_anticommutes_g{mu}",
-            max_abs(mat_mul(g.gamma5, gams[mu]) + mat_mul(gams[mu], g.gamma5)),
+            max_abs(g.gamma5 @ gams[mu] + gams[mu] @ g.gamma5),
         )
-    rep.add("eta_nilpotent", max_abs(mat_mul(e.eta, e.eta)))
-    rep.add("eta_dagger_nilpotent", max_abs(mat_mul(e.eta_dagger, e.eta_dagger)))
+    rep.add("eta_nilpotent", max_abs(e.eta @ e.eta))
+    rep.add("eta_dagger_nilpotent", max_abs(e.eta_dagger @ e.eta_dagger))
     rep.add(
         "eta_completeness",
-        max_abs(mat_mul(e.eta, e.eta_dagger) + mat_mul(e.eta_dagger, e.eta) - 2 * eye),
+        max_abs(e.eta @ e.eta_dagger + e.eta_dagger @ e.eta - 2 * eye),
     )
     rep.add("gamma0_recovery", max_abs((e.eta + e.eta_dagger) / SQRT2 - g.gamma0))
     rep.add("igamma5_recovery", max_abs((e.eta - e.eta_dagger) / SQRT2 - 1j * g.gamma5))

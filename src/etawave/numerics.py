@@ -2,9 +2,9 @@
 
 Everything here operates on plain numpy arrays (complex128 for matrices and
 vectors, float64 for the real least-squares path).  Systems are tiny (4x4 and
-8x8 for the interface matching, 64x32 for the representation fit), so the
-implementations favor explicit control over pivoting and tolerances rather
-than raw speed.
+8x8 for the interface matching, 64x32 for the representation fit); numpy's
+LAPACK routines do the factorizations, and this module adds the finite-input
+checks and the singularity threshold the matching solvers rely on.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ PIVOT_RTOL = 1e-14
 
 
 class SingularSystemError(ValueError):
-    """Elimination hit a pivot below the singularity threshold."""
+    """The system is singular to within PIVOT_RTOL of its inf-norm."""
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -51,45 +51,16 @@ def norm_inf(m):
     return float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
 
 
-def mat_mul(a, b):
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def adjoint(a):
     """Conjugate transpose."""
     return _as_matrix(a).conj().T
 
 
-def _lu_factor(m):
-    """LU with partial pivoting.  Returns (lu, perm) with L and U packed."""
-    a = m.copy()
-    n = a.shape[0]
-    perm = np.arange(n)
-    threshold = PIVOT_RTOL * norm_inf(m)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if np.abs(a[piv, k]) <= threshold:
-            raise SingularSystemError(
-                f"pivot {np.abs(a[piv, k]):.3e} below threshold {threshold:.3e} "
-                f"at column {k}"
-            )
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    return a, perm
-
-
 def solve_linear(m, b):
-    """Solve M x = b by LU with partial pivoting.
+    """Solve M x = b.
 
-    Raises SingularSystemError when a pivot falls below
-    PIVOT_RTOL * ||M||_inf.
+    Raises SingularSystemError when M lies within PIVOT_RTOL * ||M||_inf of
+    a singular matrix, i.e. when 1 / ||M^-1||_inf <= PIVOT_RTOL * ||M||_inf.
     """
     m = _as_matrix(m)
     b = _as_vector(b)
@@ -98,90 +69,18 @@ def solve_linear(m, b):
         raise ValueError("matrix must be square")
     if b.shape[0] != n:
         raise ValueError("right-hand side dimension mismatch")
-    lu, perm = _lu_factor(m)
-    y = b[perm].copy()
-    for k in range(n):  # forward substitution, unit lower triangle
-        y[k] -= lu[k, :k] @ y[:k]
-    x = y
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
-
-
-def det(m):
-    """Determinant via the LU factorization (0 for numerically singular input)."""
-    m = _as_matrix(m)
+    threshold = PIVOT_RTOL * norm_inf(m)
     try:
-        lu, perm = _lu_factor(m)
-    except SingularSystemError:
-        return 0.0 + 0.0j
-    sign = 1.0
-    seen = perm.copy()
-    # permutation parity by cycle counting
-    visited = np.zeros(len(seen), dtype=bool)
-    for i in range(len(seen)):
-        if visited[i]:
-            continue
-        j = i
-        length = 0
-        while not visited[j]:
-            visited[j] = True
-            j = seen[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return complex(sign * np.prod(np.diag(lu)))
-
-
-def null_space(m, tol):
-    """Orthonormal basis of {x : ||M x|| <= tol * ||M|| * ||x||}.
-
-    Gaussian elimination with full (row and column) pivoting, then
-    back-substitution for each free column and Gram-Schmidt.  Returns a list
-    of vectors; empty when the matrix has full numerical rank at tol.
-    """
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    n = m.shape[0]
-    scale = norm_inf(m)
-    if scale == 0.0:
-        return [np.eye(n, dtype=complex)[:, i] for i in range(n)]
-    a = m.copy()
-    col_perm = np.arange(n)
-    rank = 0
-    for k in range(n):
-        sub = np.abs(a[k:, k:])
-        i_rel, j_rel = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        if sub[i_rel, j_rel] <= tol * scale:
-            break
-        i, j = k + i_rel, k + j_rel
-        if i != k:
-            a[[k, i]] = a[[i, k]]
-        if j != k:
-            a[:, [k, j]] = a[:, [j, k]]
-            col_perm[[k, j]] = col_perm[[j, k]]
-        a[k + 1:, k:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k:])
-        rank += 1
-    if rank == n:
-        return []
-    basis = []
-    for free in range(rank, n):
-        x = np.zeros(n, dtype=complex)
-        x[free] = 1.0
-        for k in range(rank - 1, -1, -1):
-            x[k] = -(a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-        out = np.zeros(n, dtype=complex)
-        out[col_perm] = x
-        basis.append(out)
-    ortho = []
-    for v in basis:
-        for u in ortho:
-            v = v - (u.conj() @ v) * u
-        nv = np.linalg.norm(v)
-        if nv > 0:
-            ortho.append(v / nv)
-    return ortho
+        # one factorization gives both x and M^-1 for the distance test
+        sol = np.linalg.solve(m, np.column_stack([b, np.eye(n)]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"exactly singular: {exc}") from exc
+    distance = 1.0 / norm_inf(sol[:, 1:])
+    if not distance > threshold:
+        raise SingularSystemError(
+            f"distance to singularity {distance:.3e} below threshold {threshold:.3e}"
+        )
+    return sol[:, 0]
 
 
 def least_squares(m, b):

@@ -59,8 +59,8 @@ class BarrierProblem:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
-        if not (self.e_energy > 0 and self.v0 > 0 and self.length > 0 and self.m > 0):
-            raise ValueError("E, V0, L, m must all be strictly positive")
+        if not all(0 < v < np.inf for v in (self.e_energy, self.v0, self.length, self.m)):
+            raise ValueError("E, V0, L, m must all be finite and strictly positive")
         if self.incident_spin not in (UP, DOWN):
             raise ValueError(f"incident_spin must be up or down, got {self.incident_spin!r}")
 
@@ -201,15 +201,16 @@ def continuity_residual(p: BarrierProblem) -> float:
     return num / scale
 
 
-def _series_limit(p: BarrierProblem) -> Coefficients:
-    """Second-order bridging limit of the closed forms at E -> V0."""
+def _series_limit(p: BarrierProblem):
+    """Second-order bridging limit of the closed forms at E -> V0, as the
+    spin-up incidence (t1, r1, r2)."""
     e_energy, v0, m = p.e_energy, p.v0, p.m
     g = m * p.length**2 / p.constants.hbar_c**2
     den = 2.0 * e_energy + g * v0**2
     t1 = 2.0 * e_energy / den
     r1 = g * v0**2 * (e_energy - m) ** 2 / ((e_energy + m) ** 2 * den)
     r2 = 4.0 * g * e_energy * m * v0**2 / ((e_energy + m) ** 2 * den)
-    return _coeffs(t1, 0.0, r1, r2)
+    return t1, r1, r2
 
 
 def closed_form(p: BarrierProblem) -> Coefficients:
@@ -217,15 +218,16 @@ def closed_form(p: BarrierProblem) -> Coefficients:
 
     Oscillatory expressions above the barrier, hyperbolic below it (written
     in terms of s = exp(-2 x') so nothing overflows for deep tunneling), and
-    the series limit inside the critical band.
+    the series limit inside the critical band.  The expressions are those of
+    spin-up incidence; spin-down incidence exchanges the channels.
     """
     e_energy, v0, m = p.e_energy, p.v0, p.m
     hbar_c = p.constants.hbar_c
     regime = p.regime
-    if regime == CRITICAL:
-        return _series_limit(p)
     spin_weight = (e_energy - m) ** 2 * 2.0, 8.0 * e_energy * m
-    if regime == PROPAGATING:
+    if regime == CRITICAL:
+        t1, r1, r2 = _series_limit(p)
+    elif regime == PROPAGATING:
         x = SQRT2 * p.length * np.sqrt(m * (e_energy - v0)) / hbar_c
         den = 8.0 * e_energy**2 - v0**2 * np.cos(2.0 * x) - 8.0 * e_energy * v0 + v0**2
         t1 = 8.0 * e_energy * (e_energy - v0) / den
@@ -243,6 +245,10 @@ def closed_form(p: BarrierProblem) -> Coefficients:
         quarter = (1.0 - s) ** 2  # = 4 s sinh^2(x')
         r1 = -spin_weight[0] * v0**2 * quarter / (2.0 * (e_energy + m) ** 2 * den2s)
         r2 = -spin_weight[1] * v0**2 * quarter / (2.0 * (e_energy + m) ** 2 * den2s)
+    if p.incident_spin == DOWN:
+        # the barrier flips no spin in transmission and the problem is
+        # symmetric under exchanging up and down
+        return _coeffs(0.0, float(t1), float(r2), float(r1))
     return _coeffs(float(t1), 0.0, float(r1), float(r2))
 
 
@@ -253,10 +259,12 @@ def solve_step(e_energy, v0, m, incident_spin=UP, constants: PhysicalConstants |
     which reduces to p2/p1 in the nonrelativistic regime and is what makes
     R + T = 1 hold to rounding at any energy.
     """
-    if e_energy <= 0:
-        raise ValueError("E must be positive")
-    if m <= 0:
-        raise ValueError("mass must be positive")
+    if not 0 < e_energy < np.inf:
+        raise ValueError("E must be finite and positive")
+    if not 0 < m < np.inf:
+        raise ValueError("mass must be finite and positive")
+    if not np.isfinite(v0):
+        raise ValueError("V0 must be finite")
     regime = classify_regime(e_energy, v0)
     if regime == CRITICAL:
         raise CriticalBandError("E = V0 at the step has no transmitted basis")

@@ -26,14 +26,13 @@ CRITICAL = "critical"
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """hbar*c in eV*nm and the particle rest energy in eV."""
+    """hbar*c in eV*nm.  The particle rest energy is carried by each problem."""
 
     hbar_c: float = 197.0
-    mass_c2: float = 0.5e6
 
     def __post_init__(self):
-        if not (self.hbar_c > 0 and self.mass_c2 > 0):
-            raise ValueError("hbar_c and mass_c2 must be strictly positive")
+        if not 0 < self.hbar_c < np.inf:
+            raise ValueError("hbar_c must be finite and strictly positive")
 
 
 def critical_band_width(e_energy: float, v: float) -> float:

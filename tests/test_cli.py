@@ -15,9 +15,22 @@ def run(argv):
 
 
 def test_missing_required_flag_exits_64():
-    with pytest.raises(SystemExit) as err:
-        run(["barrier", "--length", "1.0"])
-    assert err.value.code == 64
+    # a non-finite value is a usage error like a missing flag, not a
+    # property failure (exit 1) and not a table of nan rows
+    for argv in (
+        ["barrier", "--length", "1.0"],
+        ["barrier", "--v0", "10", "--length", "inf"],
+        ["barrier", "--v0", "nan", "--length", "10"],
+        ["point", "--v0", "10", "--length", "inf", "--e-over-v0", "1.5"],
+        ["point", "--v0", "1e308", "--length", "1", "--e-over-v0", "10"],
+        ["well", "--length", "inf"],
+        ["step", "--v0", "10", "--emax", "inf"],
+        ["pauli", "--bz", "nan"],
+        ["well", "--length", "10", "--mass", "inf"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 64, argv
 
 
 def test_barrier_sweep_csv(tmp_path):
@@ -149,7 +162,7 @@ def test_config_file_sets_constants(tmp_path):
         ["well", "--length", "10", "--nmax", "1", "--config", str(cfg), "--output", str(out)]
     ) == 0
     e1 = float(out.read_text().splitlines()[1].split(",")[1])
-    expected = bs.level_energy(1, 10.0, 1.0e5, PhysicalConstants(hbar_c=200.0, mass_c2=1.0e5))
+    expected = bs.level_energy(1, 10.0, 1.0e5, PhysicalConstants(hbar_c=200.0))
     assert e1 == pytest.approx(expected, rel=1e-10)
 
 
@@ -168,10 +181,11 @@ def test_flag_overrides_config(tmp_path):
 
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("banana = 3\n")
-    with pytest.raises(SystemExit) as err:
-        run(["well", "--length", "10", "--config", str(cfg)])
-    assert err.value.code == 64
+    for text in ("banana = 3\n", "hbar_c = inf\n", "mass_c2 = nan\n"):
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            run(["well", "--length", "10", "--config", str(cfg)])
+        assert err.value.code == 64, text
 
 
 def test_precision_out_of_range_rejected():
@@ -204,6 +218,14 @@ def test_spin_down_marked_in_output(tmp_path, capsys):
     )
     records = json.loads(capsys.readouterr().out)
     assert all(rec["incident_spin"] == "down_extrapolation" for rec in records)
+    # closed form and matching agree for spin-down incidence, critical band included
+    run(
+        ["barrier", "--v0", "10", "--length", "10", "--emin", "0.5", "--emax", "1.5",
+         "--steps", "5", "--spin", "down", "--method", "both", "--format", "json"]
+    )
+    records = json.loads(capsys.readouterr().out)
+    assert len(records) == 5
+    assert all(rec["delta_numeric_closed"] <= 1e-10 for rec in records)
 
 
 def test_pauli_table(tmp_path):

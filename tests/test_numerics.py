@@ -6,11 +6,8 @@ from etawave.numerics import (
     RankDeficiencyWarning,
     SingularSystemError,
     adjoint,
-    det,
     least_squares,
-    mat_mul,
     norm_inf,
-    null_space,
     solve_linear,
 )
 
@@ -51,6 +48,14 @@ def test_solve_singular_raises():
         solve_linear(m, np.array([1.0, 1.0], dtype=complex))
 
 
+def test_solve_near_singular_raises():
+    # LAPACK factorizes this without a zero pivot; the system is still
+    # within PIVOT_RTOL * ||M||_inf of a singular one
+    m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
+    with pytest.raises(SingularSystemError):
+        solve_linear(m, np.array([1.0, 2.0], dtype=complex))
+
+
 def test_solve_shape_errors():
     with pytest.raises(ValueError):
         solve_linear(np.zeros((2, 3)), np.zeros(2))
@@ -60,24 +65,6 @@ def test_solve_shape_errors():
         solve_linear(np.array([[np.inf, 0], [0, 1]]), np.zeros(2))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_mat_mul_associative(seed):
-    rng = np.random.default_rng(seed)
-    a = _random_complex(rng, (3, 4))
-    b = _random_complex(rng, (4, 5))
-    c = _random_complex(rng, (5, 2))
-    left = mat_mul(mat_mul(a, b), c)
-    right = mat_mul(a, mat_mul(b, c))
-    scale = norm_inf(a) * norm_inf(b) * norm_inf(c)
-    assert np.max(np.abs(left - right)) <= 1e-12 * scale
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mat_mul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
 @settings(max_examples=75, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_adjoint_involution_and_product(seed):
@@ -85,55 +72,8 @@ def test_adjoint_involution_and_product(seed):
     a = _random_complex(rng, (4, 4))
     b = _random_complex(rng, (4, 4))
     np.testing.assert_array_equal(adjoint(adjoint(a)), a)
-    dev = np.max(np.abs(adjoint(mat_mul(a, b)) - mat_mul(adjoint(b), adjoint(a))))
+    dev = np.max(np.abs(adjoint(a @ b) - adjoint(b) @ adjoint(a)))
     assert dev <= 1e-13 * norm_inf(a) * norm_inf(b)
-
-
-@settings(max_examples=75, deadline=None)
-@given(seeded_square(nmax=6))
-def test_det_product_rule(m):
-    rng = np.random.default_rng(17)
-    other = _random_complex(rng, m.shape)
-    lhs = det(mat_mul(m, other))
-    rhs = det(m) * det(other)
-    assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
-
-
-def test_det_triangular_and_singular():
-    t = np.array([[2.0, 5.0, 1.0], [0.0, 3.0, 7.0], [0.0, 0.0, 4.0]], dtype=complex)
-    assert abs(det(t) - 24.0) <= 1e-12
-    s = np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex)
-    assert det(s) == 0.0
-    # permutation parity: a row swap flips the sign
-    p = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert abs(det(p) + 1.0) <= 1e-14
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.integers(0, 3))
-def test_null_space_dim_plus_rank(seed, deficiency):
-    n = 4
-    rng = np.random.default_rng(seed)
-    u = _random_complex(rng, (n, n))
-    v = _random_complex(rng, (n, n))
-    singular_values = np.ones(n)
-    singular_values[n - deficiency:] = 0.0
-    m = u @ np.diag(singular_values) @ v
-    basis = null_space(m, 1e-8)
-    assert len(basis) == deficiency
-    for vec in basis:
-        assert norm_inf(m @ vec) <= 1e-8 * norm_inf(m) * norm_inf(vec) * 10
-        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
-    # orthonormality of the returned basis
-    for i, a in enumerate(basis):
-        for b in basis[i + 1:]:
-            assert abs(a.conj() @ b) <= 1e-10
-
-
-def test_null_space_extremes():
-    assert null_space(np.eye(3, dtype=complex), 1e-12) == []
-    basis = null_space(np.zeros((3, 3)), 1e-12)
-    assert len(basis) == 3
 
 
 def test_least_squares_consistent():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from etawave import boundstates as bs
 from etawave import scattering as sc
 from etawave import spinors as sp
 from etawave.waveop import PhysicalConstants
@@ -149,6 +150,25 @@ def test_invalid_problems_rejected():
         sc.BarrierProblem(1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         sc.BarrierProblem(1.0, 1.0, 1.0, 1.0, incident_spin="left")
+    for bad in (np.inf, np.nan):
+        for args in ((bad, 1.0, 1.0, 1.0), (1.0, bad, 1.0, 1.0), (1.0, 1.0, bad, 1.0),
+                     (1.0, 1.0, 1.0, bad)):
+            with pytest.raises(ValueError):
+                sc.BarrierProblem(*args)
+        for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError):
+                sc.solve_step(*args)
+        for args in ((bad, 1.0, 1), (1.0, bad, 1)):
+            with pytest.raises(ValueError):
+                bs.WellProblem(*args)
+
+
+def _channels(c):
+    return (c.t1, c.t2, c.r1, c.r2)
+
+
+def _swapped(c):
+    return (c.t2, c.t1, c.r2, c.r1)
 
 
 def test_spin_down_incidence_mirrors_up():
@@ -161,6 +181,22 @@ def test_spin_down_incidence_mirrors_up():
     assert c_dn.r1 == pytest.approx(c_up.r2, rel=1e-12)
     assert c_dn.t1 <= 1e-10
     assert abs(c_dn.total - 1.0) <= 1e-10
+    # closed_form: spin-down is spin-up with the channels exchanged, and the
+    # matching solve agrees within the criterion-04 bound above the barrier
+    # and in deep tunnelling (kappa L = 200)
+    m, v0 = 0.5e6, 10.0
+    kappa = np.sqrt(2 * m * 5.0) / CONSTANTS.hbar_c
+    for e_energy, length in ((15.0, 2.0), (5.0, 200.0 / kappa)):
+        closed_up = sc.closed_form(barrier(e_energy, v0, length, m))
+        closed_dn = sc.closed_form(barrier(e_energy, v0, length, m, spin=sp.DOWN))
+        assert _channels(closed_dn) == _swapped(closed_up)
+        _, numeric_dn = sc.solve_barrier(barrier(e_energy, v0, length, m, spin=sp.DOWN))
+        for n_val, c_val in zip(_channels(numeric_dn), _channels(closed_dn)):
+            assert abs(n_val - c_val) <= 1e-10 * abs(c_val) + 1e-11
+    # a critical-band row of a spin-down sweep is bridged with the channels exchanged
+    table = sc.sweep(barrier(v0, v0, spin=sp.DOWN), [v0], method="numeric")
+    assert table.flagged == []
+    assert _channels(table.rows[0].coeffs) == _swapped(sc.closed_form(barrier(v0, v0)))
 
 
 @settings(max_examples=120, deadline=None)

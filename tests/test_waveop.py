@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from etawave.clifford import build_eta, build_standard_gammas, max_abs
-from etawave.numerics import null_space
+from etawave.numerics import norm_inf
 from etawave.waveop import (
     CRITICAL,
     EVANESCENT,
@@ -26,12 +26,10 @@ masses = st.floats(1.0, 1e6)
 
 
 def test_constants_defaults_and_validation():
-    c = PhysicalConstants()
-    assert c.hbar_c == 197.0 and c.mass_c2 == 0.5e6
-    with pytest.raises(ValueError):
-        PhysicalConstants(hbar_c=0.0)
-    with pytest.raises(ValueError):
-        PhysicalConstants(mass_c2=-1.0)
+    assert PhysicalConstants().hbar_c == 197.0
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            PhysicalConstants(hbar_c=bad)
 
 
 def test_regime_classification_band_edges():
@@ -87,8 +85,8 @@ def test_eigenvalue_degeneracy_is_double(e_energy, v, m):
     op = momentum_operator(e_energy, v, m, ETA)
     lam = complex_momentum(e_energy, v, m)
     for eigenvalue in (lam, -lam):
-        basis = null_space(op.matrix - eigenvalue * np.eye(4), 1e-10)
-        assert len(basis) == 2
+        a = op.matrix - eigenvalue * np.eye(4)
+        assert np.linalg.matrix_rank(a, tol=1e-10 * norm_inf(a)) == 2
 
 
 def test_complex_momentum_branches():
