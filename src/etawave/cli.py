@@ -78,11 +78,11 @@ def _table_text(table: scattering.SweepTable, fmt: str, precision: int) -> str:
     if fmt == "json":
         records = table.to_records(precision)
         if table.incident_spin == spinors.DOWN:
-            records = [{**rec, "incident_spin": "down_extrapolation"} for rec in records]
+            records = [{**rec, "incident_spin": spinors.DOWN} for rec in records]
         return json.dumps(records) + "\n"
     text = table.to_csv(precision)
     if table.incident_spin == spinors.DOWN:
-        text = "# incident_spin=down: extrapolation, only spin-up incidence is validated\n" + text
+        text = f"# incident_spin={spinors.DOWN}\n" + text
     return text
 
 
@@ -477,6 +477,9 @@ def build_parser() -> _Parser:
     p_point.add_argument("--spin", choices=(spinors.UP, spinors.DOWN), default=spinors.UP)
     _add_common(p_point)
 
+    # a command reports its usage errors with its own usage line
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
@@ -493,7 +496,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _DISPATCH[args.command](parser, args)
+    return _DISPATCH[args.command](args.command_parser, args)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,20 @@ def test_missing_required_flag_exits_64():
         assert err.value.code == 64, argv
 
 
+def test_command_error_prints_command_usage(tmp_path, capsys):
+    # errors raised while a command runs name that command, like parse errors
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("hbar_c = inf\n")
+    for argv in (
+        ["point", "--v0", "1e308", "--length", "1", "--e-over-v0", "10"],
+        ["well", "--length", "10", "--config", str(bad)],
+    ):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 64, argv
+        assert capsys.readouterr().err.startswith(f"usage: etawave {argv[0]} "), argv
+
+
 def test_barrier_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run(
@@ -211,13 +225,13 @@ def test_spin_down_marked_in_output(tmp_path, capsys):
         ["barrier", "--v0", "10", "--length", "10", "--steps", "3", "--spin", "down",
          "--output", str(out)]
     )
-    assert out.read_text().startswith("# incident_spin=down")
+    assert out.read_text().splitlines()[0] == "# incident_spin=down"
     run(
         ["barrier", "--v0", "10", "--length", "10", "--steps", "3", "--spin", "down",
          "--format", "json"]
     )
     records = json.loads(capsys.readouterr().out)
-    assert all(rec["incident_spin"] == "down_extrapolation" for rec in records)
+    assert all(rec["incident_spin"] == "down" for rec in records)
     # closed form and matching agree for spin-down incidence, critical band included
     run(
         ["barrier", "--v0", "10", "--length", "10", "--emin", "0.5", "--emax", "1.5",

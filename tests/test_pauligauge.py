@@ -3,9 +3,78 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etawave import pauligauge as pg
-from etawave.clifford import PAULI
+from etawave.clifford import (
+    PAULI,
+    build_eta,
+    build_standard_gammas,
+    conjugate_gammas,
+    random_householder_unitary,
+)
 
 EXTENT = 8.0
+
+
+# Reference forms the lattice kernels replaced: np.roll differences and a
+# dense einsum over the spin index, composed as the checks used to be.
+
+
+def roll_diff(field, axis, h):
+    return (np.roll(field, -1, axis=axis) - np.roll(field, 1, axis=axis)) / (2.0 * h)
+
+
+def einsum_apply(matrix, psi):
+    return np.einsum("ab,b...->a...", matrix, psi)
+
+
+def ref_momentum(f, psi, axis, e_charge):
+    return -1j * roll_diff(psi, psi.ndim - 3 + axis, f.h) - e_charge * f.a[axis] * psi
+
+
+def ref_sigma_pi(f, psi, e_charge):
+    out = np.zeros_like(psi)
+    for axis in range(3):
+        out += einsum_apply(PAULI[axis], ref_momentum(f, psi, axis, e_charge))
+    return out
+
+
+def ref_norm(psi):
+    return float(np.sqrt(np.sum(np.abs(psi) ** 2)))
+
+
+def ref_identity_check(f, psi, e_charge):
+    lhs = ref_sigma_pi(f, ref_sigma_pi(f, psi, e_charge), e_charge)
+    rhs = np.zeros_like(psi)
+    for axis in range(3):
+        rhs += ref_momentum(f, ref_momentum(f, psi, axis, e_charge), axis, e_charge)
+    for axis in range(3):
+        rhs -= e_charge * f.b[axis] * einsum_apply(PAULI[axis], psi)
+    return ref_norm(lhs - rhs) / ref_norm(psi)
+
+
+def ref_commutator_check(f, psi, e_charge):
+    xy = ref_momentum(f, ref_momentum(f, psi, 1, e_charge), 0, e_charge)
+    yx = ref_momentum(f, ref_momentum(f, psi, 0, e_charge), 1, e_charge)
+    return ref_norm(xy - yx - 1j * e_charge * f.b[2] * psi) / ref_norm(psi)
+
+
+def ref_wave_form(f, psi4, e_energy, m, e_charge):
+    g = build_standard_gammas()
+    e_set = build_eta(g)
+    applied = (e_energy - e_charge * f.a0) * einsum_apply(e_set.eta, psi4)
+    for axis, gamma in enumerate((g.gamma1, g.gamma2, g.gamma3)):
+        applied += einsum_apply(gamma, ref_momentum(f, psi4, axis, e_charge))
+    applied += m * einsum_apply(e_set.eta_dagger, psi4)
+    return complex(np.sum(np.conj(psi4) * applied) * f.h**3)
+
+
+def ref_gauge_check(f, theta, psi, e_energy, m, e_charge):
+    n = psi.shape[1]
+    psi4 = np.concatenate([psi, 0.7 * np.roll(psi, n // 8, axis=1)], axis=0)
+    q0 = ref_wave_form(f, psi4, e_energy, m, e_charge)
+    a_t = np.stack([f.a[axis] - roll_diff(theta, axis, f.h) for axis in range(3)])
+    f_t = pg.GaugeField(a0=f.a0, a=a_t, b=f.b, h=f.h, n=f.n)
+    q1 = ref_wave_form(f_t, np.exp(-1j * e_charge * theta) * psi4, e_energy, m, e_charge)
+    return abs(q1 - q0) / abs(q0)
 
 
 def zero_field(n, extent=EXTENT):
@@ -205,3 +274,81 @@ def test_bump_state_shape_and_decay():
     psi = pg.gaussian_bump_state(n, EXTENT)
     assert psi.shape == (2, n, n, n)
     assert np.max(np.abs(psi[:, 0, :, :])) <= 1e-6 * np.max(np.abs(psi))
+
+
+lattice_sizes = st.integers(8, 20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(lattice_sizes, lattice_sizes, lattice_sizes),
+    st.floats(1e-3, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_centered_diff_is_the_roll_difference_bitwise(shape, h, seed):
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal(shape)
+    psi = rng.standard_normal((4, *shape)) + 1j * rng.standard_normal((4, *shape))
+    for field in (theta, psi):
+        for axis in range(field.ndim):
+            got = pg._centered_diff(field, axis, h)
+            expected = roll_diff(field, axis, h)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes(), (field.dtype, axis)
+
+
+def spin_matrices(rng):
+    """(matrix, components): the Pauli matrices, the standard spatial gammas,
+    eta and eta^+, and the same from a randomly conjugated (dense) set."""
+    out = [(s, 2) for s in PAULI]
+    g = build_standard_gammas()
+    for gammas in (g, conjugate_gammas(g, random_householder_unitary(rng))):
+        e_set = build_eta(gammas)
+        for matrix in (gammas.gamma1, gammas.gamma2, gammas.gamma3, e_set.eta, e_set.eta_dagger):
+            out.append((matrix, 4))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_sizes, st.integers(0, 2**32 - 1))
+def test_spin_apply_matches_einsum(n, seed):
+    rng = np.random.default_rng(seed)
+    dense = 0
+    for matrix, comps in spin_matrices(rng):
+        dense += np.count_nonzero(matrix) == matrix.size
+        psi = rng.standard_normal((comps, n, n, n)) + 1j * rng.standard_normal((comps, n, n, n))
+        start = rng.standard_normal(psi.shape) + 1j * rng.standard_normal(psi.shape)
+        site_scale = rng.uniform(-3.0, 3.0, (n, n, n))
+        for scale, expected in (
+            (1.0, einsum_apply(matrix, psi)),
+            (-1.7, -1.7 * einsum_apply(matrix, psi)),
+            (site_scale, site_scale * einsum_apply(matrix, psi)),
+        ):
+            out = start.copy()
+            pg._spin_apply(matrix, psi, out, scale)
+            bound = 1e-15 * np.max(np.abs(scale)) * np.max(np.abs(psi))
+            assert np.max(np.abs(out - start - expected)) <= bound
+    assert dense == 5
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_checks_match_roll_einsum_reference(n):
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    # a scalar potential and a charge other than 1 reach every scaled term
+    a0 = 0.2 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    f = pg.GaugeField(
+        a0=np.broadcast_to(a0[:, None, None], (n, n, n)).copy(), a=f.a, b=f.b, h=f.h, n=n
+    )
+    psi = pg.gaussian_bump_state(n, EXTENT)
+    theta = pg.commensurate_theta(n, EXTENT)
+    for e_charge in (1.0, 0.7):
+        pairs = (
+            (pg.pauli_identity_check(f, psi, e_charge), ref_identity_check(f, psi, e_charge)),
+            (pg.commutator_check(f, psi, e_charge), ref_commutator_check(f, psi, e_charge)),
+            (
+                pg.gauge_invariance_check(f, theta, psi, 2.0, 1.5, e_charge),
+                ref_gauge_check(f, theta, psi, 2.0, 1.5, e_charge),
+            ),
+        )
+        for got, expected in pairs:
+            assert got == pytest.approx(expected, rel=1e-12)

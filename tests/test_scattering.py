@@ -199,6 +199,22 @@ def test_spin_down_incidence_mirrors_up():
     assert _channels(table.rows[0].coeffs) == _swapped(sc.closed_form(barrier(v0, v0)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ratios_above, ratios_below), heights, lengths, masses)
+def test_spin_down_mirrors_up_on_criterion_03_sample(ratio, v0, length, m):
+    # criterion 03's ranges, with its clamp of the tunnelling tail to kappa L <= 220
+    if ratio < 1.0:
+        kappa = np.sqrt(2.0 * m * (1.0 - ratio) * v0) / CONSTANTS.hbar_c
+        length = min(length, 220.0 / kappa)
+    e_energy = ratio * v0
+    down = barrier(e_energy, v0, length, m, spin=sp.DOWN)
+    closed_dn = sc.closed_form(down)
+    assert _channels(closed_dn) == _swapped(sc.closed_form(barrier(e_energy, v0, length, m)))
+    _, numeric_dn = sc.solve_barrier(down)
+    for n_val, c_val in zip(_channels(numeric_dn), _channels(closed_dn)):
+        assert abs(n_val - c_val) <= 1e-10 * abs(c_val) + 1e-11
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.floats(0.05, 3.0), heights, masses)
 def test_step_conservation(ratio, v0, m):
