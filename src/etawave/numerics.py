@@ -29,7 +29,7 @@ def _as_matrix(m):
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -38,7 +38,7 @@ def _as_vector(b):
     v = np.asarray(b, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -46,9 +46,11 @@ def _as_vector(b):
 def norm_inf(m):
     """Max absolute row sum for matrices, max modulus for vectors."""
     a = np.asarray(m)
+    if not a.size:
+        return 0.0
     if a.ndim == 1:
-        return float(np.max(np.abs(a))) if a.size else 0.0
-    return float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
+        return float(np.abs(a).max())
+    return float(np.abs(a).sum(axis=1).max())
 
 
 def adjoint(a):
@@ -70,9 +72,11 @@ def solve_linear(m, b):
     if b.shape[0] != n:
         raise ValueError("right-hand side dimension mismatch")
     threshold = PIVOT_RTOL * norm_inf(m)
+    # [b | I]: one factorization gives both x and M^-1 for the distance test
+    rhs = np.eye(n, n + 1, 1, dtype=complex)
+    rhs[:, 0] = b
     try:
-        # one factorization gives both x and M^-1 for the distance test
-        sol = np.linalg.solve(m, np.column_stack([b, np.eye(n)]))
+        sol = np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"exactly singular: {exc}") from exc
     distance = 1.0 / norm_inf(sol[:, 1:])

@@ -17,22 +17,23 @@ the plain z-anchored-at-0 convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import cmath
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numerics import SingularSystemError, solve_linear
-from .spinors import DOWN, UP, mode_column
+from .spinors import DOWN, UP, _mode_scalars
 from .waveop import (
     CRITICAL,
     EVANESCENT,
     PROPAGATING,
     PhysicalConstants,
     classify_regime,
-    complex_momentum,
 )
 
-SQRT2 = np.sqrt(2.0)
+SQRT2 = math.sqrt(2.0)
 
 CONSERVATION_TOL = 1e-10
 
@@ -120,38 +121,58 @@ def _coeffs(t1, t2, r1, r2) -> Coefficients:
     return Coefficients(t1, t2, r1, r2, t1 + t2, r1 + r2)
 
 
-def _region_columns(e_energy, v, m):
-    fwd_up = mode_column(e_energy, v, m, UP, True)
-    fwd_down = mode_column(e_energy, v, m, DOWN, True)
-    bwd_up = mode_column(e_energy, v, m, UP, False)
-    bwd_down = mode_column(e_energy, v, m, DOWN, False)
-    return fwd_up, fwd_down, bwd_up, bwd_down
+def _incident_rhs(c1, d1, incident_spin):
+    """Minus the incident column, spin up (1, 0, c, -d) or down (0, 1, d, -c),
+    of the zero-potential region."""
+    return [-1, 0, -c1, d1] if incident_spin == UP else [0, -1, -d1, c1]
 
 
 def _assemble_barrier(p: BarrierProblem):
-    hbar_c = p.constants.hbar_c
-    k2 = complex_momentum(p.e_energy, p.v0, p.m) / hbar_c
-    ph2 = np.exp(1j * k2 * p.length)  # |ph2| <= 1 in both regimes
-    u_fu, u_fd, u_bu, u_bd = _region_columns(p.e_energy, 0.0, p.m)
-    w_fu, w_fd, w_bu, w_bd = _region_columns(p.e_energy, p.v0, p.m)
-    m8 = np.zeros((8, 8), dtype=complex)
-    rhs = np.zeros(8, dtype=complex)
-    # continuity at z = 0
-    m8[:4, 0] = u_bu
-    m8[:4, 1] = u_bd
-    m8[:4, 2] = -w_fu
-    m8[:4, 3] = -w_fd
-    m8[:4, 4] = -ph2 * w_bu
-    m8[:4, 5] = -ph2 * w_bd
-    rhs[:4] = -(u_fu if p.incident_spin == UP else u_fd)
-    # continuity at z = L
-    m8[4:, 2] = ph2 * w_fu
-    m8[4:, 3] = ph2 * w_fd
-    m8[4:, 4] = w_bu
-    m8[4:, 5] = w_bd
-    m8[4:, 6] = -u_fu
-    m8[4:, 7] = -u_fd
-    return m8, rhs, ph2
+    """(M, rhs, ph1, ph2) of the barrier matching system.
+
+    The unknowns are the reflected up/down, internal +p up/down, internal -p
+    up/down (anchored at z = L) and transmitted up/down amplitudes; rows 0-3
+    are the four components of continuity at z = 0, rows 4-7 at z = L.  Each
+    column is a spinors.mode_column column written with its region's (c, d).
+    """
+    e_energy, m, length, hbar_c = p.e_energy, p.m, p.length, p.constants.hbar_c
+    p1, c1, d1 = _mode_scalars(e_energy, 0.0, m)
+    p2, c2, d2 = _mode_scalars(e_energy, p.v0, m)
+    ph1 = cmath.exp(1j * (p1 / hbar_c) * length)
+    ph2 = cmath.exp(1j * (p2 / hbar_c) * length)  # |ph2| <= 1 in both regimes
+    a, b = ph2 * c2, ph2 * d2
+    m8 = np.array(
+        [
+            [1, 0, -1, 0, -ph2, 0, 0, 0],
+            [0, 1, 0, -1, 0, -ph2, 0, 0],
+            [c1, -d1, -c2, -d2, -a, b, 0, 0],
+            [d1, -c1, d2, c2, -b, a, 0, 0],
+            [0, 0, ph2, 0, 1, 0, -1, 0],
+            [0, 0, 0, ph2, 0, 1, 0, -1],
+            [0, 0, a, b, c2, -d2, -c1, -d1],
+            [0, 0, -b, -a, d2, -c2, d1, c1],
+        ],
+        dtype=complex,
+    )
+    rhs = np.array(_incident_rhs(c1, d1, p.incident_spin) + [0, 0, 0, 0], dtype=complex)
+    return m8, rhs, ph1, ph2
+
+
+def _solve_matching(p: BarrierProblem):
+    """(M, rhs, x, ph1, ph2) of the solved barrier system; refuses the
+    critical band and turns a singular system into
+    DegenerateConfigurationError."""
+    if p.regime == CRITICAL:
+        raise CriticalBandError(
+            f"|E - V0| = {abs(p.e_energy - p.v0):.3e} eV is inside the bridging "
+            "band; evaluate closed_form instead"
+        )
+    m8, rhs, ph1, ph2 = _assemble_barrier(p)
+    try:
+        x = solve_linear(m8, rhs)
+    except SingularSystemError as exc:
+        raise DegenerateConfigurationError(f"matching system singular: {exc}") from exc
+    return m8, rhs, x, ph1, ph2
 
 
 def solve_barrier(p: BarrierProblem):
@@ -161,28 +182,18 @@ def solve_barrier(p: BarrierProblem):
     E = V0 the internal basis degenerates and this refuses; closed_form
     bridges that band analytically.
     """
-    if p.regime == CRITICAL:
-        raise CriticalBandError(
-            f"|E - V0| = {abs(p.e_energy - p.v0):.3e} eV is inside the bridging "
-            "band; evaluate closed_form instead"
-        )
-    m8, rhs, ph2 = _assemble_barrier(p)
-    try:
-        x = solve_linear(m8, rhs)
-    except SingularSystemError as exc:
-        raise DegenerateConfigurationError(f"matching system singular: {exc}") from exc
-    k1 = complex_momentum(p.e_energy, 0.0, p.m) / p.constants.hbar_c
-    ph1 = np.exp(1j * k1 * p.length)
+    _, _, x, ph1, ph2 = _solve_matching(p)
+    x = x.tolist()
     amps = Amplitudes(
         incident=1.0 + 0.0j,
-        refl_up=complex(x[0]),
-        refl_down=complex(x[1]),
-        mid_fwd_up=complex(x[2]),
-        mid_fwd_down=complex(x[3]),
-        mid_bwd_up=complex(x[4] * ph2),
-        mid_bwd_down=complex(x[5] * ph2),
-        trans_up=complex(x[6] / ph1),
-        trans_down=complex(x[7] / ph1),
+        refl_up=x[0],
+        refl_down=x[1],
+        mid_fwd_up=x[2],
+        mid_fwd_down=x[3],
+        mid_bwd_up=x[4] * ph2,
+        mid_bwd_down=x[5] * ph2,
+        trans_up=x[6] / ph1,
+        trans_down=x[7] / ph1,
     )
     coeffs = _coeffs(
         abs(x[6]) ** 2, abs(x[7]) ** 2, abs(x[0]) ** 2, abs(x[1]) ** 2
@@ -191,9 +202,11 @@ def solve_barrier(p: BarrierProblem):
 
 
 def continuity_residual(p: BarrierProblem) -> float:
-    """Scaled residual of the matching equations at the solved amplitudes."""
-    m8, rhs, _ = _assemble_barrier(p)
-    x = solve_linear(m8, rhs)
+    """Scaled residual of the matching equations at the solved amplitudes.
+
+    Raises what solve_barrier raises: CriticalBandError inside the band,
+    DegenerateConfigurationError for a singular system."""
+    m8, rhs, x, _, _ = _solve_matching(p)
     num = float(np.max(np.abs(m8 @ x - rhs)))
     scale = float(
         np.max(np.sum(np.abs(m8), axis=1)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
@@ -228,15 +241,15 @@ def closed_form(p: BarrierProblem) -> Coefficients:
     if regime == CRITICAL:
         t1, r1, r2 = _series_limit(p)
     elif regime == PROPAGATING:
-        x = SQRT2 * p.length * np.sqrt(m * (e_energy - v0)) / hbar_c
-        den = 8.0 * e_energy**2 - v0**2 * np.cos(2.0 * x) - 8.0 * e_energy * v0 + v0**2
+        x = SQRT2 * p.length * math.sqrt(m * (e_energy - v0)) / hbar_c
+        den = 8.0 * e_energy**2 - v0**2 * math.cos(2.0 * x) - 8.0 * e_energy * v0 + v0**2
         t1 = 8.0 * e_energy * (e_energy - v0) / den
-        sin2 = np.sin(x) ** 2
+        sin2 = math.sin(x) ** 2
         r1 = spin_weight[0] * v0**2 * sin2 / ((e_energy + m) ** 2 * den)
         r2 = spin_weight[1] * v0**2 * sin2 / ((e_energy + m) ** 2 * den)
     else:
-        xp = SQRT2 * p.length * np.sqrt(m * (v0 - e_energy)) / hbar_c
-        s = np.exp(-2.0 * xp)
+        xp = SQRT2 * p.length * math.sqrt(m * (v0 - e_energy)) / hbar_c
+        s = math.exp(-2.0 * xp)
         # den2s = 2s * (hyperbolic denominator), negative for E < V0
         den2s = 2.0 * s * (8.0 * e_energy**2 - 8.0 * e_energy * v0 + v0**2) - v0**2 * (
             1.0 + s**2
@@ -252,6 +265,25 @@ def closed_form(p: BarrierProblem) -> Coefficients:
     return _coeffs(float(t1), 0.0, float(r1), float(r2))
 
 
+def _assemble_step(e_energy, v0, m, incident_spin):
+    """(M, rhs, p1, p2) of the step matching system: continuity of the four
+    components at z = 0 for the reflected up/down and transmitted up/down
+    amplitudes."""
+    p1, c1, d1 = _mode_scalars(e_energy, 0.0, m)
+    p2, c2, d2 = _mode_scalars(e_energy, v0, m)
+    m4 = np.array(
+        [
+            [1, 0, -1, 0],
+            [0, 1, 0, -1],
+            [c1, -d1, -c2, -d2],
+            [d1, -c1, d2, c2],
+        ],
+        dtype=complex,
+    )
+    rhs = np.array(_incident_rhs(c1, d1, incident_spin), dtype=complex)
+    return m4, rhs, p1, p2
+
+
 def solve_step(e_energy, v0, m, incident_spin=UP, constants: PhysicalConstants | None = None):
     """Single interface at z = 0: region I at zero potential, region II at V0.
 
@@ -263,29 +295,21 @@ def solve_step(e_energy, v0, m, incident_spin=UP, constants: PhysicalConstants |
         raise ValueError("E must be finite and positive")
     if not 0 < m < np.inf:
         raise ValueError("mass must be finite and positive")
-    if not np.isfinite(v0):
+    if not math.isfinite(v0):
         raise ValueError("V0 must be finite")
     regime = classify_regime(e_energy, v0)
     if regime == CRITICAL:
         raise CriticalBandError("E = V0 at the step has no transmitted basis")
-    u_fu, u_fd, u_bu, u_bd = _region_columns(e_energy, 0.0, m)
-    w_fu, w_fd, _, _ = _region_columns(e_energy, v0, m)
-    m4 = np.zeros((4, 4), dtype=complex)
-    m4[:, 0] = u_bu
-    m4[:, 1] = u_bd
-    m4[:, 2] = -w_fu
-    m4[:, 3] = -w_fd
-    rhs = -(u_fu if incident_spin == UP else u_fd)
+    m4, rhs, p1, p2 = _assemble_step(e_energy, v0, m, incident_spin)
     try:
-        x = solve_linear(m4, rhs)
+        x = solve_linear(m4, rhs).tolist()
     except SingularSystemError as exc:
         raise DegenerateConfigurationError(f"step matching singular: {exc}") from exc
     r1 = abs(x[0]) ** 2
     r2 = abs(x[1]) ** 2
     if regime == PROPAGATING:
-        p1 = np.sqrt(2.0 * m * e_energy)
-        p2 = np.sqrt(2.0 * m * (e_energy - v0))
-        flux = (p2 * (e_energy + m)) / (p1 * (e_energy - v0 + m))
+        # p1, p2 are real here
+        flux = (p2.real * (e_energy + m)) / (p1.real * (e_energy - v0 + m))
         t1 = abs(x[2]) ** 2 * flux
         t2 = abs(x[3]) ** 2 * flux
     else:
@@ -392,7 +416,14 @@ def sweep(template: BarrierProblem, e_grid, method: str = "numeric") -> SweepTab
     for e_energy in e_grid:
         ratio = e_energy / template.v0
         try:
-            prob = replace(template, e_energy=float(e_energy))
+            prob = BarrierProblem(
+                float(e_energy),
+                template.v0,
+                template.length,
+                template.m,
+                template.incident_spin,
+                template.constants,
+            )
             numeric = closed = None
             if method in ("numeric", "both"):
                 try:

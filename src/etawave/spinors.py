@@ -20,6 +20,7 @@ convention instead of trusting it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .numerics import least_squares
 from .waveop import EVANESCENT, PROPAGATING, RegionOperator, complex_momentum
 
-SQRT2 = np.sqrt(2.0)
+SQRT2 = math.sqrt(2.0)
 
 UP = "up"
 DOWN = "down"
@@ -109,12 +110,9 @@ def _check_denominator(e_energy: float, v: float, m: float):
         )
 
 
-def mode_column(e_energy, v, m, spin, positive_branch, variant="adopted"):
-    """Component column for the +p (positive_branch) or -p eigenmode.
-
-    variant selects the normalization hypothesis under test; "adopted" is the
-    one validated by reconstruct_eta_1d.
-    """
+def _mode_scalars(e_energy, v, m, variant="adopted"):
+    """(p, c, d) of one region: the momentum and the two scalars that fill
+    every mode column there (see the module docstring)."""
     p = complex_momentum(e_energy, v, m)
     if variant == "alpha_em":
         den = e_energy - v - m
@@ -124,8 +122,16 @@ def mode_column(e_energy, v, m, spin, positive_branch, variant="adopted"):
     else:
         _check_denominator(e_energy, v, m)
         b = 1.0 / (e_energy - v + m)
-    c = 1j * b * (e_energy - v - m)
-    d = SQRT2 * b * p
+    return p, 1j * b * (e_energy - v - m), SQRT2 * b * p
+
+
+def mode_column(e_energy, v, m, spin, positive_branch, variant="adopted"):
+    """Component column for the +p (positive_branch) or -p eigenmode.
+
+    variant selects the normalization hypothesis under test; "adopted" is the
+    one validated by reconstruct_eta_1d.
+    """
+    _, c, d = _mode_scalars(e_energy, v, m, variant)
     if spin == UP:
         comps = [1.0, 0.0, c, -d] if positive_branch else [1.0, 0.0, c, d]
     elif spin == DOWN:

@@ -9,6 +9,7 @@ in eV, and spatial phases downstream divide by hbar_c.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +90,7 @@ def dispersion(e_energy: float, v: float, m: float) -> DispersionResult:
 def complex_momentum(e_energy: float, v: float, m: float) -> complex:
     """Principal branch sqrt(2m(E-V)): real and positive above the potential,
     +i*kappa below it."""
-    return complex(np.sqrt(complex(2.0 * m * (e_energy - v))))
+    return cmath.sqrt(2.0 * m * (e_energy - v))
 
 
 def general_a_check(a: float, e_energy: float, m: float, e: EtaSet | None = None) -> float:

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from etawave import boundstates as bs
 from etawave import scattering as sc
 from etawave import spinors as sp
-from etawave.waveop import PhysicalConstants
+from etawave.numerics import SingularSystemError
+from etawave.waveop import CRITICAL, PROPAGATING, PhysicalConstants, complex_momentum
 
 CONSTANTS = PhysicalConstants()
 
@@ -112,6 +113,37 @@ def test_deep_tunneling_kappa_l_200():
 def test_continuity_residual_small():
     for ratio in (0.3, 0.97, 1.5, 3.0):
         assert sc.continuity_residual(barrier(ratio * 10.0)) <= 1e-13
+
+
+def test_continuity_residual_refuses_what_solve_barrier_refuses(monkeypatch):
+    inside_band = sc.BarrierProblem(10.0, 10.0, 1.0, 5e5)
+    with pytest.raises(sc.CriticalBandError):
+        sc.continuity_residual(inside_band)
+
+    def singular(m, b):
+        raise SingularSystemError("exactly singular: stub")
+
+    monkeypatch.setattr(sc, "solve_linear", singular)
+    for run in (sc.solve_barrier, sc.continuity_residual):
+        with pytest.raises(sc.DegenerateConfigurationError):
+            run(barrier(15.0))
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5e-6, -0.5e-6])
+def test_component_pole_raises_on_matching_paths(offset):
+    # m = 1, V0 = 5: E - V0 + m lies within DENOMINATOR_RTOL * m of the pole
+    # of the barrier region's mode columns
+    m, v0, length = 1.0, 5.0, 0.1
+    e_energy = 4.0 + offset
+    assert abs(e_energy - v0 + m) <= sp.DENOMINATOR_RTOL * m
+    with pytest.raises(sp.ConventionSingularityError):
+        sc.solve_barrier(sc.BarrierProblem(e_energy, v0, length, m))
+    for spin in (sp.UP, sp.DOWN):
+        with pytest.raises(sp.ConventionSingularityError):
+            sc.solve_step(e_energy, v0, m, spin)
+    table = sc.sweep(sc.BarrierProblem(v0, v0, length, m), [2.0, e_energy, 7.0], method="both")
+    assert [row.flag is not None for row in table.rows] == [False, True, False]
+    assert table.rows[1].flag.startswith("ConventionSingularityError")
 
 
 def test_critical_band_refused_and_bridged():
@@ -342,3 +374,158 @@ def test_envelope_extrema_pairs():
     pairs = sc.envelope_extrema(template, [12.0, 20.0, 30.0])
     assert [ratio for ratio, _ in pairs] == pytest.approx([1.2, 2.0, 3.0])
     assert all(val > 0 for _, val in pairs)
+
+
+# ------------------------------------------- matching systems and closed form
+
+
+def _mode_columns(e_energy, v, m):
+    """+p up, +p down, -p up, -p down columns of one region."""
+    return [
+        sp.mode_column(e_energy, v, m, spin, positive)
+        for positive in (True, False)
+        for spin in (sp.UP, sp.DOWN)
+    ]
+
+
+def _barrier_system_from_columns(p):
+    """The barrier system assembled column by column from mode_column."""
+    k2 = complex_momentum(p.e_energy, p.v0, p.m) / p.constants.hbar_c
+    ph2 = np.exp(1j * k2 * p.length)
+    u_fu, u_fd, u_bu, u_bd = _mode_columns(p.e_energy, 0.0, p.m)
+    w_fu, w_fd, w_bu, w_bd = _mode_columns(p.e_energy, p.v0, p.m)
+    m8 = np.zeros((8, 8), dtype=complex)
+    m8[:4, :6] = np.column_stack([u_bu, u_bd, -w_fu, -w_fd, -ph2 * w_bu, -ph2 * w_bd])
+    m8[4:, 2:] = np.column_stack([ph2 * w_fu, ph2 * w_fd, w_bu, w_bd, -u_fu, -u_fd])
+    rhs = np.zeros(8, dtype=complex)
+    rhs[:4] = -(u_fu if p.incident_spin == sp.UP else u_fd)
+    return m8, rhs
+
+
+def _step_system_from_columns(e_energy, v0, m, spin):
+    u_fu, u_fd, u_bu, u_bd = _mode_columns(e_energy, 0.0, m)
+    w_fu, w_fd, _, _ = _mode_columns(e_energy, v0, m)
+    m4 = np.column_stack([u_bu, u_bd, -w_fu, -w_fd])
+    return m4, -(u_fu if spin == sp.UP else u_fd)
+
+
+def _assert_same_system(got, ref):
+    scale = np.abs(ref[0]).max()
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        assert np.abs(g - r).max() <= 1e-15 * scale
+
+
+def _clamp_kappa_l(ratio, v0, length, m, limit=220.0):
+    if ratio < 1.0:
+        kappa = np.sqrt(2.0 * m * (1.0 - ratio) * v0) / CONSTANTS.hbar_c
+        length = min(length, limit / kappa)
+    return length
+
+
+spins = st.sampled_from([sp.UP, sp.DOWN])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ratios_above, ratios_below), heights, lengths, masses, spins)
+def test_barrier_system_equals_mode_column_assembly(ratio, v0, length, m, spin):
+    p = barrier(ratio * v0, v0, _clamp_kappa_l(ratio, v0, length, m), m, spin)
+    m8, rhs = _barrier_system_from_columns(p)
+    _assert_same_system(sc._assemble_barrier(p)[:2], (m8, rhs))
+    x = np.linalg.solve(m8, rhs)
+    _, coeffs = sc.solve_barrier(p)
+    ref = [abs(x[k]) ** 2 for k in (6, 7, 0, 1)]
+    for got, want in zip(_channels(coeffs), ref):
+        assert type(got) is float
+        assert abs(got - want) <= 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.05, 3.0), heights, masses, spins)
+def test_step_system_equals_mode_column_assembly(ratio, v0, m, spin):
+    assume(abs(ratio - 1.0) > 1e-6)
+    e_energy = ratio * v0
+    m4, rhs = _step_system_from_columns(e_energy, v0, m, spin)
+    _assert_same_system(sc._assemble_step(e_energy, v0, m, spin)[:2], (m4, rhs))
+    x = np.linalg.solve(m4, rhs)
+    t = [0.0, 0.0]
+    if e_energy > v0:
+        p1 = np.sqrt(2.0 * m * e_energy)
+        p2 = np.sqrt(2.0 * m * (e_energy - v0))
+        flux = (p2 * (e_energy + m)) / (p1 * (e_energy - v0 + m))
+        t = [abs(x[2]) ** 2 * flux, abs(x[3]) ** 2 * flux]
+    ref = t + [abs(x[0]) ** 2, abs(x[1]) ** 2]
+    for got, want in zip(_channels(sc.solve_step(e_energy, v0, m, spin)), ref):
+        assert type(got) is float
+        assert abs(got - want) <= 1e-14
+
+
+def _closed_form_numpy(p, cos=np.cos, sin=np.sin, exp=np.exp):
+    """Spin-up (t1, r1, r2) of closed_form, written with numpy ufuncs."""
+    e_energy, v0, m = p.e_energy, p.v0, p.m
+    hbar_c = p.constants.hbar_c
+    keep, flip = (e_energy - m) ** 2 * 2.0, 8.0 * e_energy * m
+    if p.regime == CRITICAL:
+        g = m * p.length**2 / hbar_c**2
+        den = 2.0 * e_energy + g * v0**2
+        return (
+            2.0 * e_energy / den,
+            g * v0**2 * (e_energy - m) ** 2 / ((e_energy + m) ** 2 * den),
+            4.0 * g * e_energy * m * v0**2 / ((e_energy + m) ** 2 * den),
+        )
+    if p.regime == PROPAGATING:
+        x = np.sqrt(2.0) * p.length * np.sqrt(m * (e_energy - v0)) / hbar_c
+        den = 8.0 * e_energy**2 - v0**2 * cos(2.0 * x) - 8.0 * e_energy * v0 + v0**2
+        sin2 = sin(x) ** 2
+        return (
+            8.0 * e_energy * (e_energy - v0) / den,
+            keep * v0**2 * sin2 / ((e_energy + m) ** 2 * den),
+            flip * v0**2 * sin2 / ((e_energy + m) ** 2 * den),
+        )
+    xp = np.sqrt(2.0) * p.length * np.sqrt(m * (v0 - e_energy)) / hbar_c
+    s = exp(-2.0 * xp)
+    den2s = 2.0 * s * (8.0 * e_energy**2 - 8.0 * e_energy * v0 + v0**2) - v0**2 * (1.0 + s**2)
+    quarter = (1.0 - s) ** 2
+    return (
+        16.0 * e_energy * (e_energy - v0) * s / den2s,
+        -keep * v0**2 * quarter / (2.0 * (e_energy + m) ** 2 * den2s),
+        -flip * v0**2 * quarter / (2.0 * (e_energy + m) ** 2 * den2s),
+    )
+
+
+# two units in the last place of a float64, relative
+ULP2 = 2.0**-51
+
+
+def _ulp_sensitivity(p):
+    """How far the numpy form moves when one of cos, sin or exp is off by two
+    ulp.  numpy's float64 exp differs from the C library's (math.exp) by an
+    ulp on a fraction of arguments, and near the barrier top (1 - s)^2 and
+    the cancelling denominators magnify that to ~1e-13 relative."""
+    ref = _closed_form_numpy(p)
+    worst = [0.0, 0.0, 0.0]
+    for name in ("cos", "sin", "exp"):
+        for k in (-1.0, 1.0):
+            fn = getattr(np, name)
+            moved = _closed_form_numpy(p, **{name: lambda z, fn=fn, k=k: fn(z) * (1.0 + k * ULP2)})
+            worst = [max(w, abs(a - b)) for w, a, b in zip(worst, moved, ref)]
+    return ref, worst
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(ratios_above, ratios_below, st.floats(-0.9e-9, 0.9e-9).map(lambda d: 1.0 + d)),
+    heights,
+    lengths,
+    masses,
+)
+def test_closed_form_equals_numpy_form(ratio, v0, length, m):
+    up = barrier(ratio * v0, v0, _clamp_kappa_l(ratio, v0, length, m), m)
+    ref, slack = _ulp_sensitivity(up)
+    got = sc.closed_form(up)
+    for value, want, extra in zip((got.t1, got.r1, got.r2), ref, slack):
+        assert type(value) is float
+        assert abs(value - want) <= 1e-14 * abs(want) + extra + 1e-300
+    assert got.t2 == 0.0
+    down = sc.closed_form(barrier(up.e_energy, v0, up.length, m, spin=sp.DOWN))
+    assert _channels(down) == _swapped(got)
