@@ -11,6 +11,7 @@ import argparse
 
 import numpy as np
 
+from etawave import cli
 from etawave import scattering as sc
 
 
@@ -23,14 +24,12 @@ def main():
     ap.add_argument("--out", default="barrier_sweep.csv")
     args = ap.parse_args()
 
-    template = sc.BarrierProblem(
-        e_energy=args.v0, v0=args.v0, length=args.length, m=args.mass
+    code = cli.main(
+        ["barrier", "--v0", repr(args.v0), "--length", repr(args.length),
+         "--mass", repr(args.mass), "--emin", "1.01", "--emax", "3.0",
+         "--steps", str(args.steps), "--method", "both", "--output", args.out]
     )
-    ratios = np.linspace(1.01, 3.0, args.steps)
-    table = sc.sweep(template, ratios * args.v0, method="both")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(table.to_csv(12))
-    print(f"wrote {args.out}: {len(table.rows)} rows, flagged={table.flagged}")
+    print(f"wrote {args.out}: {args.steps} rows, exit code {code}")
 
     at = 1.5 * args.v0
     point = sc.closed_form(

@@ -7,23 +7,21 @@ solver tracks it point by point.
 
 import numpy as np
 
+from etawave import cli
 from etawave import scattering as sc
 
 V0 = 1.0
 L = 10.0
 M = 0.5e6
 
-template = sc.BarrierProblem(e_energy=V0, v0=V0, length=L, m=M)
-ratios = np.linspace(0.02, 0.98, 300)
-table = sc.sweep(template, ratios * V0, method="both")
-
-with open("tunneling_sweep.csv", "w", encoding="utf-8") as fh:
-    fh.write(table.to_csv(12))
-
-deltas = [row.delta for row in table.rows if row.delta is not None]
-t1 = [row.coeffs.t1 for row in table.rows if row.coeffs is not None]
-print(f"rows: {len(table.rows)}  max|numeric-closed|: {max(deltas):.3e}")
-print(f"T1 range: {min(t1):.3e} .. {max(t1):.3e}")
+cli.main(
+    ["barrier", "--v0", repr(V0), "--length", repr(L), "--mass", repr(M),
+     "--emin", "0.02", "--emax", "0.98", "--steps", "300", "--method", "both",
+     "--output", "tunneling_sweep.csv"]
+)
+table = np.genfromtxt("tunneling_sweep.csv", delimiter=",", names=True)
+print(f"rows: {len(table)}  max|numeric-closed|: {np.nanmax(table['delta_numeric_closed']):.3e}")
+print(f"T1 range: {np.nanmin(table['T1']):.3e} .. {np.nanmax(table['T1']):.3e}")
 
 # the deep end: kappa L = 200 on purpose
 kappa = np.sqrt(2.0 * M * (V0 - 0.5 * V0)) / 197.0

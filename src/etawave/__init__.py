@@ -11,7 +11,7 @@ from .scattering import (
     solve_step,
     sweep,
 )
-from .waveop import PhysicalConstants, dispersion, momentum_operator
+from .waveop import PhysicalConstants, momentum_operator
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,6 @@ __all__ = [
     "build_eta",
     "build_standard_gammas",
     "closed_form",
-    "dispersion",
     "footnote_equivalence_check",
     "identity_suite",
     "momentum_operator",

@@ -92,6 +92,12 @@ def find_levels_numerically(w: WellProblem, e_hi: float) -> LevelSet:
     sign-changing sin(p L / hbar_c).  Grid step is a quarter of the analytic
     n=1 spacing, which separates consecutive levels for every n; bisection
     refines to 1e-12 relative.
+
+    sin(p L / hbar_c) = 0 is the analytic quantization condition itself, so
+    agreement with energy_levels (acceptance criterion 09, the
+    `boundstates.levels` line of `etawave check`) shows that the bracketing
+    and bisection find every level to 1e-10; it is not an independent solve
+    of the periodic matching problem.
     """
     if e_hi <= 0:
         raise ValueError("e_hi must be positive")

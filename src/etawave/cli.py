@@ -24,6 +24,7 @@ from . import boundstates, clifford, pauligauge, scattering, spinors, waveop
 from .waveop import PhysicalConstants
 
 USAGE_EXIT = 64
+_NAN = float("nan")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,10 +63,6 @@ def _load_config(path):
     return values
 
 
-def _fmt(v: float, precision: int) -> str:
-    return f"{v:.{precision - 1}e}"
-
-
 def _emit(text: str, output_path):
     if output_path:
         with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -74,16 +71,49 @@ def _emit(text: str, output_path):
         sys.stdout.write(text)
 
 
-def _table_text(table: scattering.SweepTable, fmt: str, precision: int) -> str:
+def _render(header, records, fmt: str, precision: int, comment=None) -> str:
+    """The one table formatter: every table value becomes text here.
+
+    Floats print with `precision` significant digits, ints and strings with
+    str.  CSV holds the header columns, after an optional `# comment` line;
+    JSON holds every key of each record, floats rounded through the same text.
+    """
+    float_text = f"{{:.{precision - 1}e}}".format
+
+    def text(v):
+        return float_text(v) if isinstance(v, float) else str(v)
+
     if fmt == "json":
-        records = table.to_records(precision)
-        if table.incident_spin == spinors.DOWN:
-            records = [{**rec, "incident_spin": spinors.DOWN} for rec in records]
-        return json.dumps(records) + "\n"
-    text = table.to_csv(precision)
-    if table.incident_spin == spinors.DOWN:
-        text = f"# incident_spin={spinors.DOWN}\n" + text
-    return text
+        return json.dumps(
+            [{k: float(float_text(v)) if isinstance(v, float) else v for k, v in rec.items()}
+             for rec in records]
+        ) + "\n"
+    lines = [f"# {comment}"] if comment else []
+    lines.append(",".join(header))
+    lines += [",".join([text(rec[h]) for h in header]) for rec in records]
+    return "\n".join(lines) + "\n"
+
+
+def _emit_sweep(table: scattering.SweepTable, args, precision: int) -> int:
+    """Write a sweep table; exit code 2 when it has flagged rows."""
+    header = table.header()
+    down = table.incident_spin == spinors.DOWN
+    records = []
+    for r in table.rows:
+        c = r.coeffs
+        values = [r.e_over_v0]
+        values += [_NAN] * 7 if c is None else [c.t1, c.t2, c.r1, c.r2, c.t_qm, c.r_qm, c.total]
+        if table.method == "both":
+            values.append(_NAN if r.delta is None else r.delta)
+        rec = dict(zip(header, values))
+        if r.flag is not None:
+            rec["flag"] = r.flag
+        if down:
+            rec["incident_spin"] = spinors.DOWN
+        records.append(rec)
+    comment = f"incident_spin={spinors.DOWN}" if down else None
+    _emit(_render(header, records, args.format, precision, comment), args.output)
+    return 2 if table.flagged else 0
 
 
 def _add_common(parser):
@@ -107,7 +137,9 @@ def _resolve(parser, args):
             parser.error(str(exc))
     try:
         hbar_c = (
-            args.hbar_c if args.hbar_c is not None else _finite_float(conf.get("hbar_c", 197.0))
+            args.hbar_c
+            if args.hbar_c is not None
+            else _finite_float(conf.get("hbar_c", PhysicalConstants.hbar_c))
         )
         mass = args.mass if args.mass is not None else _finite_float(conf.get("mass_c2", 0.5e6))
         precision = (
@@ -140,9 +172,7 @@ def cmd_barrier(parser, args) -> int:
         incident_spin=args.spin,
         constants=constants,
     )
-    table = scattering.sweep(template, ratios * args.v0, args.method)
-    _emit(_table_text(table, args.format, precision), args.output)
-    return 2 if table.flagged else 0
+    return _emit_sweep(scattering.sweep(template, ratios * args.v0, args.method), args, precision)
 
 
 def cmd_step(parser, args) -> int:
@@ -164,9 +194,7 @@ def cmd_step(parser, args) -> int:
             rows.append(
                 scattering.SweepRow(float(ratio), None, None, f"{type(exc).__name__}: {exc}")
             )
-    table = scattering.SweepTable(rows, "numeric", args.spin)
-    _emit(_table_text(table, args.format, precision), args.output)
-    return 2 if table.flagged else 0
+    return _emit_sweep(scattering.SweepTable(rows, "numeric", args.spin), args, precision)
 
 
 def cmd_well(parser, args) -> int:
@@ -188,23 +216,13 @@ def cmd_well(parser, args) -> int:
         header += ["E_n_numeric", "rel_deviation"]
     records = []
     for n, e_n in analytic.levels:
-        rec = {
-            "n": n,
-            "E_n_eV": float(_fmt(e_n, precision)),
-            "residual": float(_fmt(boundstates.periodic_residual(e_n, w), precision)),
-        }
+        rec = {"n": n, "E_n_eV": e_n, "residual": boundstates.periodic_residual(e_n, w)}
         if args.numeric:
-            e_num = numeric.get(n, float("nan"))
-            rec["E_n_numeric"] = float(_fmt(e_num, precision))
-            rec["rel_deviation"] = float(_fmt(abs(e_num - e_n) / e_n, precision))
+            e_num = numeric.get(n, _NAN)
+            rec["E_n_numeric"] = e_num
+            rec["rel_deviation"] = abs(e_num - e_n) / e_n
         records.append(rec)
-    if args.format == "json":
-        _emit(json.dumps(records) + "\n", args.output)
-    else:
-        lines = [",".join(header)]
-        for rec in records:
-            lines.append(",".join(str(rec[h]) if h == "n" else _fmt(rec[h], precision) for h in header))
-        _emit("\n".join(lines) + "\n", args.output)
+    _emit(_render(header, records, args.format, precision), args.output)
     return 0
 
 
@@ -217,14 +235,8 @@ def cmd_pauli(parser, args) -> int:
     sizes = [args.base_size * 2**i for i in range(args.levels)]
     rows = pauligauge.convergence_table(sizes, extent=args.extent, bz=args.bz)
     header = ["h_nm", "identity_residual", "gauge_residual", "commutator_residual"]
-    if args.format == "json":
-        records = [dict(zip(header, (float(_fmt(v, precision)) for v in row))) for row in rows]
-        _emit(json.dumps(records) + "\n", args.output)
-    else:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v, precision) for v in row))
-        _emit("\n".join(lines) + "\n", args.output)
+    records = [dict(zip(header, row)) for row in rows]
+    _emit(_render(header, records, args.format, precision), args.output)
     return 0
 
 
@@ -249,28 +261,11 @@ def cmd_point(parser, args) -> int:
         numeric = scattering.closed_form(prob)
     closed = scattering.closed_form(prob)
     header = ["method", "T1", "T2", "R1", "R2", "T_qm", "R_qm", "sum"]
-    rows = [("numeric", numeric), ("closed", closed)]
-    if args.format == "json":
-        records = [
-            {
-                "method": name,
-                **{
-                    k: float(_fmt(v, precision))
-                    for k, v in zip(
-                        header[1:],
-                        (c.t1, c.t2, c.r1, c.r2, c.t_qm, c.r_qm, c.total),
-                    )
-                },
-            }
-            for name, c in rows
-        ]
-        _emit(json.dumps(records) + "\n", args.output)
-    else:
-        lines = [",".join(header)]
-        for name, c in rows:
-            vals = (c.t1, c.t2, c.r1, c.r2, c.t_qm, c.r_qm, c.total)
-            lines.append(name + "," + ",".join(_fmt(v, precision) for v in vals))
-        _emit("\n".join(lines) + "\n", args.output)
+    records = [
+        dict(zip(header, (name, c.t1, c.t2, c.r1, c.r2, c.t_qm, c.r_qm, c.total)))
+        for name, c in (("numeric", numeric), ("closed", closed))
+    ]
+    _emit(_render(header, records, args.format, precision), args.output)
     return 0
 
 
@@ -280,7 +275,8 @@ def _corrupted_eta(e_set):
     return clifford.EtaSet(eta=bad, eta_dagger=bad.conj().T)
 
 
-def _run_check(seed: int, fault: str | None, out) -> int:
+def _run_check(seed: int, fault: str | None):
+    """(exit code, report text) of the identity and property suite."""
     rng = np.random.default_rng(seed)
     lines = []
     failed = []
@@ -415,20 +411,18 @@ def _run_check(seed: int, fault: str | None, out) -> int:
     record("pauligauge.gauge_order", max(0.0, 1.9 - gauge_order), 0.0)
     record("pauligauge.commutator_order", max(0.0, 1.9 - commutator_order), 0.0)
 
-    out.write("\n".join(lines) + "\n")
     if failed:
-        out.write(f"FAILED first={failed[0]} total={len(failed)}\n")
-        return 1
-    out.write("OK all identities and properties hold\n")
-    return 0
+        lines.append(f"FAILED first={failed[0]} total={len(failed)}")
+    else:
+        lines.append("OK all identities and properties hold")
+    return (1 if failed else 0), "\n".join(lines) + "\n"
 
 
 def cmd_check(parser, args) -> int:
     _, _, _, seed = _resolve(parser, args)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            return _run_check(seed, args.fault, fh)
-    return _run_check(seed, args.fault, sys.stdout)
+    code, text = _run_check(seed, args.fault)
+    _emit(text, args.output)
+    return code
 
 
 def build_parser() -> _Parser:

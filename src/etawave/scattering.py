@@ -27,7 +27,6 @@ from .numerics import SingularSystemError, solve_linear
 from .spinors import DOWN, UP, _mode_scalars
 from .waveop import (
     CRITICAL,
-    EVANESCENT,
     PROPAGATING,
     PhysicalConstants,
     classify_regime,
@@ -297,6 +296,8 @@ def solve_step(e_energy, v0, m, incident_spin=UP, constants: PhysicalConstants |
         raise ValueError("mass must be finite and positive")
     if not math.isfinite(v0):
         raise ValueError("V0 must be finite")
+    if incident_spin not in (UP, DOWN):
+        raise ValueError(f"incident_spin must be up or down, got {incident_spin!r}")
     regime = classify_regime(e_energy, v0)
     if regime == CRITICAL:
         raise CriticalBandError("E = V0 at the step has no transmitted basis")
@@ -341,58 +342,6 @@ class SweepTable:
         if self.method == "both":
             cols.append("delta_numeric_closed")
         return cols
-
-    def to_records(self, precision: int = 12):
-        recs = []
-        for r in self.rows:
-            rec = {"e_over_v0": _sig(r.e_over_v0, precision)}
-            if r.coeffs is None:
-                for k in ("T1", "T2", "R1", "R2", "T_qm", "R_qm", "sum"):
-                    rec[k] = float("nan")
-            else:
-                c = r.coeffs
-                rec.update(
-                    T1=_sig(c.t1, precision),
-                    T2=_sig(c.t2, precision),
-                    R1=_sig(c.r1, precision),
-                    R2=_sig(c.r2, precision),
-                    T_qm=_sig(c.t_qm, precision),
-                    R_qm=_sig(c.r_qm, precision),
-                    sum=_sig(c.total, precision),
-                )
-            if self.method == "both":
-                rec["delta_numeric_closed"] = (
-                    float("nan") if r.delta is None else _sig(r.delta, precision)
-                )
-            if r.flag is not None:
-                rec["flag"] = r.flag
-            recs.append(rec)
-        return recs
-
-    def to_csv(self, precision: int = 12) -> str:
-        lines = [",".join(self.header())]
-        for r in self.rows:
-            vals = [_fmt(r.e_over_v0, precision)]
-            if r.coeffs is None:
-                vals += ["nan"] * 7
-            else:
-                c = r.coeffs
-                vals += [
-                    _fmt(v, precision)
-                    for v in (c.t1, c.t2, c.r1, c.r2, c.t_qm, c.r_qm, c.total)
-                ]
-            if self.method == "both":
-                vals.append("nan" if r.delta is None else _fmt(r.delta, precision))
-            lines.append(",".join(vals))
-        return "\n".join(lines) + "\n"
-
-
-def _fmt(v: float, precision: int) -> str:
-    return f"{v:.{precision - 1}e}"
-
-
-def _sig(v: float, precision: int) -> float:
-    return float(_fmt(v, precision))
 
 
 def coefficient_delta(a: Coefficients, b: Coefficients) -> float:
@@ -456,11 +405,6 @@ def r2_envelope(e_energy, v0, m) -> float:
         * v0**2
         / ((e_energy + m) ** 2 * (8.0 * e_energy**2 - 8.0 * e_energy * v0 + 2.0 * v0**2))
     )
-
-
-def envelope_extrema(template: BarrierProblem, e_grid):
-    """(E/V0, R2 envelope) pairs for phase-insensitive acceptance checks."""
-    return [(e / template.v0, r2_envelope(e, template.v0, template.m)) for e in e_grid]
 
 
 def l_sensitivity_scan(e_energy, v0, m, lengths, constants: PhysicalConstants | None = None):

@@ -82,27 +82,6 @@ class Spinor:
             )
 
 
-@dataclass(frozen=True)
-class SpinorConvention:
-    """The three inverse-energy denominators entering the component columns."""
-
-    alpha: float  # 1/(E + m), region at zero potential
-    beta: float  # 1/(E - V0 + m), propagating barrier region
-    rho: float  # 1/(V0 - E - m), evanescent barrier region
-
-    @classmethod
-    def from_problem(cls, e_energy: float, v0: float, m: float) -> "SpinorConvention":
-        if abs(v0 - e_energy - m) <= DENOMINATOR_RTOL * m:
-            raise ConventionSingularityError(
-                "V0 - E - m too close to zero; component denominators diverge"
-            )
-        return cls(
-            alpha=1.0 / (e_energy + m),
-            beta=1.0 / (e_energy - v0 + m),
-            rho=1.0 / (v0 - e_energy - m),
-        )
-
-
 def _check_denominator(e_energy: float, v: float, m: float):
     if abs(e_energy - v + m) <= DENOMINATOR_RTOL * m:
         raise ConventionSingularityError(

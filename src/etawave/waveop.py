@@ -10,7 +10,7 @@ in eV, and spatial phases downstream divide by hbar_c.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,29 +62,6 @@ def momentum_operator(e_energy: float, v: float, m: float, e: EtaSet) -> RegionO
         raise ValueError("mass must be positive")
     matrix = (e_energy - v) * e.eta + m * e.eta_dagger
     return RegionOperator(e_energy, v, m, matrix, classify_regime(e_energy, v))
-
-
-@dataclass(frozen=True)
-class DispersionResult:
-    """regime plus the momentum magnitude: p (eV) when propagating,
-    kappa (eV) when evanescent, 0 in the critical band."""
-
-    regime: str
-    value: float
-
-    @property
-    def is_zero(self) -> bool:
-        return self.regime == CRITICAL
-
-
-def dispersion(e_energy: float, v: float, m: float) -> DispersionResult:
-    if m <= 0:
-        raise ValueError("mass must be positive")
-    regime = classify_regime(e_energy, v)
-    if regime == CRITICAL:
-        return DispersionResult(CRITICAL, 0.0)
-    mag = float(np.sqrt(2.0 * m * abs(e_energy - v)))
-    return DispersionResult(regime, mag)
 
 
 def complex_momentum(e_energy: float, v: float, m: float) -> complex:

@@ -267,3 +267,38 @@ def test_precision_controls_mantissa(tmp_path):
     e_field = out.read_text().splitlines()[1].split(",")[1]
     mantissa = e_field.split("e")[0]
     assert len(mantissa.split(".")[1]) == 5
+
+
+@pytest.mark.parametrize(
+    "argv,flagged",
+    [
+        (["barrier", "--v0", "5", "--length", "1", "--mass", "1", "--emin", "0.7",
+          "--emax", "0.9", "--steps", "3", "--method", "both", "--spin", "down"],
+         {1: "ConventionSingularityError"}),
+        (["step", "--v0", "10", "--emin", "0.5", "--emax", "1.5", "--steps", "3"],
+         {1: "CriticalBandError"}),
+        (["well", "--length", "10", "--nmax", "4", "--numeric"], {}),
+        (["pauli", "--base-size", "8", "--levels", "1"], {}),
+        (["point", "--v0", "10", "--length", "10", "--e-over-v0", "1.5"], {}),
+    ],
+    ids=["barrier", "step", "well", "pauli", "point"],
+)
+def test_csv_and_json_hold_the_same_table(argv, flagged, capsys):
+    code = run(argv + ["--format", "csv"])
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert run(argv + ["--format", "json"]) == code
+    records = json.loads(capsys.readouterr().out)
+    header = lines[0].split(",")
+    assert len(records) == len(lines) - 1
+    for i, (line, rec) in enumerate(zip(lines[1:], records)):
+        # JSON has the CSV columns in the same order, then only flag / incident_spin
+        assert list(rec)[: len(header)] == header
+        assert set(list(rec)[len(header):]) <= {"flag", "incident_spin"}
+        assert ("flag" in rec) == (i in flagged)
+        if i in flagged:
+            assert rec["flag"].startswith(flagged[i])
+        for text, value in zip(line.split(","), (rec[h] for h in header)):
+            if isinstance(value, float):
+                assert float(text) == value or (text == "nan" and np.isnan(value))
+            else:
+                assert text == str(value)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from etawave import boundstates as bs
+from etawave import cli
 from etawave import scattering as sc
 from etawave import spinors as sp
 from etawave.numerics import SingularSystemError
@@ -298,6 +299,12 @@ def test_step_critical_refused():
         sc.solve_step(10.0, 10.0, 0.5e6)
 
 
+def test_step_rejects_unknown_spin():
+    # as BarrierProblem does; an unknown spin used to give the spin-down result
+    with pytest.raises(ValueError, match="incident_spin"):
+        sc.solve_step(15.0, 10.0, 5e5, "left")
+
+
 def test_sweep_bridges_critical_point():
     template = barrier(10.0, 10.0, 2.0)
     grid = np.array([5.0, 10.0, 15.0])
@@ -311,13 +318,18 @@ def test_sweep_bridges_critical_point():
         assert abs(row.coeffs.total - 1.0) <= 1e-10
 
 
-def test_sweep_flags_bad_points():
+def test_sweep_flags_bad_points(capsys):
     template = barrier(10.0, 10.0, 2.0)
     table = sc.sweep(template, np.array([5.0, -1.0]), method="numeric")
     assert len(table.flagged) == 1
     assert "ValueError" in table.flagged[0].flag
-    csv_text = table.to_csv()
-    assert "nan" in csv_text.splitlines()[2]
+    # the CLI writes a flagged row (E - V0 + m = 0 here) as nan in every value column
+    argv = ["barrier", "--v0", "5", "--length", "1", "--mass", "1", "--emin", "0.7",
+            "--emax", "0.9", "--steps", "3"]
+    assert cli.main(argv) == 2
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows[1].split(",")[1:] == ["nan"] * 7
+    assert "nan" not in rows[0] + rows[2]
 
 
 def test_sweep_method_validation():
@@ -325,20 +337,21 @@ def test_sweep_method_validation():
         sc.sweep(barrier(15.0), [15.0], method="magic")
 
 
-def test_sweep_csv_roundtrip():
-    template = barrier(10.0, 10.0, 2.0)
-    grid = np.linspace(11.0, 30.0, 7)
-    table = sc.sweep(template, grid, method="both")
-    text = table.to_csv(precision=12)
-    lines = text.strip().split("\n")
+def test_sweep_csv_roundtrip(tmp_path):
+    # the CLI table at --precision 17 gives back the library sweep bit for bit
+    out = tmp_path / "sweep.csv"
+    argv = ["barrier", "--v0", "10", "--length", "2", "--emin", "1.1", "--emax", "3.0",
+            "--steps", "7", "--method", "both", "--precision", "17", "--output", str(out)]
+    assert cli.main(argv) == 0
+    table = sc.sweep(barrier(10.0, 10.0, 2.0), np.linspace(1.1, 3.0, 7) * 10.0, method="both")
+    lines = out.read_text().splitlines()
     assert lines[0].split(",") == table.header()
-    parsed = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
-    records = table.to_records(precision=12)
-    for row, rec in zip(parsed, records):
-        assert row[0] == rec["e_over_v0"]
-        assert row[1] == rec["T1"]
-        assert row[7] == rec["sum"]
-        assert abs(row[7] - 1.0) <= 1e-10
+    assert len(lines) == 1 + len(table.rows)
+    for line, row in zip(lines[1:], table.rows):
+        c = row.coeffs
+        expected = [row.e_over_v0, c.t1, c.t2, c.r1, c.r2, c.t_qm, c.r_qm, c.total, row.delta]
+        assert [float(tok) for tok in line.split(",")] == expected
+        assert abs(c.total - 1.0) <= 1e-10
 
 
 @settings(max_examples=100, deadline=None)
@@ -367,13 +380,6 @@ def test_length_sensitivity_scan():
     # per-mille width changes sweep the oscillatory coefficient across decades
     assert r2.max() / max(r2.min(), 1e-300) > 100.0
     assert r2.max() <= sc.r2_envelope(1.5e5, 1.0e5, 0.5e6) * (1 + 1e-9)
-
-
-def test_envelope_extrema_pairs():
-    template = barrier(15.0, 10.0)
-    pairs = sc.envelope_extrema(template, [12.0, 20.0, 30.0])
-    assert [ratio for ratio, _ in pairs] == pytest.approx([1.2, 2.0, 3.0])
-    assert all(val > 0 for _, val in pairs)
 
 
 # ------------------------------------------- matching systems and closed form

@@ -12,7 +12,6 @@ from etawave.waveop import (
     classify_regime,
     complex_momentum,
     critical_band_width,
-    dispersion,
     general_a_check,
     momentum_operator,
     nonrel_limit_residual,
@@ -66,18 +65,6 @@ def test_degenerate_point_nilpotent():
     op = momentum_operator(5.0, 5.0, 2.0, ETA)
     assert op.regime == CRITICAL
     assert max_abs(op.matrix @ op.matrix) == 0.0
-
-
-@settings(max_examples=100, deadline=None)
-@given(energies, potentials, masses)
-def test_dispersion_magnitude(e_energy, v, m):
-    result = dispersion(e_energy, v, m)
-    assert result.regime == classify_regime(e_energy, v)
-    if result.regime == CRITICAL:
-        assert result.is_zero and result.value == 0.0
-    else:
-        assert not result.is_zero
-        assert result.value == pytest.approx(np.sqrt(2 * m * abs(e_energy - v)), rel=1e-14)
 
 
 @pytest.mark.parametrize("e_energy,v,m", [(3.0, 0.0, 1.5), (2.0, 5.0, 1.3), (40.0, 11.0, 7.0)])
