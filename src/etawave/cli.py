@@ -261,11 +261,15 @@ def cmd_point(parser, args) -> int:
         numeric = scattering.closed_form(prob)
     closed = scattering.closed_form(prob)
     header = ["method", "T1", "T2", "R1", "R2", "T_qm", "R_qm", "sum"]
-    records = [
-        dict(zip(header, (name, c.t1, c.t2, c.r1, c.r2, c.t_qm, c.r_qm, c.total)))
-        for name, c in (("numeric", numeric), ("closed", closed))
-    ]
-    _emit(_render(header, records, args.format, precision), args.output)
+    down = prob.incident_spin == spinors.DOWN
+    records = []
+    for name, c in (("numeric", numeric), ("closed", closed)):
+        rec = dict(zip(header, (name, c.t1, c.t2, c.r1, c.r2, c.t_qm, c.r_qm, c.total)))
+        if down:
+            rec["incident_spin"] = spinors.DOWN
+        records.append(rec)
+    comment = f"incident_spin={spinors.DOWN}" if down else None
+    _emit(_render(header, records, args.format, precision, comment), args.output)
     return 0
 
 

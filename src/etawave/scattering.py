@@ -254,7 +254,8 @@ def closed_form(p: BarrierProblem) -> Coefficients:
             1.0 + s**2
         )
         t1 = 16.0 * e_energy * (e_energy - v0) * s / den2s
-        quarter = (1.0 - s) ** 2  # = 4 s sinh^2(x')
+        # (1 - s)^2 = 4 s sinh^2(x'), free of the cancellation of 1 - s near the top
+        quarter = math.expm1(-2.0 * xp) ** 2
         r1 = -spin_weight[0] * v0**2 * quarter / (2.0 * (e_energy + m) ** 2 * den2s)
         r2 = -spin_weight[1] * v0**2 * quarter / (2.0 * (e_energy + m) ** 2 * den2s)
     if p.incident_spin == DOWN:

@@ -242,6 +242,21 @@ def test_spin_down_marked_in_output(tmp_path, capsys):
     assert all(rec["delta_numeric_closed"] <= 1e-10 for rec in records)
 
 
+def test_point_spin_down_marked_in_output(capsys):
+    argv = ["point", "--v0", "10", "--length", "10", "--e-over-v0", "0.5"]
+    assert run(argv + ["--spin", "down"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# incident_spin=down" and lines[1].startswith("method,")
+    assert run(argv + ["--spin", "down", "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [rec["incident_spin"] for rec in records] == ["down", "down"]
+    # spin-up output carries no marker
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("method,")
+    assert run(argv + ["--format", "json"]) == 0
+    assert all("incident_spin" not in rec for rec in json.loads(capsys.readouterr().out))
+
+
 def test_pauli_table(tmp_path):
     out = tmp_path / "pauli.csv"
     assert run(

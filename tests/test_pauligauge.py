@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +279,30 @@ def test_bump_state_shape_and_decay():
     assert np.max(np.abs(psi[:, 0, :, :])) <= 1e-6 * np.max(np.abs(psi))
 
 
+@pytest.mark.parametrize("n", [8, 17, 32])
+def test_fields_are_the_dense_meshgrid_forms_bitwise(n):
+    # the field constructors broadcast 1-D coordinates; full meshgrid arrays give the
+    # same expressions the same bits
+    extent, bz, sigma = 5.5, -1.7, 0.9
+    h = extent / n
+    axis = (np.arange(n) - n / 2) * h
+    x, y, z = np.meshgrid(axis, axis, axis, indexing="ij")
+    zero = np.zeros((n, n, n))
+    bump = np.exp(-(x**2 + y**2 + z**2) / (2.0 * sigma**2))
+    expected = (
+        np.stack([-0.5 * bz * y, 0.5 * bz * x, zero]),
+        np.stack([zero, zero, np.full((n, n, n), bz)]),
+        np.stack([bump * (1.0 + 0.3j), bump * (0.5 - 0.2j) * np.cos(2.0 * np.pi * x / extent)]),
+        0.4 * np.sin(2.0 * np.pi * x / extent),
+    )
+    f = pg.uniform_b_field(n, extent, bz)
+    got = (f.a, f.b, pg.gaussian_bump_state(n, extent, sigma), pg.commensurate_theta(n, extent))
+    assert f.h == h and f.a0.tobytes() == zero.tobytes()
+    for g, e in zip(got, expected):
+        assert g.shape == e.shape and g.dtype == e.dtype
+        assert g.tobytes() == e.tobytes()
+
+
 lattice_sizes = st.integers(8, 20)
 
 
@@ -286,15 +313,50 @@ lattice_sizes = st.integers(8, 20)
     st.integers(0, 2**32 - 1),
 )
 def test_centered_diff_is_the_roll_difference_bitwise(shape, h, seed):
+    # the gauge shift's gradient and, with no potential, the momentum kernel
+    # are the np.roll differences to the bit
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(shape)
     psi = rng.standard_normal((4, *shape)) + 1j * rng.standard_normal((4, *shape))
-    for field in (theta, psi):
-        for axis in range(field.ndim):
-            got = pg._centered_diff(field, axis, h)
-            expected = roll_diff(field, axis, h)
-            assert got.dtype == expected.dtype
-            assert got.tobytes() == expected.tobytes(), (field.dtype, axis)
+    no_potential = np.zeros(shape)
+    for axis in range(3):
+        got = pg._difference(theta, axis) / (2.0 * h)
+        assert got.tobytes() == roll_diff(theta, axis, h).tobytes(), axis
+        got = pg._momentum(psi, no_potential, axis, h)
+        expected = -1j * roll_diff(psi, axis + 1, h)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes(), axis
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(8, 20),
+    st.sampled_from([2, 4]),
+    st.integers(0, 19),
+    st.integers(1, 20),
+    st.sampled_from([1, 2]),
+    st.floats(-2.0, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_momentum_kernel_on_a_slab_is_the_whole_box_value_bitwise(
+    n, comps, lo, width, halo, e_charge, seed
+):
+    # planes lo..lo+width-1, wrapping past the seam, gathered with a periodic
+    # halo as the checks gather them
+    rng = np.random.default_rng(seed)
+    lo %= n
+    hi = lo + min(width, n)
+    f = pg.GaugeField(
+        a0=np.zeros((n, n, n)), a=rng.standard_normal((3, n, n, n)),
+        b=np.zeros((3, n, n, n)), h=EXTENT / n, n=n,
+    )
+    psi = rng.standard_normal((comps, n, n, n)) + 1j * rng.standard_normal((comps, n, n, n))
+    psi_s = pg._planes(psi, lo - halo, hi + halo)
+    for axis in range(3):
+        got = pg._momentum(psi_s, e_charge * pg._planes(f.a[axis], lo, hi), axis, f.h)
+        whole = pg.covariant_momentum_apply(f, psi, axis, e_charge)
+        expected = np.take(whole, np.arange(lo, hi), axis=1, mode="wrap")
+        assert got.tobytes() == expected.tobytes(), axis
 
 
 def spin_matrices(rng):
@@ -352,3 +414,71 @@ def test_checks_match_roll_einsum_reference(n):
         )
         for got, expected in pairs:
             assert got == pytest.approx(expected, rel=1e-12)
+
+
+def checks_with_potential(n, e_charge):
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    a0 = 0.2 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    f = pg.GaugeField(
+        a0=np.broadcast_to(a0[:, None, None], (n, n, n)).copy(), a=f.a, b=f.b, h=f.h, n=n
+    )
+    psi = pg.gaussian_bump_state(n, EXTENT)
+    theta = pg.commensurate_theta(n, EXTENT)
+    return (
+        lambda: pg.pauli_identity_check(f, psi, e_charge),
+        lambda: pg.commutator_check(f, psi, e_charge),
+        lambda: pg.gauge_invariance_check(f, theta, psi, 2.0, 1.5, e_charge),
+    ), (
+        lambda: ref_identity_check(f, psi, e_charge),
+        lambda: ref_commutator_check(f, psi, e_charge),
+        lambda: ref_gauge_check(f, theta, psi, 2.0, 1.5, e_charge),
+    )
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("e_charge", [1.0, 0.7])
+@pytest.mark.parametrize("width", [1, 5, 7])
+def test_slab_checks_match_roll_einsum_reference(n, e_charge, width, monkeypatch):
+    # slabs of `width` x-planes, none dividing N, so the last slab is narrower
+    monkeypatch.setattr(pg, "_SLAB_SITES", width * n * n)
+    checks, refs = checks_with_potential(n, e_charge)
+    for check, ref in zip(checks, refs):
+        assert check() == pytest.approx(ref(), rel=1e-12)
+
+
+def test_slab_checks_same_bits_for_any_worker_count(monkeypatch):
+    # more workers than slabs or CPUs, with a short switch interval so the
+    # threads interleave as often as they can
+    monkeypatch.setattr(pg, "_SLAB_SITES", 3 * 16 * 16)
+    checks, _ = checks_with_potential(16, 0.7)
+    threads = threading.active_count()
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(pg, "_usable_cpus", lambda: workers)
+            results.append([check() for check in checks])
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == results[0] for r in results[1:]), results
+    assert threading.active_count() == threads
+
+
+def test_slab_error_is_raised_after_every_worker_joins(monkeypatch):
+    # N = 64 makes four slabs of 16 planes; with three workers the failing
+    # second slab is its worker's only one, so every other slab still runs
+    monkeypatch.setattr(pg, "_usable_cpus", lambda: 3)
+    done = []
+
+    def slab(lo, hi, halo):
+        if lo == 16:
+            raise ZeroDivisionError(lo)
+        done.append(lo)
+        return lo
+
+    threads = threading.active_count()
+    with pytest.raises(ZeroDivisionError):
+        pg._over_slabs(slab, 64, 1)
+    assert threading.active_count() == threads
+    assert sorted(done) == [0, 32, 48]

@@ -535,3 +535,25 @@ def test_closed_form_equals_numpy_form(ratio, v0, length, m):
     assert got.t2 == 0.0
     down = sc.closed_form(barrier(up.e_energy, v0, up.length, m, spin=sp.DOWN))
     assert _channels(down) == _swapped(got)
+
+
+@pytest.mark.parametrize("xp", [1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1.0])
+def test_closed_form_evanescent_branch_against_40_digits(xp):
+    # a thin barrier puts x' = sqrt(2 m (V0 - E)) L / hbar_c near zero well
+    # below the top, where (1 - s)^2 with s = exp(-2 x') loses digits
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    e_energy, v0, m = 5.0, 10.0, 5e5
+    length = xp * CONSTANTS.hbar_c / (np.sqrt(2.0) * np.sqrt(m * (v0 - e_energy)))
+    up = barrier(e_energy, v0, length, m)
+    e, v, mm = mpmath.mpf(e_energy), mpmath.mpf(v0), mpmath.mpf(m)
+    x = mpmath.sqrt(2 * mm * (v - e)) * mpmath.mpf(length) / mpmath.mpf(CONSTANTS.hbar_c)
+    s = mpmath.exp(-2 * x)
+    den2s = 2 * s * (8 * e**2 - 8 * e * v + v**2) - v**2 * (1 + s**2)
+    scale = -(v**2) * (1 - s) ** 2 / (2 * (e + mm) ** 2 * den2s)
+    exact = (16 * e * (e - v) * s / den2s, 2 * (e - mm) ** 2 * scale, 8 * e * mm * scale)
+    got = sc.closed_form(up)
+    for value, want in zip((got.t1, got.r1, got.r2), exact):
+        assert abs(value - want) <= 4e-15 * abs(want)
+    down = sc.closed_form(barrier(e_energy, v0, length, m, spin=sp.DOWN))
+    assert _channels(down) == _swapped(got)
