@@ -15,26 +15,26 @@ contribution far below the bulk truncation error being measured.
 
 The checks run over slabs of x-planes (the first spatial axis, contiguous in
 the C-ordered (component, x, y, z) arrays), each gathered with a periodic
-halo, so every temporary is slab-sized.  The slabs are spread over the
-usable CPUs and their partial sums are added in slab order, so a check
-returns the same bits for any number of workers.
+halo, so every temporary is slab-sized.  The slabs run one after another
+on the calling thread and their partial sums are added in slab order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import PAULI, build_eta, build_standard_gammas
 
-# sites per slab: at N = 128 that is four x-planes, whose 4-component
-# temporaries (4 MB each) stay in the last-level cache; a box of at most
-# this many sites is one slab
-_SLAB_SITES = 2**16
+# sites per slab: at N = 128 that is sixteen x-planes, whose 4-component
+# temporaries (16 MB each) stream from memory.  Slabs that fit in the
+# last-level cache ran faster, but their speed rose and fell with the cache
+# traffic of other tenants of a shared host: the run-to-run spread of
+# convergence_table was about twice that of streaming slabs.  A box of at
+# most this many sites is one slab.
+_SLAB_SITES = 2**18
 
 
 @dataclass(frozen=True)
@@ -181,49 +181,15 @@ def _sq_norm(psi: np.ndarray) -> float:
     return float(np.sum(np.abs(psi) ** 2))
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _over_slabs(slab, n: int, halo: int) -> list:
     """[slab(lo, hi, halo) for each slab of x-planes lo..hi-1], in slab order.
 
-    A box of at most `_SLAB_SITES` sites runs inline as one periodic slab
-    without a halo.  Otherwise the slabs are dealt round-robin to one thread
-    per usable CPU, the calling thread among them, and every thread is
-    joined before this returns.  Each result lands in its slab's slot, so
-    sums taken in slab order are the same bits for any worker count.  A slab
-    function calls private helpers only: the public names may be wrapped by
-    a tracer that is not thread-safe."""
+    A box of at most `_SLAB_SITES` sites is one periodic slab without a
+    halo."""
     width = max(1, _SLAB_SITES // (n * n))
     if width >= n:
         return [slab(0, n, 0)]
-    bounds = [(lo, min(lo + width, n)) for lo in range(0, n, width)]
-    results = [None] * len(bounds)
-    errors = []
-    workers = min(_usable_cpus(), len(bounds))
-
-    def run(first):
-        try:
-            for i in range(first, len(bounds), workers):
-                results[i] = slab(*bounds[i], halo)
-        except Exception as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
+    return [slab(lo, min(lo + width, n), halo) for lo in range(0, n, width)]
 
 
 def _norm_ratio(parts) -> float:

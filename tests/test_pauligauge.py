@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -446,39 +443,13 @@ def test_slab_checks_match_roll_einsum_reference(n, e_charge, width, monkeypatch
         assert check() == pytest.approx(ref(), rel=1e-12)
 
 
-def test_slab_checks_same_bits_for_any_worker_count(monkeypatch):
-    # more workers than slabs or CPUs, with a short switch interval so the
-    # threads interleave as often as they can
-    monkeypatch.setattr(pg, "_SLAB_SITES", 3 * 16 * 16)
-    checks, _ = checks_with_potential(16, 0.7)
-    threads = threading.active_count()
-    results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 3, 8):
-            monkeypatch.setattr(pg, "_usable_cpus", lambda: workers)
-            results.append([check() for check in checks])
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(r == results[0] for r in results[1:]), results
-    assert threading.active_count() == threads
-
-
-def test_slab_error_is_raised_after_every_worker_joins(monkeypatch):
-    # N = 64 makes four slabs of 16 planes; with three workers the failing
-    # second slab is its worker's only one, so every other slab still runs
-    monkeypatch.setattr(pg, "_usable_cpus", lambda: 3)
-    done = []
-
+def test_slabs_cover_every_plane_once_in_order(monkeypatch):
     def slab(lo, hi, halo):
-        if lo == 16:
-            raise ZeroDivisionError(lo)
-        done.append(lo)
-        return lo
+        return lo, hi, halo
 
-    threads = threading.active_count()
-    with pytest.raises(ZeroDivisionError):
-        pg._over_slabs(slab, 64, 1)
-    assert threading.active_count() == threads
-    assert sorted(done) == [0, 32, 48]
+    # N = 128 makes eight slabs of 16 planes; N = 64 is one slab, no halo
+    assert pg._over_slabs(slab, 128, 2) == [(lo, lo + 16, 2) for lo in range(0, 128, 16)]
+    assert pg._over_slabs(slab, 64, 2) == [(0, 64, 0)]
+    # a width that does not divide N leaves a narrower last slab
+    monkeypatch.setattr(pg, "_SLAB_SITES", 5 * 16 * 16)
+    assert pg._over_slabs(slab, 16, 1) == [(0, 5, 1), (5, 10, 1), (10, 15, 1), (15, 16, 1)]
