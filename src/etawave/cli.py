@@ -232,6 +232,8 @@ def cmd_pauli(parser, args) -> int:
         parser.error("--base-size must be at least 8")
     if args.levels < 1:
         parser.error("--levels must be at least 1")
+    if args.extent <= 0:
+        parser.error("--extent must be positive")
     sizes = [args.base_size * 2**i for i in range(args.levels)]
     rows = pauligauge.convergence_table(sizes, extent=args.extent, bz=args.bz)
     header = ["h_nm", "identity_residual", "gauge_residual", "commutator_residual"]

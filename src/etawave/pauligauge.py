@@ -15,8 +15,15 @@ contribution far below the bulk truncation error being measured.
 
 The checks run over slabs of x-planes (the first spatial axis, contiguous in
 the C-ordered (component, x, y, z) arrays), each gathered with a periodic
-halo, so every temporary is slab-sized.  The slabs run one after another
-on the calling thread and their partial sums are added in slab order.
+halo, so every work array is slab-sized.  The slabs run one after another
+on the calling thread and their partial sums are added in slab order.  A
+check allocates its work arrays at its first (widest) slab and every later
+slab writes into them, so the slab loop allocates nothing; stages reuse
+the arrays an earlier stage has finished with.  Slabs stream from memory,
+so their time goes with the number of passes over slab-sized arrays: the
+eta terms of the wave operator and the e sigma.B term are applied as
+per-site coefficient rows, one product per term, and factors of +-i as
+swaps of real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -90,28 +97,52 @@ def _trim(field: np.ndarray, halo: int) -> np.ndarray:
     return field[..., halo : field.shape[-3] - halo, :, :]
 
 
-def _planes(field: np.ndarray, lo: int, hi: int, out=None) -> np.ndarray:
+def _planes(field: np.ndarray, lo: int, hi: int, get=None, name=None) -> np.ndarray:
     """Planes lo..hi-1 of the first spatial axis of `field`, indices taken
-    periodically; a view when they do not wrap and no `out` is given."""
-    if out is None and 0 <= lo and hi <= field.shape[-3]:
+    periodically: a view when they do not wrap, else a copy, written to the
+    work array `name` of `get` (see `_buffers`) when one is given."""
+    if 0 <= lo and hi <= field.shape[-3]:
         return field[..., lo:hi, :, :]
+    out = None
+    if get is not None:
+        out = get(name, field.shape[:-3] + (hi - lo,) + field.shape[-2:], field.dtype)
     return np.take(field, np.arange(lo, hi), axis=-3, mode="wrap", out=out)
 
 
-def _difference(field: np.ndarray, axis: int, halo: int = 0) -> np.ndarray:
-    """f[i+1] - f[i-1] along array `axis`, on `_trim(field, halo)`.
+def _buffers():
+    """get(name, shape, dtype=complex): a work array that is allocated at the
+    first request for `name` and reused by every later one, so slabs after
+    the first allocate nothing.  A smaller request (the narrower last slab,
+    or a stage on fewer planes) gets the leading part of it."""
+    flat = {}
+
+    def get(name, shape, dtype=complex):
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if name not in flat or flat[name].nbytes < nbytes:
+            flat[name] = np.empty(nbytes, np.uint8)
+        return flat[name][:nbytes].view(dtype).reshape(shape)
+
+    return get
+
+
+def _difference(field: np.ndarray, axis: int, halo: int = 0, out=None) -> np.ndarray:
+    """f[i+1] - f[i-1] along array `axis`, on `_trim(field, halo)`, written to
+    `out` (a new array when it is None).
 
     Along the first spatial axis a halo supplies the neighbours.  Along any
     other axis, or without a halo, the difference is periodic, written by
-    slices into one new array: the interior and the two wrap planes."""
+    slices: the interior and the two wrap planes."""
     x = field.ndim - 3
     if halo and axis == x:
         k = field.shape[x]
         return np.subtract(
-            field[..., halo + 1 : k - halo + 1, :, :], field[..., halo - 1 : k - halo - 1, :, :]
+            field[..., halo + 1 : k - halo + 1, :, :],
+            field[..., halo - 1 : k - halo - 1, :, :],
+            out=out,
         )
     core = _trim(field, halo)
-    out = np.empty_like(core)
+    if out is None:
+        out = np.empty_like(core)
     src = np.moveaxis(core, axis, 0)
     dst = np.moveaxis(out, axis, 0)
     np.subtract(src[2:], src[:-2], out=dst[1:-1])
@@ -120,16 +151,25 @@ def _difference(field: np.ndarray, axis: int, halo: int = 0) -> np.ndarray:
     return out
 
 
-def _momentum(psi: np.ndarray, ea: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _momentum(
+    psi: np.ndarray, ea: np.ndarray, axis: int, h: float, out=None, scratch=None
+) -> np.ndarray:
     """Pi_axis psi = (-i D_axis - e A_axis) psi on the x-planes that `ea`
-    (e A_axis there) covers.  `psi` holds those planes and an equal halo at
-    each end of its first spatial axis; without a halo it is periodic in x."""
+    (e A_axis there) covers, written to `out` (a new array when it is None).
+    `psi` holds those planes and an equal halo at each end of its first
+    spatial axis; without a halo it is periodic in x.  e A psi is formed one
+    component at a time in `scratch`, a complex array of `ea`'s shape."""
     halo = (psi.shape[-3] - ea.shape[-3]) // 2
-    out = _difference(psi, psi.ndim - 3 + axis, halo)
+    out = _difference(psi, psi.ndim - 3 + axis, halo, out)
     # one complex product by -i/(2h): the bits of scaling by 1/(2h) and
     # then by -i, up to the sign of zeros, in one pass instead of two
     out *= -0.5j / h
-    out -= ea * _trim(psi, halo)
+    core = _trim(psi, halo)
+    if scratch is None:
+        scratch = np.empty(ea.shape, dtype=complex)
+    for comp in np.ndindex(out.shape[:-3]):
+        np.multiply(ea, core[comp], out=scratch)
+        out[comp] -= scratch
     return out
 
 
@@ -142,50 +182,63 @@ def covariant_momentum_apply(
     return _momentum(np.asarray(psi, dtype=complex), e_charge * f.a[axis], axis, f.h)
 
 
-def _spin_apply(matrix: np.ndarray, psi: np.ndarray, out: np.ndarray, scale=1.0) -> None:
-    """out[a] += scale * matrix[a, b] * psi[b] over the nonzero entries of the
-    spin matrix only; `scale` is a number or a per-site array.
+def _add_term(out: np.ndarray, coeff: complex, term: np.ndarray) -> None:
+    """out += coeff * term: an add or a subtract for coeff = +-1, the real and
+    imaginary parts swapped for +-i, else a product and an add."""
+    if coeff == 1:
+        out += term
+    elif coeff == -1:
+        out -= term
+    elif coeff == 1j:
+        np.subtract(out.real, term.imag, out=out.real)
+        np.add(out.imag, term.real, out=out.imag)
+    elif coeff == -1j:
+        np.add(out.real, term.imag, out=out.real)
+        np.subtract(out.imag, term.real, out=out.imag)
+    else:
+        out += term * coeff
 
-    Pauli matrices have 2 nonzero entries of 4, the spatial gammas 4 of 16 and
-    eta, eta^+ 8 of 16; a conjugated (dense) set takes every entry.
+
+def _spin_apply(matrix: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
+    """out[a] += matrix[a, b] * psi[b] over the nonzero entries of the spin
+    matrix only, each through `_add_term`.
+
+    Pauli matrices have 2 nonzero entries of 4 and the spatial gammas 4 of
+    16, all of them +-1 or +-i; a conjugated (dense) set takes every entry.
     """
-    per_site = np.ndim(scale) > 0
-    term = np.empty_like(out[0])
     for a, b in zip(*np.nonzero(matrix)):
-        coeff = matrix[a, b] if per_site else matrix[a, b] * scale
-        if not per_site and coeff == 1:
-            out[a] += psi[b]
-        elif not per_site and coeff == -1:
-            out[a] -= psi[b]
-        else:
-            np.multiply(psi[b], coeff, out=term)
-            if per_site:
-                term *= scale
-            out[a] += term
+        _add_term(out[a], matrix[a, b], psi[b])
 
 
-def _sigma_pi(psi: np.ndarray, ea: np.ndarray, h: float) -> np.ndarray:
-    """sigma.Pi psi on the x-planes that `ea` (e A) covers, halo as in
-    `_momentum`."""
-    out = np.zeros((len(psi),) + ea.shape[1:], dtype=complex)
+def _sigma_pi(
+    psi: np.ndarray, ea: np.ndarray, h: float, out, momentum, scratch=None
+) -> np.ndarray:
+    """out = sigma.Pi psi on the x-planes that `ea` (e A) covers, halo as in
+    `_momentum`; `momentum` holds each Pi_axis psi in turn."""
+    out.fill(0)
     for axis in range(3):
-        _spin_apply(PAULI[axis], _momentum(psi, ea[axis], axis, h), out)
+        _spin_apply(PAULI[axis], _momentum(psi, ea[axis], axis, h, momentum, scratch), out)
     return out
 
 
 def sigma_pi_apply(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> np.ndarray:
-    return _sigma_pi(np.asarray(psi, dtype=complex), e_charge * f.a, f.h)
+    psi = np.asarray(psi, dtype=complex)
+    return _sigma_pi(psi, e_charge * f.a, f.h, np.empty_like(psi), np.empty_like(psi))
 
 
-def _sq_norm(psi: np.ndarray) -> float:
-    return float(np.sum(np.abs(psi) ** 2))
+def _sq_norm(psi: np.ndarray, work=None) -> float:
+    """sum |psi|^2: the real and imaginary parts squared into `work` (an
+    array like psi, which may be psi itself; a new one when it is None) and
+    added by numpy's pairwise sum.  The last axis of psi is contiguous."""
+    squares = None if work is None else work.view(np.float64)
+    return float(np.sum(np.square(psi.view(np.float64), out=squares)))
 
 
 def _over_slabs(slab, n: int, halo: int) -> list:
     """[slab(lo, hi, halo) for each slab of x-planes lo..hi-1], in slab order.
 
     A box of at most `_SLAB_SITES` sites is one periodic slab without a
-    halo."""
+    halo.  The first slab is the widest."""
     width = max(1, _SLAB_SITES // (n * n))
     if width >= n:
         return [slab(0, n, 0)]
@@ -204,27 +257,48 @@ def pauli_identity_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) 
     Pi_a psi is formed once per axis and feeds both sigma.Pi psi and
     Pi_a Pi_a psi: nine stencil applications in all.  Pi_x is applied
     twice, so slabs carry a halo of two planes."""
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    get = _buffers()
 
     def slab(lo, hi, halo):
         # sigma.Pi psi is needed one plane beyond the slab, for the outer Pi_x
         inner = max(halo - 1, 0)
-        psi_s = _planes(psi, lo - halo, hi + halo)
-        ea_in = e_charge * _planes(f.a, lo - inner, hi + inner)
+        psi_s = _planes(psi, lo - halo, hi + halo, get, "psi")
+        ea_in = get("ea", (3, hi - lo + 2 * inner) + psi.shape[-2:], float)
+        np.multiply(_planes(f.a, lo - inner, hi + inner, get, "ea"), e_charge, out=ea_in)
         ea = _trim(ea_in, inner)
-        sigma_pi = np.zeros((len(psi),) + ea_in.shape[1:], dtype=complex)
-        rhs = np.zeros((len(psi),) + ea.shape[1:], dtype=complex)
+        sites = ea.shape[1:]
+        pi = get("pi", (len(psi),) + ea_in.shape[1:])
+        sigma_pi = get("sigma_pi", pi.shape)
+        rhs = get("rhs", (len(psi),) + sites)
+        pi_pi = get("pi_pi", rhs.shape)
+        sigma_pi.fill(0)
         for axis in range(3):
-            pi_psi = _momentum(psi_s, ea_in[axis], axis, f.h)
-            _spin_apply(PAULI[axis], pi_psi, sigma_pi)
-            rhs += _momentum(pi_psi, ea[axis], axis, f.h)
+            _momentum(psi_s, ea_in[axis], axis, f.h, pi, get("scratch", ea_in.shape[1:]))
+            _spin_apply(PAULI[axis], pi, sigma_pi)
+            # Pi_x Pi_x psi goes straight to rhs, the others are added to it
+            scratch = get("scratch", sites)
+            outer = _momentum(pi, ea[axis], axis, f.h, pi_pi if axis else rhs, scratch)
+            if axis:
+                rhs += outer
+        # rhs -= e sigma.B psi, as two coefficient rows: -e B_z on the
+        # diagonal, -e (B_x - i B_y) above it and its conjugate below
         core = _trim(psi_s, halo)
         b = _planes(f.b, lo, hi)
-        for axis in range(3):
-            _spin_apply(PAULI[axis], core, rhs, -e_charge * b[axis])
-        lhs = _sigma_pi(sigma_pi, ea, f.h)
+        bz = get("bz", sites, float)
+        np.multiply(b[2], -e_charge, out=bz)
+        bxy = get("bxy", sites)
+        np.multiply(b[0], -e_charge, out=bxy.real)
+        np.multiply(b[1], e_charge, out=bxy.imag)
+        term = get("scratch", sites)
+        rhs[0] += np.multiply(core[0], bz, out=term)
+        rhs[0] += np.multiply(core[1], bxy, out=term)
+        rhs[1] -= np.multiply(core[1], bz, out=term)
+        rhs[1] += np.multiply(core[0], np.conjugate(bxy, out=bxy), out=term)
+        # sigma.Pi (sigma.Pi psi) goes into the free Pi psi buffer
+        lhs = _sigma_pi(sigma_pi, ea, f.h, get("pi", rhs.shape), pi_pi, term)
         lhs -= rhs
-        return _sq_norm(lhs), _sq_norm(core)
+        return _sq_norm(lhs, lhs), _sq_norm(core, rhs)
 
     return _norm_ratio(_over_slabs(slab, f.n, 2))
 
@@ -232,17 +306,32 @@ def pauli_identity_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) 
 def commutator_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> float:
     """|| [Pi_x, Pi_y] psi - i e B_z psi || / ||psi||; the source of the
     sigma.B term.  Pi_x is applied once, so slabs carry a one-plane halo."""
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    get = _buffers()
 
     def slab(lo, hi, halo):
-        psi_s = _planes(psi, lo - halo, hi + halo)
-        ea_s = e_charge * _planes(f.a, lo - halo, hi + halo)
+        psi_s = _planes(psi, lo - halo, hi + halo, get, "psi")
+        ea_s = get("ea", (2,) + psi_s.shape[1:], float)
+        np.multiply(_planes(f.a[:2], lo - halo, hi + halo, get, "ea"), e_charge, out=ea_s)
         ea = _trim(ea_s, halo)
-        residual = _momentum(_momentum(psi_s, ea_s[1], 1, f.h), ea[0], 0, f.h)
-        residual -= _momentum(_momentum(psi_s, ea[0], 0, f.h), ea[1], 1, f.h)
+        sites = ea.shape[1:]
+        core_shape = (len(psi),) + sites
+        inner = get("inner", psi_s.shape)
+        _momentum(psi_s, ea_s[1], 1, f.h, inner, get("scratch", psi_s.shape[1:]))
+        scratch = get("scratch", sites)
+        residual = _momentum(inner, ea[0], 0, f.h, get("residual", core_shape), scratch)
+        # the second inner Pi goes into the first one's buffer
+        inner = _momentum(psi_s, ea[0], 0, f.h, get("inner", core_shape), scratch)
+        outer = _momentum(inner, ea[1], 1, f.h, get("outer", core_shape), scratch)
+        residual -= outer
+        # residual -= i e B_z psi, with the factor i as a swap of real and
+        # imaginary parts
         core = _trim(psi_s, halo)
-        residual -= 1j * e_charge * _planes(f.b, lo, hi)[2] * core
-        return _sq_norm(residual), _sq_norm(core)
+        ebz = get("ebz", sites, float)
+        np.multiply(_planes(f.b[2], lo, hi), e_charge, out=ebz)
+        for comp in range(len(psi)):
+            _add_term(residual[comp], -1j, np.multiply(core[comp], ebz, out=scratch))
+        return _sq_norm(residual, residual), _sq_norm(core, outer)
 
     return _norm_ratio(_over_slabs(slab, f.n, 1))
 
@@ -265,39 +354,92 @@ def inner_product(phi: np.ndarray, psi: np.ndarray, h: float) -> complex:
 def hermiticity_deviation(
     f: GaugeField, phi: np.ndarray, psi: np.ndarray, m: float, e_charge: float = 1.0
 ) -> float:
+    phi = np.ascontiguousarray(phi, dtype=complex)
+    psi = np.ascontiguousarray(psi, dtype=complex)
     lhs = inner_product(phi, pauli_hamiltonian_apply(f, psi, m, e_charge), f.h)
     rhs = inner_product(pauli_hamiltonian_apply(f, phi, m, e_charge), psi, f.h)
     norms = math.sqrt(_sq_norm(phi)) * math.sqrt(_sq_norm(psi))
     return abs(lhs - rhs) / (norms * f.h**3)
 
 
-def _four_component_planes(psi: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Planes lo..hi-1 (periodic) of the 4-component state: `psi` itself when
-    it has four components, else `psi` over a lower pair 0.7 psi shifted by
-    N/8 along x, so every block of the wave operator enters the form."""
+def _four_component_planes(psi: np.ndarray, lo: int, hi: int, get) -> np.ndarray:
+    """Planes lo..hi-1 (periodic) of the 4-component state, in the work array
+    "psi4" of `get` unless they are a view: those of `psi` when it has four
+    components, else `psi` over a lower pair 0.7 psi shifted by N/8 along x,
+    so every block of the wave operator enters the form."""
     if len(psi) == 4:
-        return _planes(psi, lo, hi)
+        return _planes(psi, lo, hi, get, "psi4")
     shift = psi.shape[-3] // 8
-    out = np.empty((4, hi - lo) + psi.shape[-2:], dtype=complex)
-    _planes(psi, lo, hi, out=out[:2])
-    _planes(psi, lo - shift, hi - shift, out=out[2:])
+    out = get("psi4", (4, hi - lo) + psi.shape[-2:])
+    np.take(psi, np.arange(lo, hi), axis=-3, mode="wrap", out=out[:2])
+    np.take(psi, np.arange(lo - shift, hi - shift), axis=-3, mode="wrap", out=out[2:])
     out[2:] *= 0.7
     return out
 
 
-def _form(psi4, ea, kinetic, m, h, g, e_set) -> complex:
+def _coefficient_rows(e_set):
+    """(E - eA0) eta + m eta^+ as rows of terms phase * field * psi[b].
+
+    Each nonzero entry is a phase, 1 or i, times a real per-site field
+    alpha (E - eA0) + beta m.  Returns (rows, pairs): pairs lists the
+    distinct (alpha, beta), and rows[a] the (b, phase, index into pairs) of
+    row a, real phases first.  For the standard set the fields are
+    +-(E - eA0 + m)/sqrt(2) and (E - eA0 - m)/sqrt(2)."""
+    pairs, rows = [], []
+    for eta_row, dagger_row in zip(e_set.eta, e_set.eta_dagger):
+        row = []
+        for b in np.flatnonzero((eta_row != 0) | (dagger_row != 0)):
+            for phase in (1, 1j):
+                alpha, beta = eta_row[b] * phase.conjugate(), dagger_row[b] * phase.conjugate()
+                if alpha.imag == 0 and beta.imag == 0:
+                    break
+            else:
+                raise ValueError("an eta entry is not a phase 1 or i times a real pair")
+            pair = (float(alpha.real), float(beta.real))
+            if pair not in pairs:
+                pairs.append(pair)
+            row.append((b, phase, pairs.index(pair)))
+        rows.append(sorted(row, key=lambda term: term[1] != 1))
+    return rows, pairs
+
+
+def _row_fields(pairs, kinetic: np.ndarray, m: float, get) -> np.ndarray:
+    """alpha_j * kinetic + beta_j * m for the (alpha, beta) pairs, in the
+    work array "fields" of `get`."""
+    out = get("fields", (len(pairs),) + kinetic.shape, float)
+    for field, (alpha, beta) in zip(out, pairs):
+        np.multiply(kinetic, alpha, out=field)
+        field += beta * m
+    return out
+
+
+def _form(psi4, ea, fields, rows, h, g, get) -> complex:
     """sum psi^+ [ (E - eA0) eta + gamma^i Pi_i + m eta^+ ] psi over the
-    x-planes that `kinetic` (E - eA0 there) and `ea` (e A) cover, halo as in
-    `_momentum`."""
-    core = _trim(psi4, (psi4.shape[-3] - kinetic.shape[-3]) // 2)
-    applied = np.zeros(core.shape, dtype=complex)
-    _spin_apply(e_set.eta, core, applied, kinetic)
+    x-planes that `ea` (e A) covers, halo as in `_momentum`.
+
+    The eta terms come from the coefficient rows of `_coefficient_rows`
+    over the per-site `fields`: per row one product, then one product and
+    add for each further term.  gamma^i Pi_i is added one component of
+    Pi_i psi at a time.  The work arrays come from `get`."""
+    core = _trim(psi4, (psi4.shape[-3] - ea.shape[-3]) // 2)
+    applied = get("applied", core.shape)
+    momentum = get("momentum", core.shape[1:])
+    scratch = get("scratch", core.shape[1:])
+    for a, ((b, phase, field), *more) in enumerate(rows):
+        np.multiply(core[b], fields[field], out=applied[a])
+        if phase != 1:
+            applied[a] *= phase
+        for b, phase, field in more:
+            _add_term(applied[a], phase, np.multiply(core[b], fields[field], out=scratch))
     for axis, gamma in enumerate((g.gamma1, g.gamma2, g.gamma3)):
-        _spin_apply(gamma, _momentum(psi4, ea[axis], axis, h), applied)
-    _spin_apply(e_set.eta_dagger, core, applied, m)
-    # one component at a time, so no state-sized temporary is made
+        for b in range(len(gamma)):
+            targets = np.flatnonzero(gamma[:, b])
+            if targets.size:
+                _momentum(psi4[b], ea[axis], axis, h, momentum, scratch)
+                for a in targets:
+                    _add_term(applied[a], gamma[a, b], momentum)
     for comp in range(len(applied)):
-        applied[comp] *= np.conj(core[comp])
+        applied[comp] *= np.conjugate(core[comp], out=scratch)
     return complex(np.sum(applied))
 
 
@@ -311,10 +453,11 @@ def wave_form_value(
     """Quadratic form of the first-order operator,
     sum psi^+ [ (E - eA0) eta + gamma^i Pi_i + m eta^+ ] psi * h^3."""
     g = build_standard_gammas()
-    e_set = build_eta(g)
-    psi4 = _four_component_planes(np.asarray(psi, dtype=complex), 0, f.n)
-    kinetic = e_energy - e_charge * f.a0
-    return _form(psi4, e_charge * f.a, kinetic, m, f.h, g, e_set) * f.h**3
+    rows, pairs = _coefficient_rows(build_eta(g))
+    get = _buffers()
+    psi4 = _four_component_planes(np.asarray(psi, dtype=complex), 0, f.n, get)
+    fields = _row_fields(pairs, e_energy - e_charge * f.a0, m, get)
+    return _form(psi4, e_charge * f.a, fields, rows, f.h, g, get) * f.h**3
 
 
 def gauge_invariance_check(
@@ -332,25 +475,38 @@ def gauge_invariance_check(
     carries a minus sign; the exp(+ie theta) / A + grad theta pairing is the
     same transformation with theta negated.  Exact for constant theta or
     e_charge = 0; O(h^2) otherwise.  Both forms are taken in one pass over
-    slabs with a one-plane halo.
+    slabs with a one-plane halo, and share the per-site coefficient fields.
     """
     g = build_standard_gammas()
-    e_set = build_eta(g)
+    rows, pairs = _coefficient_rows(build_eta(g))
     psi = np.asarray(psi, dtype=complex)
     theta = np.asarray(theta)
+    get = _buffers()
 
     def slab(lo, hi, halo):
-        psi4 = _four_component_planes(psi, lo - halo, hi + halo)
+        sites = (hi - lo,) + psi.shape[-2:]
+        wide = (hi - lo + 2 * halo,) + psi.shape[-2:]
+        psi4 = _four_component_planes(psi, lo - halo, hi + halo, get)
         a = _planes(f.a, lo, hi)
-        kinetic = e_energy - e_charge * _planes(f.a0, lo, hi)
-        q0 = _form(psi4, e_charge * a, kinetic, m, f.h, g, e_set)
-        theta_s = _planes(theta, lo - halo, hi + halo)
-        ea_t = [
-            e_charge * (a[axis] - _difference(theta_s, axis, halo) / (2.0 * f.h))
-            for axis in range(3)
-        ]
-        psi4 = np.exp(-1j * e_charge * theta_s) * psi4
-        q1 = _form(psi4, ea_t, kinetic, m, f.h, g, e_set)
+        ea = get("ea", (3,) + sites, float)
+        np.multiply(a, e_charge, out=ea)
+        kinetic = get("kinetic", sites, float)
+        np.multiply(_planes(f.a0, lo, hi), e_charge, out=kinetic)
+        np.subtract(e_energy, kinetic, out=kinetic)
+        fields = _row_fields(pairs, kinetic, m, get)
+        q0 = _form(psi4, ea, fields, rows, f.h, g, get)
+        theta_s = _planes(theta, lo - halo, hi + halo, get, "theta")
+        for axis in range(3):
+            shift = _difference(theta_s, axis, halo, ea[axis])
+            shift /= 2.0 * f.h
+            np.subtract(a[axis], shift, out=shift)
+            shift *= e_charge
+        phase = get("phase", wide)
+        np.multiply(theta_s, -1j * e_charge, out=phase)
+        np.exp(phase, out=phase)
+        # in place when psi4 is the slab's own buffer, never in the caller's psi
+        psi4 = np.multiply(psi4, phase, out=get("psi4", (4,) + wide))
+        q1 = _form(psi4, ea, fields, rows, f.h, g, get)
         return q0, q1
 
     parts = _over_slabs(slab, f.n, 1)

@@ -276,6 +276,15 @@ def test_pauli_rejects_small_base():
     assert err.value.code == 64
 
 
+@pytest.mark.parametrize("extent", ["0", "-8"])
+def test_pauli_rejects_nonpositive_extent(extent, capsys):
+    # a usage error like `well --length 0`, not a ValueError traceback
+    with pytest.raises(SystemExit) as err:
+        run(["pauli", "--extent", extent])
+    assert err.value.code == 64
+    assert capsys.readouterr().err.startswith("usage: etawave pauli ")
+
+
 def test_precision_controls_mantissa(tmp_path):
     out = tmp_path / "coarse.csv"
     run(["well", "--length", "10", "--nmax", "1", "--precision", "6", "--output", str(out)])

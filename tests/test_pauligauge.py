@@ -13,6 +13,9 @@ from etawave.clifford import (
 
 EXTENT = 8.0
 
+# a kernel that makes inf or nan fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 # Reference forms the lattice kernels replaced: np.roll differences and a
 # dense einsum over the spin index, composed as the checks used to be.
@@ -67,9 +70,16 @@ def ref_wave_form(f, psi4, e_energy, m, e_charge):
     return complex(np.sum(np.conj(psi4) * applied) * f.h**3)
 
 
+def ref_psi4(psi):
+    # the 4-component state the forms take: psi itself, or psi over 0.7 psi
+    # shifted by N/8 along x
+    if len(psi) == 4:
+        return psi
+    return np.concatenate([psi, 0.7 * np.roll(psi, psi.shape[1] // 8, axis=1)], axis=0)
+
+
 def ref_gauge_check(f, theta, psi, e_energy, m, e_charge):
-    n = psi.shape[1]
-    psi4 = np.concatenate([psi, 0.7 * np.roll(psi, n // 8, axis=1)], axis=0)
+    psi4 = ref_psi4(psi)
     q0 = ref_wave_form(f, psi4, e_energy, m, e_charge)
     a_t = np.stack([f.a[axis] - roll_diff(theta, axis, f.h) for axis in range(3)])
     f_t = pg.GaugeField(a0=f.a0, a=a_t, b=f.b, h=f.h, n=f.n)
@@ -371,23 +381,42 @@ def spin_matrices(rng):
 @settings(max_examples=40, deadline=None)
 @given(lattice_sizes, st.integers(0, 2**32 - 1))
 def test_spin_apply_matches_einsum(n, seed):
+    # +-1 and +-i entries (adds and real/imaginary swaps) and the dense sets'
+    # general entries (a product)
     rng = np.random.default_rng(seed)
     dense = 0
     for matrix, comps in spin_matrices(rng):
         dense += np.count_nonzero(matrix) == matrix.size
         psi = rng.standard_normal((comps, n, n, n)) + 1j * rng.standard_normal((comps, n, n, n))
         start = rng.standard_normal(psi.shape) + 1j * rng.standard_normal(psi.shape)
-        site_scale = rng.uniform(-3.0, 3.0, (n, n, n))
-        for scale, expected in (
-            (1.0, einsum_apply(matrix, psi)),
-            (-1.7, -1.7 * einsum_apply(matrix, psi)),
-            (site_scale, site_scale * einsum_apply(matrix, psi)),
-        ):
-            out = start.copy()
-            pg._spin_apply(matrix, psi, out, scale)
-            bound = 1e-15 * np.max(np.abs(scale)) * np.max(np.abs(psi))
-            assert np.max(np.abs(out - start - expected)) <= bound
+        out = start.copy()
+        pg._spin_apply(matrix, psi, out)
+        error = np.max(np.abs(out - start - einsum_apply(matrix, psi)))
+        assert error <= 1e-15 * np.max(np.abs(psi))
     assert dense == 5
+
+
+def test_coefficient_rows_rebuild_the_eta_terms():
+    # the rows give back (E - eA0) eta + m eta^+ entry by entry; the standard
+    # set needs three real fields, +-(kin + m)/sqrt(2) and (kin - m)/sqrt(2)
+    e_set = build_eta(build_standard_gammas())
+    rows, pairs = pg._coefficient_rows(e_set)
+    s = 1.0 / np.sqrt(2.0)
+    assert sorted(pairs) == pytest.approx(sorted([(s, s), (-s, -s), (s, -s)]), rel=1e-15)
+    for kinetic, m in ((2.0, 1.5), (-0.3, 4.0)):
+        rebuilt = np.zeros((4, 4), dtype=complex)
+        for a, row in enumerate(rows):
+            assert row[0][1] == 1
+            for b, phase, field in row:
+                alpha, beta = pairs[field]
+                rebuilt[a, b] += phase * (alpha * kinetic + beta * m)
+        expected = kinetic * e_set.eta + m * e_set.eta_dagger
+        assert np.max(np.abs(rebuilt - expected)) <= 1e-15 * (abs(kinetic) + m)
+    # a conjugated set has entries that are no phase times a real pair
+    dense = build_eta(conjugate_gammas(build_standard_gammas(), random_householder_unitary(
+        np.random.default_rng(3))))
+    with pytest.raises(ValueError):
+        pg._coefficient_rows(dense)
 
 
 @pytest.mark.parametrize("n", [16, 24])
@@ -453,3 +482,80 @@ def test_slabs_cover_every_plane_once_in_order(monkeypatch):
     # a width that does not divide N leaves a narrower last slab
     monkeypatch.setattr(pg, "_SLAB_SITES", 5 * 16 * 16)
     assert pg._over_slabs(slab, 16, 1) == [(0, 5, 1), (5, 10, 1), (10, 15, 1), (15, 16, 1)]
+
+
+def general_field(n, rng):
+    """Random a0 and every component of A and B (B is not the curl of A: the
+    checks evaluate their formulas for any field), with a random state and
+    gauge function."""
+    f = pg.GaugeField(
+        a0=rng.standard_normal((n, n, n)),
+        a=rng.standard_normal((3, n, n, n)),
+        b=rng.standard_normal((3, n, n, n)),
+        h=EXTENT / n,
+        n=n,
+    )
+    psi = rng.standard_normal((2, n, n, n)) + 1j * rng.standard_normal((2, n, n, n))
+    return f, psi, rng.standard_normal((n, n, n))
+
+
+@pytest.mark.parametrize("width", [None, 5])
+@pytest.mark.parametrize("e_charge", [1.0, 0.7])
+def test_checks_match_reference_on_a_general_field(width, e_charge, monkeypatch):
+    # reaches the B_x, B_y and A_z entries of the coefficient rows, which the
+    # uniform field along z leaves at zero; whole box and width-5 slabs
+    n = 16
+    if width:
+        monkeypatch.setattr(pg, "_SLAB_SITES", width * n * n)
+    f, psi, theta = general_field(n, np.random.default_rng(11))
+    pairs = (
+        (pg.pauli_identity_check(f, psi, e_charge), ref_identity_check(f, psi, e_charge)),
+        (pg.commutator_check(f, psi, e_charge), ref_commutator_check(f, psi, e_charge)),
+        (
+            pg.gauge_invariance_check(f, theta, psi, 2.0, 1.5, e_charge),
+            ref_gauge_check(f, theta, psi, 2.0, 1.5, e_charge),
+        ),
+    )
+    for got, expected in pairs:
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("comps", [2, 4])
+def test_wave_form_value_matches_reference(comps):
+    n = 16
+    rng = np.random.default_rng(5)
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    a0 = 0.2 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    f = pg.GaugeField(
+        a0=np.broadcast_to(a0[:, None, None], (n, n, n)).copy(), a=f.a, b=f.b, h=f.h, n=n
+    )
+    psi = rng.standard_normal((comps, n, n, n)) + 1j * rng.standard_normal((comps, n, n, n))
+    got = pg.wave_form_value(f, psi, 2.0, 1.5, e_charge=0.7)
+    expected = ref_wave_form(f, ref_psi4(psi), 2.0, 1.5, 0.7)
+    assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("width", [None, 5])
+def test_checks_leave_inputs_unchanged_and_repeat_bitwise(width, monkeypatch):
+    # the slab work arrays never alias the caller's arrays and carry nothing
+    # from one call to the next
+    n = 16
+    if width:
+        monkeypatch.setattr(pg, "_SLAB_SITES", width * n * n)
+    rng = np.random.default_rng(17)
+    f, psi2, theta = general_field(n, rng)
+    psi4 = rng.standard_normal((4, n, n, n)) + 1j * rng.standard_normal((4, n, n, n))
+    inputs = (f.a0, f.a, f.b, theta, psi2, psi4)
+    before = [x.tobytes() for x in inputs]
+    calls = [
+        lambda: pg.pauli_identity_check(f, psi2, 0.7),
+        lambda: pg.wave_form_value(f, psi2, 2.0, 1.5, 0.7),
+        lambda: pg.wave_form_value(f, psi4, 2.0, 1.5, 0.7),
+    ]
+    for psi in (psi2, psi4):
+        calls.append(lambda psi=psi: pg.commutator_check(f, psi, 0.7))
+        calls.append(lambda psi=psi: pg.gauge_invariance_check(f, theta, psi, 2.0, 1.5, 0.7))
+    for call in calls:
+        first = np.array(call()).tobytes()
+        assert np.array(call()).tobytes() == first
+        assert [x.tobytes() for x in inputs] == before
