@@ -235,7 +235,13 @@ def cmd_pauli(parser, args) -> int:
     if args.extent <= 0:
         parser.error("--extent must be positive")
     sizes = [args.base_size * 2**i for i in range(args.levels)]
-    rows = pauligauge.convergence_table(sizes, extent=args.extent, bz=args.bz)
+    try:
+        # a field too strong to square ends in non-finite sums: the checks
+        # raise, so numpy's overflow warnings on the way would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = pauligauge.convergence_table(sizes, extent=args.extent, bz=args.bz)
+    except ValueError as exc:
+        parser.error(str(exc))
     header = ["h_nm", "identity_residual", "gauge_residual", "commutator_residual"]
     records = [dict(zip(header, row)) for row in rows]
     _emit(_render(header, records, args.format, precision), args.output)

@@ -13,21 +13,28 @@ therefore not periodic across the seam; all checks weight the fields with
 states that decay to ~1e-8 at the boundary, which keeps the seam
 contribution far below the bulk truncation error being measured.
 
-The checks run over slabs of x-planes (the first spatial axis, contiguous in
-the C-ordered (component, x, y, z) arrays), each gathered with a periodic
-halo, so every work array is slab-sized.  The slabs run one after another
-on the calling thread and their partial sums are added in slab order.  A
-check allocates its work arrays at its first (widest) slab and every later
-slab writes into them, so the slab loop allocates nothing; stages reuse
-the arrays an earlier stage has finished with.  Slabs stream from memory,
-so their time goes with the number of passes over slab-sized arrays: the
-eta terms of the wave operator and the e sigma.B term are applied as
-per-site coefficient rows, one product per term, and factors of +-i as
-swaps of real and imaginary parts.
+The checks run over slabs of sixteen x-planes (the first spatial axis,
+contiguous in the C-ordered (component, x, y, z) arrays) at every N, each
+gathered with a periodic halo, so every work array is slab-sized.  The slabs
+run one after another on the calling thread and their partial sums are added
+in slab order.  A check allocates its work arrays at its first (widest) slab
+and every later slab writes into them, so the slab loop allocates nothing;
+stages reuse the arrays an earlier stage has finished with.  Slabs stream
+from memory, so their time goes with the number of passes over slab-sized
+arrays: the eta terms of the wave operator and the e sigma.B term are
+applied as per-site coefficient rows, one product per term, and factors of
++-i as swaps of real and imaginary parts.
+
+The checks take C-ordered copies of oddly laid-out inputs and reject what
+they cannot measure with ValueError: a state of the wrong shape or number of
+components, a non-finite parameter, a zero state, or a non-finite sum (a
+non-finite input, or one whose squares overflow).  Non-finite arrays are
+found from the finished sums, with no extra pass over the inputs.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,13 +42,17 @@ import numpy as np
 
 from .clifford import PAULI, build_eta, build_standard_gammas
 
-# sites per slab: at N = 128 that is sixteen x-planes, whose 4-component
-# temporaries (16 MB each) stream from memory.  Slabs that fit in the
-# last-level cache ran faster, but their speed rose and fell with the cache
-# traffic of other tenants of a shared host: the run-to-run spread of
-# convergence_table was about twice that of streaming slabs.  A box of at
-# most this many sites is one slab.
-_SLAB_SITES = 2**18
+# x-planes per slab, at every N: at N = 128 a slab has 2^18 sites, whose
+# 4-component temporaries (16 MB each) stream from memory.  Slabs that fit in
+# the last-level cache ran faster, but their speed rose and fell with the
+# cache traffic of other tenants of a shared host: the run-to-run spread of
+# convergence_table was about twice that of streaming slabs.  A box checked
+# whole (as N <= 64 once was) allocated its 40-60 MB of work arrays and
+# faulted them in again on every call: 11k minor page faults and 40-50 ms
+# of system time per identity, gauge and commutator set at N = 64.  Its
+# 16-plane slabs take 9.7k faults in a fresh process, and none once an
+# N = 128 call has run in it.
+_SLAB_PLANES = 16
 
 
 @dataclass(frozen=True)
@@ -130,8 +141,11 @@ def _difference(field: np.ndarray, axis: int, halo: int = 0, out=None) -> np.nda
     `out` (a new array when it is None).
 
     Along the first spatial axis a halo supplies the neighbours.  Along any
-    other axis, or without a halo, the difference is periodic, written by
-    slices: the interior and the two wrap planes."""
+    other axis, or without a halo, the difference is periodic: each
+    component's block, C-contiguous in `field` and `out`, is differenced
+    flat with a shift of one plane of `axis` (1 site along z, N along y,
+    N^2 along x), then the two wrap planes, where that shift reached into
+    the neighbouring row or plane, are written over."""
     x = field.ndim - 3
     if halo and axis == x:
         k = field.shape[x]
@@ -142,10 +156,13 @@ def _difference(field: np.ndarray, axis: int, halo: int = 0, out=None) -> np.nda
         )
     core = _trim(field, halo)
     if out is None:
-        out = np.empty_like(core)
+        out = np.empty(core.shape, field.dtype)
+    step = math.prod(core.shape[axis + 1 :])
+    src = core.reshape(core.shape[:x] + (-1,))
+    dst = out.reshape(src.shape)
+    np.subtract(src[..., 2 * step :], src[..., : -2 * step], out=dst[..., step:-step])
     src = np.moveaxis(core, axis, 0)
     dst = np.moveaxis(out, axis, 0)
-    np.subtract(src[2:], src[:-2], out=dst[1:-1])
     np.subtract(src[1], src[-1], out=dst[0])
     np.subtract(src[0], src[-2], out=dst[-1])
     return out
@@ -179,7 +196,7 @@ def covariant_momentum_apply(
     """Pi_axis psi = (-i D_axis - e A_axis) psi with periodic centered differences."""
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1 or 2")
-    return _momentum(np.asarray(psi, dtype=complex), e_charge * f.a[axis], axis, f.h)
+    return _momentum(np.ascontiguousarray(psi, dtype=complex), e_charge * f.a[axis], axis, f.h)
 
 
 def _add_term(out: np.ndarray, coeff: complex, term: np.ndarray) -> None:
@@ -222,7 +239,7 @@ def _sigma_pi(
 
 
 def sigma_pi_apply(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.ascontiguousarray(psi, dtype=complex)
     return _sigma_pi(psi, e_charge * f.a, f.h, np.empty_like(psi), np.empty_like(psi))
 
 
@@ -235,20 +252,50 @@ def _sq_norm(psi: np.ndarray, work=None) -> float:
 
 
 def _over_slabs(slab, n: int, halo: int) -> list:
-    """[slab(lo, hi, halo) for each slab of x-planes lo..hi-1], in slab order.
+    """[slab(lo, hi, halo) for each slab of `_SLAB_PLANES` x-planes lo..hi-1],
+    in slab order.  The last slab may be narrower; a box of at most that many
+    planes is one slab, whose halo wraps around it."""
+    return [slab(lo, min(lo + _SLAB_PLANES, n), halo) for lo in range(0, n, _SLAB_PLANES)]
 
-    A box of at most `_SLAB_SITES` sites is one periodic slab without a
-    halo.  The first slab is the widest."""
-    width = max(1, _SLAB_SITES // (n * n))
-    if width >= n:
-        return [slab(0, n, 0)]
-    return [slab(lo, min(lo + width, n), halo) for lo in range(0, n, width)]
+
+def _checked_state(f: GaugeField, psi, components=None) -> np.ndarray:
+    """psi as a C-ordered complex array (a copy only of other layouts or
+    dtypes), which must be (c, N, N, N) with N = f.n and c in `components`
+    (any c >= 1 when it is None)."""
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    count = len(psi)
+    if psi.shape[1:] != (f.n,) * 3 or not count or components and count not in components:
+        counts = " or ".join(map(str, components)) if components else ">= 1"
+        raise ValueError(
+            f"psi must have shape (c, {f.n}, {f.n}, {f.n}) with c {counts}; got {psi.shape}"
+        )
+    return psi
+
+
+def _check_finite(**params) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
+def _check_sums(*sums) -> None:
+    """Non-finite inputs, and squares that overflow, end as a non-finite sum."""
+    if not all(cmath.isfinite(s) for s in sums):
+        raise ValueError(
+            "the check's sums are not finite: psi or the fields hold inf or nan, "
+            "or values too large to square"
+        )
 
 
 def _norm_ratio(parts) -> float:
     """sqrt(sum of residual^2 / sum of |psi|^2) from (residual^2, |psi|^2)
     slab parts, added in slab order."""
-    return math.sqrt(sum(p[0] for p in parts)) / math.sqrt(sum(p[1] for p in parts))
+    residual = sum(p[0] for p in parts)
+    norm = sum(p[1] for p in parts)
+    _check_sums(residual, norm)
+    if norm == 0:
+        raise ValueError("psi is zero, or too small to square")
+    return math.sqrt(residual) / math.sqrt(norm)
 
 
 def pauli_identity_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> float:
@@ -257,12 +304,13 @@ def pauli_identity_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) 
     Pi_a psi is formed once per axis and feeds both sigma.Pi psi and
     Pi_a Pi_a psi: nine stencil applications in all.  Pi_x is applied
     twice, so slabs carry a halo of two planes."""
-    psi = np.ascontiguousarray(psi, dtype=complex)
+    psi = _checked_state(f, psi, (2,))
+    _check_finite(e_charge=e_charge)
     get = _buffers()
 
     def slab(lo, hi, halo):
         # sigma.Pi psi is needed one plane beyond the slab, for the outer Pi_x
-        inner = max(halo - 1, 0)
+        inner = halo - 1
         psi_s = _planes(psi, lo - halo, hi + halo, get, "psi")
         ea_in = get("ea", (3, hi - lo + 2 * inner) + psi.shape[-2:], float)
         np.multiply(_planes(f.a, lo - inner, hi + inner, get, "ea"), e_charge, out=ea_in)
@@ -306,7 +354,8 @@ def pauli_identity_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) 
 def commutator_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> float:
     """|| [Pi_x, Pi_y] psi - i e B_z psi || / ||psi||; the source of the
     sigma.B term.  Pi_x is applied once, so slabs carry a one-plane halo."""
-    psi = np.ascontiguousarray(psi, dtype=complex)
+    psi = _checked_state(f, psi)
+    _check_finite(e_charge=e_charge)
     get = _buffers()
 
     def slab(lo, hi, halo):
@@ -455,7 +504,7 @@ def wave_form_value(
     g = build_standard_gammas()
     rows, pairs = _coefficient_rows(build_eta(g))
     get = _buffers()
-    psi4 = _four_component_planes(np.asarray(psi, dtype=complex), 0, f.n, get)
+    psi4 = _four_component_planes(np.ascontiguousarray(psi, dtype=complex), 0, f.n, get)
     fields = _row_fields(pairs, e_energy - e_charge * f.a0, m, get)
     return _form(psi4, e_charge * f.a, fields, rows, f.h, g, get) * f.h**3
 
@@ -479,8 +528,11 @@ def gauge_invariance_check(
     """
     g = build_standard_gammas()
     rows, pairs = _coefficient_rows(build_eta(g))
-    psi = np.asarray(psi, dtype=complex)
-    theta = np.asarray(theta)
+    psi = _checked_state(f, psi, (2, 4))
+    theta = np.ascontiguousarray(theta)
+    if theta.shape != (f.n,) * 3:
+        raise ValueError(f"theta must have shape ({f.n}, {f.n}, {f.n}); got {theta.shape}")
+    _check_finite(e_energy=e_energy, m=m, e_charge=e_charge)
     get = _buffers()
 
     def slab(lo, hi, halo):
@@ -512,6 +564,7 @@ def gauge_invariance_check(
     parts = _over_slabs(slab, f.n, 1)
     q0 = sum(p[0] for p in parts) * f.h**3
     q1 = sum(p[1] for p in parts) * f.h**3
+    _check_sums(q0, q1)
     return abs(q1 - q0) / max(abs(q0), 1e-300)
 
 

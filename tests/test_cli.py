@@ -285,6 +285,18 @@ def test_pauli_rejects_nonpositive_extent(extent, capsys):
     assert capsys.readouterr().err.startswith("usage: etawave pauli ")
 
 
+@pytest.mark.parametrize("bz", ["1e150", "1e300"])
+def test_pauli_rejects_a_field_too_strong_to_square(bz, capsys):
+    # the residuals would be inf or nan rows; a usage error instead
+    with pytest.raises(SystemExit) as err:
+        run(["pauli", "--bz", bz, "--base-size", "16", "--levels", "2"])
+    assert err.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: etawave pauli ")
+    assert "not finite" in captured.err
+
+
 def test_precision_controls_mantissa(tmp_path):
     out = tmp_path / "coarse.csv"
     run(["well", "--length", "10", "--nmax", "1", "--precision", "6", "--output", str(out)])

@@ -366,6 +366,100 @@ def test_momentum_kernel_on_a_slab_is_the_whole_box_value_bitwise(
         assert got.tobytes() == expected.tobytes(), axis
 
 
+@pytest.mark.parametrize("n", [9, 17])
+@pytest.mark.parametrize("halo", [0, 1, 2])
+def test_difference_and_momentum_are_the_roll_forms_bitwise(n, halo):
+    # every axis at odd N, on the whole box (halo 0) and on slabs gathered
+    # with a halo; a 3-D field (the gauge function) and a 4-component state
+    rng = np.random.default_rng(n + 10 * halo)
+    h = EXTENT / n
+    theta = rng.standard_normal((n, n, n))
+    psi = rng.standard_normal((4, n, n, n)) + 1j * rng.standard_normal((4, n, n, n))
+    no_potential = np.zeros((n, n, n))
+    bounds = [(0, n)] if halo == 0 else [(0, 5), (3, n), (n - 2, n + 4)]
+    for lo, hi in bounds:
+        planes = np.arange(lo, hi)
+        theta_s = pg._planes(theta, lo - halo, hi + halo)
+        psi_s = pg._planes(psi, lo - halo, hi + halo)
+        for axis in range(3):
+            expected = np.roll(theta, -1, axis=axis) - np.roll(theta, 1, axis=axis)
+            got = pg._difference(theta_s, axis, halo)
+            assert got.tobytes() == np.take(expected, planes, axis=0, mode="wrap").tobytes()
+            got = pg._momentum(psi_s, no_potential[: hi - lo], axis, h)
+            expected = np.take(-1j * roll_diff(psi, axis + 1, h), planes, axis=1, mode="wrap")
+            assert got.tobytes() == expected.tobytes(), (lo, hi, axis)
+
+
+def test_public_stencils_take_any_memory_layout_bitwise():
+    # a Fortran-ordered state and a transposed view give the C-ordered bits
+    n = 9
+    rng = np.random.default_rng(23)
+    f = pg.GaugeField(
+        a0=np.zeros((n, n, n)), a=rng.standard_normal((3, n, n, n)),
+        b=np.zeros((3, n, n, n)), h=EXTENT / n, n=n,
+    )
+    psi = rng.standard_normal((2, n, n, n)) + 1j * rng.standard_normal((2, n, n, n))
+    layouts = (
+        np.asfortranarray(psi),
+        np.ascontiguousarray(psi.transpose(0, 3, 2, 1)).transpose(0, 3, 2, 1),
+    )
+    for other in layouts:
+        assert not other.flags.c_contiguous
+        for axis in range(3):
+            expected = pg.covariant_momentum_apply(f, psi, axis, 0.7)
+            assert pg.covariant_momentum_apply(f, other, axis, 0.7).tobytes() == expected.tobytes()
+        expected = pg.sigma_pi_apply(f, psi, 0.7)
+        assert pg.sigma_pi_apply(f, other, 0.7).tobytes() == expected.tobytes()
+
+
+def test_checks_reject_what_they_cannot_measure():
+    n = 16
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    psi = pg.gaussian_bump_state(n, EXTENT)
+    theta = pg.commensurate_theta(n, EXTENT)
+    psi4 = np.concatenate([psi, psi])
+    nan_psi = psi.copy()
+    nan_psi[1, n // 2, 3, 4] = np.nan
+    inf_field = pg.GaugeField(a0=f.a0, a=f.a, b=np.full_like(f.b, np.inf), h=f.h, n=n)
+    huge = pg.uniform_b_field(n, EXTENT, 1e150)
+    identity, gauge, commutator = (
+        pg.pauli_identity_check,
+        pg.gauge_invariance_check,
+        pg.commutator_check,
+    )
+    calls = [
+        ("identity, 4 components", lambda: identity(f, psi4)),
+        ("identity, 3 components", lambda: identity(f, psi4[:3])),
+        ("gauge, 3 components", lambda: gauge(f, theta, psi4[:3], 2.0, 1.5)),
+        ("commutator, 0 components", lambda: commutator(f, psi[:0])),
+        ("identity, 3-D state", lambda: identity(f, psi[0])),
+        ("commutator, other N", lambda: commutator(f, pg.gaussian_bump_state(n // 2, EXTENT))),
+        ("gauge, theta of other N", lambda: gauge(f, theta[:-1], psi, 2.0, 1.5)),
+        ("gauge, 4-D theta", lambda: gauge(f, theta[None], psi, 2.0, 1.5)),
+        ("gauge, nan energy", lambda: gauge(f, theta, psi, np.nan, 1.5)),
+        ("gauge, inf mass", lambda: gauge(f, theta, psi, 2.0, np.inf)),
+        ("gauge, inf charge", lambda: gauge(f, theta, psi, 2.0, 1.5, np.inf)),
+        ("identity, nan charge", lambda: identity(f, psi, np.nan)),
+        ("commutator, inf charge", lambda: commutator(f, psi, -np.inf)),
+        ("identity, zero state", lambda: identity(f, np.zeros_like(psi))),
+        ("commutator, zero state", lambda: commutator(f, np.zeros_like(psi))),
+        ("identity, squares underflow", lambda: identity(f, psi * 1e-170)),
+        ("identity, nan in psi", lambda: identity(f, nan_psi)),
+        ("gauge, nan in psi", lambda: gauge(f, theta, nan_psi, 2.0, 1.5)),
+        ("commutator, nan in psi", lambda: commutator(f, nan_psi)),
+        ("identity, inf in B", lambda: identity(inf_field, psi)),
+        ("gauge, nan in theta", lambda: gauge(f, np.full_like(theta, np.nan), psi, 2.0, 1.5)),
+        ("identity, squares overflow", lambda: identity(huge, psi)),
+        ("commutator, squares overflow", lambda: commutator(huge, psi)),
+    ]
+    # non-finite inputs are found from the sums, and numpy warns on the way
+    with np.errstate(all="ignore"):
+        for label, call in calls:
+            with pytest.raises(ValueError):
+                call()
+                pytest.fail(label)
+
+
 def spin_matrices(rng):
     """(matrix, components): the Pauli matrices, the standard spatial gammas,
     eta and eta^+, and the same from a randomly conjugated (dense) set."""
@@ -461,27 +555,31 @@ def checks_with_potential(n, e_charge):
     )
 
 
-@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("n", [16, 24, 40])
 @pytest.mark.parametrize("e_charge", [1.0, 0.7])
-@pytest.mark.parametrize("width", [1, 5, 7])
+@pytest.mark.parametrize("width", [1, 5, 7, 16])
 def test_slab_checks_match_roll_einsum_reference(n, e_charge, width, monkeypatch):
-    # slabs of `width` x-planes, none dividing N, so the last slab is narrower
-    monkeypatch.setattr(pg, "_SLAB_SITES", width * n * n)
+    # slabs of `width` x-planes, most not dividing N, so the last slab is
+    # narrower; 16 is the plane count itself (N = 40: 16 + 16 + 8 planes)
+    monkeypatch.setattr(pg, "_SLAB_PLANES", width)
     checks, refs = checks_with_potential(n, e_charge)
     for check, ref in zip(checks, refs):
         assert check() == pytest.approx(ref(), rel=1e-12)
 
 
-def test_slabs_cover_every_plane_once_in_order(monkeypatch):
+def test_slabs_cover_every_plane_once_in_order():
     def slab(lo, hi, halo):
         return lo, hi, halo
 
-    # N = 128 makes eight slabs of 16 planes; N = 64 is one slab, no halo
+    # slabs of 16 planes with a halo at every N: N = 128 makes eight (2^18
+    # sites each), N = 64 four
     assert pg._over_slabs(slab, 128, 2) == [(lo, lo + 16, 2) for lo in range(0, 128, 16)]
-    assert pg._over_slabs(slab, 64, 2) == [(0, 64, 0)]
-    # a width that does not divide N leaves a narrower last slab
-    monkeypatch.setattr(pg, "_SLAB_SITES", 5 * 16 * 16)
-    assert pg._over_slabs(slab, 16, 1) == [(0, 5, 1), (5, 10, 1), (10, 15, 1), (15, 16, 1)]
+    assert pg._over_slabs(slab, 64, 2) == [(lo, lo + 16, 2) for lo in range(0, 64, 16)]
+    # a plane count that does not divide N leaves a narrower last slab
+    assert pg._over_slabs(slab, 40, 1) == [(0, 16, 1), (16, 32, 1), (32, 40, 1)]
+    # a box of at most 16 planes is one slab, whose halo wraps around it
+    for n in (8, 9):
+        assert pg._over_slabs(slab, n, 2) == [(0, n, 2)]
 
 
 def general_field(n, rng):
@@ -503,10 +601,11 @@ def general_field(n, rng):
 @pytest.mark.parametrize("e_charge", [1.0, 0.7])
 def test_checks_match_reference_on_a_general_field(width, e_charge, monkeypatch):
     # reaches the B_x, B_y and A_z entries of the coefficient rows, which the
-    # uniform field along z leaves at zero; whole box and width-5 slabs
+    # uniform field along z leaves at zero; one slab wrapping its own halo
+    # (N = 16 is one slab of 16 planes) and width-5 slabs
     n = 16
     if width:
-        monkeypatch.setattr(pg, "_SLAB_SITES", width * n * n)
+        monkeypatch.setattr(pg, "_SLAB_PLANES", width)
     f, psi, theta = general_field(n, np.random.default_rng(11))
     pairs = (
         (pg.pauli_identity_check(f, psi, e_charge), ref_identity_check(f, psi, e_charge)),
@@ -541,7 +640,7 @@ def test_checks_leave_inputs_unchanged_and_repeat_bitwise(width, monkeypatch):
     # from one call to the next
     n = 16
     if width:
-        monkeypatch.setattr(pg, "_SLAB_SITES", width * n * n)
+        monkeypatch.setattr(pg, "_SLAB_PLANES", width)
     rng = np.random.default_rng(17)
     f, psi2, theta = general_field(n, rng)
     psi4 = rng.standard_normal((4, n, n, n)) + 1j * rng.standard_normal((4, n, n, n))
