@@ -27,9 +27,10 @@ applied as per-site coefficient rows, one product per term, and factors of
 
 The checks take C-ordered copies of oddly laid-out inputs and reject what
 they cannot measure with ValueError: a state of the wrong shape or number of
-components, a non-finite parameter, a zero state, or a non-finite sum (a
-non-finite input, or one whose squares overflow).  Non-finite arrays are
-found from the finished sums, with no extra pass over the inputs.
+components, a non-finite parameter, a zero state (for the gauge check, a
+zero quadratic form), or a non-finite sum (a non-finite input, or one whose
+squares overflow).  Non-finite arrays are found from the finished sums,
+with no extra pass over the inputs.
 """
 
 from __future__ import annotations
@@ -565,7 +566,9 @@ def gauge_invariance_check(
     q0 = sum(p[0] for p in parts) * f.h**3
     q1 = sum(p[1] for p in parts) * f.h**3
     _check_sums(q0, q1)
-    return abs(q1 - q0) / max(abs(q0), 1e-300)
+    if q0 == 0:
+        raise ValueError("the quadratic form of psi is zero, or too small to represent")
+    return abs(q1 - q0) / abs(q0)
 
 
 def commensurate_theta(n: int, extent: float, amplitude: float = 0.4) -> np.ndarray:

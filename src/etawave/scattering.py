@@ -2,9 +2,12 @@
 
 A spin-up mode comes in from the left; component continuity at the interfaces
 fixes the reflected, internal and transmitted amplitudes through an 8x8 (or
-4x4 for the step) linear system.  Two independent routes to the coefficients
-are kept side by side: the interface-matching solve and the closed-form
-expressions, which must agree to 1e-10 everywhere including deep tunneling.
+4x4 for the step) linear system.  Two independent routes to the barrier
+coefficients are kept side by side: the interface-matching solve and the
+closed form, which must agree to 1e-10 everywhere including deep tunneling.
+The closed form is one expression through the barrier top; the matching
+solve refuses the critical band around E = V0, where sweeps use the closed
+form alone.
 
 Conventions: E is the nonrelativistic (kinetic) energy in eV, the barrier
 occupies 0 <= z <= L with L in nm, and spatial phases are k z with
@@ -32,13 +35,12 @@ from .waveop import (
     classify_regime,
 )
 
-SQRT2 = math.sqrt(2.0)
-
 CONSERVATION_TOL = 1e-10
 
 
 class CriticalBandError(ValueError):
-    """E is inside the bridging band around V0; use closed_form there."""
+    """E is inside the critical band around V0, where the matching solve
+    refuses; use closed_form there."""
 
 
 class DegenerateConfigurationError(RuntimeError):
@@ -163,7 +165,7 @@ def _solve_matching(p: BarrierProblem):
     DegenerateConfigurationError."""
     if p.regime == CRITICAL:
         raise CriticalBandError(
-            f"|E - V0| = {abs(p.e_energy - p.v0):.3e} eV is inside the bridging "
+            f"|E - V0| = {abs(p.e_energy - p.v0):.3e} eV is inside the critical "
             "band; evaluate closed_form instead"
         )
     m8, rhs, ph1, ph2 = _assemble_barrier(p)
@@ -179,7 +181,7 @@ def solve_barrier(p: BarrierProblem):
 
     Returns (Amplitudes, Coefficients).  Inside the critical band around
     E = V0 the internal basis degenerates and this refuses; closed_form
-    bridges that band analytically.
+    holds there as everywhere.
     """
     _, _, x, ph1, ph2 = _solve_matching(p)
     x = x.tolist()
@@ -213,51 +215,33 @@ def continuity_residual(p: BarrierProblem) -> float:
     return num / scale
 
 
-def _series_limit(p: BarrierProblem):
-    """Second-order bridging limit of the closed forms at E -> V0, as the
-    spin-up incidence (t1, r1, r2)."""
-    e_energy, v0, m = p.e_energy, p.v0, p.m
-    g = m * p.length**2 / p.constants.hbar_c**2
-    den = 2.0 * e_energy + g * v0**2
-    t1 = 2.0 * e_energy / den
-    r1 = g * v0**2 * (e_energy - m) ** 2 / ((e_energy + m) ** 2 * den)
-    r2 = 4.0 * g * e_energy * m * v0**2 / ((e_energy + m) ** 2 * den)
-    return t1, r1, r2
-
-
 def closed_form(p: BarrierProblem) -> Coefficients:
-    """Closed-form coefficients; total function over the problem invariants.
+    """Closed-form coefficients: one expression on both sides of the top.
 
-    Oscillatory expressions above the barrier, hyperbolic below it (written
-    in terms of s = exp(-2 x') so nothing overflows for deep tunneling), and
-    the series limit inside the critical band.  The expressions are those of
-    spin-up incidence; spin-down incidence exchanges the channels.
+    With g = 2 m L^2 / hbar_c^2 and z = g (E - V0) = (k L)^2, negative below
+    the top, q = V0^2 g S(z) / (4 E) where S(z) = (sin sqrt(z) / sqrt(z))^2,
+    continued as (sinh sqrt(-z) / sqrt(-z))^2 below the top, and S(0) = 1.
+    Then T1 = 1 / (1 + q), R = q / (1 + q), and the spin split of R is
+    R1 = R (E-m)^2/(E+m)^2, R2 = R 4Em/(E+m)^2.  Every term is positive, so
+    nothing cancels near E = V0, where the formula equals the series limit.
+    The expressions are those of spin-up incidence; spin-down incidence
+    exchanges the channels.
     """
     e_energy, v0, m = p.e_energy, p.v0, p.m
-    hbar_c = p.constants.hbar_c
-    regime = p.regime
-    spin_weight = (e_energy - m) ** 2 * 2.0, 8.0 * e_energy * m
-    if regime == CRITICAL:
-        t1, r1, r2 = _series_limit(p)
-    elif regime == PROPAGATING:
-        x = SQRT2 * p.length * math.sqrt(m * (e_energy - v0)) / hbar_c
-        den = 8.0 * e_energy**2 - v0**2 * math.cos(2.0 * x) - 8.0 * e_energy * v0 + v0**2
-        t1 = 8.0 * e_energy * (e_energy - v0) / den
-        sin2 = math.sin(x) ** 2
-        r1 = spin_weight[0] * v0**2 * sin2 / ((e_energy + m) ** 2 * den)
-        r2 = spin_weight[1] * v0**2 * sin2 / ((e_energy + m) ** 2 * den)
+    g = 2.0 * m * (p.length / p.constants.hbar_c) ** 2
+    z = g * (e_energy - v0)
+    r = math.sqrt(abs(z))
+    c = v0**2 * g / (4.0 * e_energy)  # q = c S
+    # T1 = a / (a + b) and R = b / (a + b) with b / a = q
+    if z >= 0:
+        a, b = 1.0, c * (math.sin(r) / r if r else 1.0) ** 2
     else:
-        xp = SQRT2 * p.length * math.sqrt(m * (v0 - e_energy)) / hbar_c
-        s = math.exp(-2.0 * xp)
-        # den2s = 2s * (hyperbolic denominator), negative for E < V0
-        den2s = 2.0 * s * (8.0 * e_energy**2 - 8.0 * e_energy * v0 + v0**2) - v0**2 * (
-            1.0 + s**2
-        )
-        t1 = 16.0 * e_energy * (e_energy - v0) * s / den2s
-        # (1 - s)^2 = 4 s sinh^2(x'), free of the cancellation of 1 - s near the top
-        quarter = math.expm1(-2.0 * xp) ** 2
-        r1 = -spin_weight[0] * v0**2 * quarter / (2.0 * (e_energy + m) ** 2 * den2s)
-        r2 = -spin_weight[1] * v0**2 * quarter / (2.0 * (e_energy + m) ** 2 * den2s)
+        # a = 1 / S = (r / sinh r)^2, through exp(-r): it underflows to 0
+        # (T1 = 0, R = 1) where sinh^2 would overflow, at kappa L ~ 355
+        a, b = (2.0 * r * math.exp(-r) / -math.expm1(-2.0 * r)) ** 2, c
+    t1, refl = a / (a + b), b / (a + b)
+    r1 = refl * (e_energy - m) ** 2 / (e_energy + m) ** 2
+    r2 = refl * 4.0 * e_energy * m / (e_energy + m) ** 2
     if p.incident_spin == DOWN:
         # the barrier flips no spin in transmission and the problem is
         # symmetric under exchanging up and down
@@ -358,8 +342,8 @@ def coefficient_delta(a: Coefficients, b: Coefficients) -> float:
 
 def sweep(template: BarrierProblem, e_grid, method: str = "numeric") -> SweepTable:
     """Coefficient table over an energy grid; per-point failures become
-    flagged rows instead of aborting.  Critical-band points are bridged
-    through closed_form for every method."""
+    flagged rows instead of aborting.  Critical-band points, which the
+    matching solve refuses, take closed_form for every method."""
     if method not in ("numeric", "closed", "both"):
         raise ValueError(f"method must be numeric, closed or both, got {method!r}")
     rows = []

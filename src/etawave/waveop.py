@@ -16,8 +16,8 @@ import numpy as np
 
 from .clifford import EtaSet, build_eta, build_standard_gammas, max_abs
 
-# relative half-width of the band around E = V where the propagating and
-# evanescent branches are bridged by the series limit
+# relative half-width of the band around E = V where the matching solves
+# refuse: their propagating and evanescent bases degenerate there
 CRITICAL_BAND_RTOL = 1e-9
 
 PROPAGATING = "propagating"

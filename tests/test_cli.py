@@ -83,6 +83,25 @@ def test_barrier_bridges_critical_point(tmp_path):
     assert "nan" not in out.read_text()
 
 
+def test_barrier_sweep_through_the_top_has_no_flagged_row(tmp_path):
+    # 2001 points within 1e-5 of the top: the closed form neither raises just
+    # outside the critical band nor disagrees with the matching solve there
+    out = tmp_path / "top.csv"
+    code = run(
+        ["barrier", "--v0", "10", "--length", "0.05", "--mass", "1e4", "--emin", "0.99999",
+         "--emax", "1.00001", "--steps", "2001", "--method", "both", "--output", str(out)]
+    )
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == SWEEP_HEADER + ",delta_numeric_closed"
+    assert len(lines) == 2002
+    for line in lines[1:]:
+        fields = [float(v) for v in line.split(",")]
+        assert all(np.isfinite(fields))
+        coeffs, delta = fields[1:5], fields[-1]
+        assert delta <= 1e-10 * max(map(abs, coeffs)) + 1e-11
+
+
 def test_step_critical_point_flagged(tmp_path):
     out = tmp_path / "step.csv"
     code = run(
@@ -124,7 +143,7 @@ def test_well_rejects_nmax_zero():
     assert err.value.code == 64
 
 
-def test_point_inside_band_falls_back_to_series(capsys):
+def test_point_inside_band_falls_back_to_closed_form(capsys):
     code = run(
         ["point", "--v0", "10", "--length", "10", "--e-over-v0", "1.000000000001"]
     )

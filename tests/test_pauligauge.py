@@ -443,6 +443,8 @@ def test_checks_reject_what_they_cannot_measure():
         ("commutator, inf charge", lambda: commutator(f, psi, -np.inf)),
         ("identity, zero state", lambda: identity(f, np.zeros_like(psi))),
         ("commutator, zero state", lambda: commutator(f, np.zeros_like(psi))),
+        ("gauge, zero state", lambda: gauge(f, theta, np.zeros_like(psi), 2.0, 1.5)),
+        ("gauge, form underflows", lambda: gauge(f, theta, psi * 1e-200, 2.0, 1.5)),
         ("identity, squares underflow", lambda: identity(f, psi * 1e-170)),
         ("identity, nan in psi", lambda: identity(f, nan_psi)),
         ("gauge, nan in psi", lambda: gauge(f, theta, nan_psi, 2.0, 1.5)),

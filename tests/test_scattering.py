@@ -11,7 +11,7 @@ from etawave import cli
 from etawave import scattering as sc
 from etawave import spinors as sp
 from etawave.numerics import SingularSystemError
-from etawave.waveop import CRITICAL, PROPAGATING, PhysicalConstants, complex_momentum
+from etawave.waveop import CRITICAL, PhysicalConstants, complex_momentum
 
 CONSTANTS = PhysicalConstants()
 
@@ -466,81 +466,88 @@ def test_step_system_equals_mode_column_assembly(ratio, v0, m, spin):
         assert abs(got - want) <= 1e-14
 
 
-def _closed_form_numpy(p, cos=np.cos, sin=np.sin, exp=np.exp):
-    """Spin-up (t1, r1, r2) of closed_form, written with numpy ufuncs."""
-    e_energy, v0, m = p.e_energy, p.v0, p.m
-    hbar_c = p.constants.hbar_c
-    keep, flip = (e_energy - m) ** 2 * 2.0, 8.0 * e_energy * m
-    if p.regime == CRITICAL:
-        g = m * p.length**2 / hbar_c**2
-        den = 2.0 * e_energy + g * v0**2
-        return (
-            2.0 * e_energy / den,
-            g * v0**2 * (e_energy - m) ** 2 / ((e_energy + m) ** 2 * den),
-            4.0 * g * e_energy * m * v0**2 / ((e_energy + m) ** 2 * den),
-        )
-    if p.regime == PROPAGATING:
-        x = np.sqrt(2.0) * p.length * np.sqrt(m * (e_energy - v0)) / hbar_c
-        den = 8.0 * e_energy**2 - v0**2 * cos(2.0 * x) - 8.0 * e_energy * v0 + v0**2
-        sin2 = sin(x) ** 2
-        return (
-            8.0 * e_energy * (e_energy - v0) / den,
-            keep * v0**2 * sin2 / ((e_energy + m) ** 2 * den),
-            flip * v0**2 * sin2 / ((e_energy + m) ** 2 * den),
-        )
-    xp = np.sqrt(2.0) * p.length * np.sqrt(m * (v0 - e_energy)) / hbar_c
-    s = exp(-2.0 * xp)
-    den2s = 2.0 * s * (8.0 * e_energy**2 - 8.0 * e_energy * v0 + v0**2) - v0**2 * (1.0 + s**2)
-    quarter = (1.0 - s) ** 2
-    return (
-        16.0 * e_energy * (e_energy - v0) * s / den2s,
-        -keep * v0**2 * quarter / (2.0 * (e_energy + m) ** 2 * den2s),
-        -flip * v0**2 * quarter / (2.0 * (e_energy + m) ** 2 * den2s),
-    )
+def _exact_closed_form(mpmath, e_energy, v0, length, m, z_scale=1):
+    """Spin-up (t1, r1, r2) of the textbook barrier formula at 50 digits,
+    with the phase argument z = (k L)^2 multiplied by z_scale."""
+    mpmath.mp.dps = 50
+    e, v, mm = mpmath.mpf(e_energy), mpmath.mpf(v0), mpmath.mpf(m)
+    g = 2 * mm * (mpmath.mpf(length) / mpmath.mpf(CONSTANTS.hbar_c)) ** 2
+    z = g * (e - v) * z_scale
+    r = mpmath.sqrt(abs(z))
+    shape = (mpmath.sin(r) / r) ** 2 if z > 0 else (mpmath.sinh(r) / r) ** 2 if z < 0 else 1
+    q = v**2 * g * shape / (4 * e)
+    refl = q / (1 + q)
+    return 1 / (1 + q), refl * (e - mm) ** 2 / (e + mm) ** 2, refl * 4 * e * mm / (e + mm) ** 2
 
 
-# two units in the last place of a float64, relative
-ULP2 = 2.0**-51
-
-
-def _ulp_sensitivity(p):
-    """How far the numpy form moves when one of cos, sin or exp is off by two
-    ulp.  numpy's float64 exp differs from the C library's (math.exp) by an
-    ulp on a fraction of arguments, and near the barrier top (1 - s)^2 and
-    the cancelling denominators magnify that to ~1e-13 relative."""
-    ref = _closed_form_numpy(p)
-    worst = [0.0, 0.0, 0.0]
-    for name in ("cos", "sin", "exp"):
-        for k in (-1.0, 1.0):
-            fn = getattr(np, name)
-            moved = _closed_form_numpy(p, **{name: lambda z, fn=fn, k=k: fn(z) * (1.0 + k * ULP2)})
-            worst = [max(w, abs(a - b)) for w, a, b in zip(worst, moved, ref)]
-    return ref, worst
+# within 1e-5 of the top on either side, the critical band (1e-9) included
+near_top = st.builds(
+    lambda offset, side: 1.0 + side * offset,
+    st.floats(-10.0, -5.0).map(lambda x: 10.0**x),
+    st.sampled_from([-1.0, 1.0]),
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(ratios_above, ratios_below, st.floats(-0.9e-9, 0.9e-9).map(lambda d: 1.0 + d)),
-    heights,
-    lengths,
-    masses,
-)
-def test_closed_form_equals_numpy_form(ratio, v0, length, m):
+@given(st.one_of(near_top, ratios_above, ratios_below), heights, lengths, masses)
+def test_closed_form_against_50_digits(ratio, v0, length, m):
+    mpmath = pytest.importorskip("mpmath")
     up = barrier(ratio * v0, v0, _clamp_kappa_l(ratio, v0, length, m), m)
-    ref, slack = _ulp_sensitivity(up)
+    args = (up.e_energy, v0, up.length, m)
+    exact = _exact_closed_form(mpmath, *args)
+    # the phase is the one ill-conditioned input: allow the change of the
+    # exact values when z moves by the few ulp its float evaluation rounds
+    moved = [_exact_closed_form(mpmath, *args, z_scale=1 + k * 2e-15) for k in (-1, 1)]
     got = sc.closed_form(up)
-    for value, want, extra in zip((got.t1, got.r1, got.r2), ref, slack):
+    for k, value in enumerate((got.t1, got.r1, got.r2)):
         assert type(value) is float
-        assert abs(value - want) <= 1e-14 * abs(want) + extra + 1e-300
+        slack = max(abs(w[k] - exact[k]) for w in moved)
+        assert abs(value - exact[k]) <= 1e-13 * exact[k] + slack + 1e-300
     assert got.t2 == 0.0
+    assert abs(got.total - 1.0) <= 1e-14
     down = sc.closed_form(barrier(up.e_energy, v0, up.length, m, spin=sp.DOWN))
     assert _channels(down) == _swapped(got)
+    if up.regime != CRITICAL:
+        _, numeric = sc.solve_barrier(up)
+        for n_val, c_val in zip(_channels(numeric), _channels(got)):
+            assert abs(n_val - c_val) <= 1e-10 * abs(c_val) + 1e-11
+        return
+    # inside the band the matching solve refuses; T1 there continues the
+    # matching solve at the band edge on the same side of the top
+    edge = v0 * (1.0 + 1.1e-9 * (1.0 if ratio >= 1.0 else -1.0))
+    _, numeric = sc.solve_barrier(barrier(edge, v0, up.length, m))
+    drift = abs(_exact_closed_form(mpmath, edge, v0, up.length, m)[0] - exact[0])
+    assert abs(got.t1 - numeric.t1) <= drift + 1e-10 * got.t1 + 1e-11
+
+
+def _s_form_t1(e_energy, v0, length, m):
+    """T1 below the top written with s = exp(-2 kappa L): the same formula
+    through other floating-point operations."""
+    s = np.exp(-2.0 * np.sqrt(2.0 * m * (v0 - e_energy)) * length / CONSTANTS.hbar_c)
+    den2s = 2.0 * s * (8.0 * e_energy**2 - 8.0 * e_energy * v0 + v0**2) - v0**2 * (1.0 + s**2)
+    return 16.0 * e_energy * (e_energy - v0) * s / den2s
+
+
+@pytest.mark.parametrize("e_energy, v0, m", [(5.0, 10.0, 5e5), (0.3, 10.0, 1e4), (9.9, 10.0, 1e6)])
+def test_closed_form_deep_barrier(e_energy, v0, m):
+    kappa = np.sqrt(2.0 * m * (v0 - e_energy)) / CONSTANTS.hbar_c
+    # sinh^2(kappa L) overflows a float from kappa L ~ 355: T1 underflows to 0
+    for kappa_l in (400.0, 2000.0):
+        for spin in (sp.UP, sp.DOWN):
+            c = sc.closed_form(barrier(e_energy, v0, kappa_l / kappa, m, spin))
+            assert c.t1 == 0.0 and c.t2 == 0.0
+            # the two spin weights of R round separately: one ulp
+            assert abs(c.r1 + c.r2 - 1.0) <= 2.0**-52
+    for kappa_l in (1e-3, 0.1, 1.0, 5.0, 20.0, 50.0, 100.0, 200.0, 220.0):
+        length = kappa_l / kappa
+        t1 = sc.closed_form(barrier(e_energy, v0, length, m)).t1
+        assert t1 == pytest.approx(_s_form_t1(e_energy, v0, length, m), rel=1e-13)
 
 
 @pytest.mark.parametrize("xp", [1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1.0])
 def test_closed_form_evanescent_branch_against_40_digits(xp):
     # a thin barrier puts x' = sqrt(2 m (V0 - E)) L / hbar_c near zero well
-    # below the top, where (1 - s)^2 with s = exp(-2 x') loses digits
+    # below the top, where forms in s = exp(-2 x') such as (1 - s)^2 lose digits
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     e_energy, v0, m = 5.0, 10.0, 5e5
