@@ -31,6 +31,14 @@ class WellProblem:
             raise ValueError("L and m must be finite and strictly positive")
         if self.n_max < 1:
             raise ValueError("n_max must be a positive integer")
+        # E_n rises with n: E_1 > 0 and a finite E_nmax bound them all
+        lowest = level_energy(1, self.length, self.m, self.constants)
+        highest = level_energy(self.n_max, self.length, self.m, self.constants)
+        if not (0 < lowest and highest < np.inf):
+            raise ValueError(
+                f"levels E_1 .. E_{self.n_max} are not finite and positive for "
+                f"L = {self.length!r}, m = {self.m!r}, hbar_c = {self.constants.hbar_c!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,12 @@ class LevelSet:
 
 
 def level_energy(n: int, length: float, m: float, constants: PhysicalConstants) -> float:
-    return n**2 * np.pi**2 * constants.hbar_c**2 / (2.0 * m * length**2)
+    # products, not float powers, and inf for a denominator that underflows:
+    # a level beyond the float range is inf instead of an exception
+    denominator = 2.0 * m * (length * length)
+    if not denominator:
+        return np.inf
+    return n**2 * np.pi**2 * (constants.hbar_c * constants.hbar_c) / denominator
 
 
 def energy_levels(w: WellProblem) -> LevelSet:

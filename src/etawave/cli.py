@@ -8,7 +8,7 @@ Subcommands
     check    full identity and property suite (exit 0 iff everything passes)
     point    both solvers at a single (E/V0, V0, L) point
 
-Exit codes: 0 success, 1 property failure, 2 sweep finished with flagged
+Exit codes: 0 success, 1 property failure, 2 table finished with flagged
 rows, 64 usage error.  All output is deterministic given flags and --seed.
 """
 
@@ -203,7 +203,10 @@ def cmd_well(parser, args) -> int:
         parser.error("--nmax must be a positive integer")
     if args.length <= 0:
         parser.error("--length must be positive")
-    w = boundstates.WellProblem(args.length, mass, args.nmax, constants)
+    try:
+        w = boundstates.WellProblem(args.length, mass, args.nmax, constants)
+    except ValueError as exc:
+        parser.error(str(exc))
     analytic = boundstates.energy_levels(w)
     numeric = None
     if args.numeric:
@@ -263,22 +266,31 @@ def cmd_point(parser, args) -> int:
         )
     except ValueError as exc:  # E = (E/V0) * V0 can overflow
         parser.error(str(exc))
-    try:
-        _, numeric = scattering.solve_barrier(prob)
-    except scattering.CriticalBandError:
-        numeric = scattering.closed_form(prob)
-    closed = scattering.closed_form(prob)
     header = ["method", "T1", "T2", "R1", "R2", "T_qm", "R_qm", "sum"]
     down = prob.incident_spin == spinors.DOWN
     records = []
-    for name, c in (("numeric", numeric), ("closed", closed)):
-        rec = dict(zip(header, (name, c.t1, c.t2, c.r1, c.r2, c.t_qm, c.r_qm, c.total)))
+    for name, solve in (("numeric", _numeric_point), ("closed", scattering.closed_form)):
+        # a solver that fails flags its row, as a sweep does
+        try:
+            c = solve(prob)
+            rec = dict(zip(header, (name, c.t1, c.t2, c.r1, c.r2, c.t_qm, c.r_qm, c.total)))
+        except (ValueError, scattering.DegenerateConfigurationError) as exc:
+            rec = dict(zip(header, (name,) + (_NAN,) * 7), flag=f"{type(exc).__name__}: {exc}")
         if down:
             rec["incident_spin"] = spinors.DOWN
         records.append(rec)
     comment = f"incident_spin={spinors.DOWN}" if down else None
     _emit(_render(header, records, args.format, precision, comment), args.output)
-    return 0
+    return 2 if any("flag" in rec for rec in records) else 0
+
+
+def _numeric_point(prob):
+    """The matching solve's coefficients; closed_form inside the critical
+    band, which the matching solve refuses."""
+    try:
+        return scattering.solve_barrier(prob)[1]
+    except scattering.CriticalBandError:
+        return scattering.closed_form(prob)
 
 
 def _corrupted_eta(e_set):

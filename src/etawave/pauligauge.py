@@ -23,7 +23,17 @@ stages reuse the arrays an earlier stage has finished with.  Slabs stream
 from memory, so their time goes with the number of passes over slab-sized
 arrays: the eta terms of the wave operator and the e sigma.B term are
 applied as per-site coefficient rows, one product per term, and factors of
-+-i as swaps of real and imaginary parts.
++-i as swaps of real and imaginary parts.  The quadratic forms of the gauge
+check write no operator image at all: each term is reduced straight to a
+scalar, the difference stencil as sums over neighbouring sites, and the
+change of the form under the gauge transformation is taken from the link
+phases directly (see `gauge_invariance_check`).
+
+The fields are stored at their true dimension: `uniform_b_field` and
+`commensurate_theta` return read-only broadcast views of a plane, a vector
+or a profile, and the checks read them slab by slab (wrapping planes by
+slice copies) without ever making them dense.  Dense fields take the same
+code.
 
 The checks take C-ordered copies of oddly laid-out inputs and reject what
 they cannot measure with ValueError: a state of the wrong shape or number of
@@ -51,14 +61,20 @@ from .clifford import PAULI, build_eta, build_standard_gammas
 # whole (as N <= 64 once was) allocated its 40-60 MB of work arrays and
 # faulted them in again on every call: 11k minor page faults and 40-50 ms
 # of system time per identity, gauge and commutator set at N = 64.  Its
-# 16-plane slabs take 9.7k faults in a fresh process, and none once an
+# 16-plane slabs take about 8k faults in a fresh process, and none once an
 # N = 128 call has run in it.
 _SLAB_PLANES = 16
 
 
 @dataclass(frozen=True)
 class GaugeField:
-    """Potentials and the analytic magnetic field on a uniform periodic grid."""
+    """Potentials and the analytic magnetic field on a uniform periodic grid.
+
+    The arrays need only broadcast to their stated shapes' values: a field
+    that varies along fewer axes may be a read-only `np.broadcast_to` view of
+    an array of its true dimension (as `uniform_b_field` builds them), which
+    the checks read slab by slab without making it dense.  Dense arrays take
+    the same path."""
 
     a0: np.ndarray  # (N, N, N)
     a: np.ndarray  # (3, N, N, N)
@@ -82,14 +98,25 @@ def grid_coordinates(n: int, extent: float):
 
 
 def uniform_b_field(n: int, extent: float, bz: float) -> GaugeField:
-    """Symmetric gauge A = (-Bz*y/2, Bz*x/2, 0) for a uniform field along z."""
+    """Symmetric gauge A = (-Bz*y/2, Bz*x/2, 0) for a uniform field along z.
+
+    The fields are read-only broadcast views at their true dimension: A of a
+    (3, N, N, 1) plane (it does not vary along z), B of one (3, 1, 1, 1)
+    vector and A0 of a single zero."""
     (x, y, _), h = grid_coordinates(n, extent)
-    a = np.zeros((3, n, n, n))
+    grid = (n, n, n)
+    a = np.zeros((3, n, n, 1))
     a[0] = -0.5 * bz * y
     a[1] = 0.5 * bz * x
-    b = np.zeros((3, n, n, n))
+    b = np.zeros((3, 1, 1, 1))
     b[2] = bz
-    return GaugeField(a0=np.zeros((n, n, n)), a=a, b=b, h=h, n=n)
+    return GaugeField(
+        a0=np.broadcast_to(0.0, grid),
+        a=np.broadcast_to(a, (3,) + grid),
+        b=np.broadcast_to(b, (3,) + grid),
+        h=h,
+        n=n,
+    )
 
 
 def gaussian_bump_state(n: int, extent: float, sigma: float | None = None) -> np.ndarray:
@@ -109,16 +136,30 @@ def _trim(field: np.ndarray, halo: int) -> np.ndarray:
     return field[..., halo : field.shape[-3] - halo, :, :]
 
 
+def _gather(field: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """out = planes lo..hi-1 of the first spatial axis of `field`, indices
+    taken periodically, copied one run of consecutive planes at a time.
+    np.take(mode="wrap") would first copy a non-contiguous field (such as a
+    broadcast one) whole."""
+    n = field.shape[-3]
+    pos = lo
+    while pos < hi:
+        start = pos % n
+        count = min(hi - pos, n - start)
+        out[..., pos - lo : pos - lo + count, :, :] = field[..., start : start + count, :, :]
+        pos += count
+    return out
+
+
 def _planes(field: np.ndarray, lo: int, hi: int, get=None, name=None) -> np.ndarray:
     """Planes lo..hi-1 of the first spatial axis of `field`, indices taken
     periodically: a view when they do not wrap, else a copy, written to the
     work array `name` of `get` (see `_buffers`) when one is given."""
     if 0 <= lo and hi <= field.shape[-3]:
         return field[..., lo:hi, :, :]
-    out = None
-    if get is not None:
-        out = get(name, field.shape[:-3] + (hi - lo,) + field.shape[-2:], field.dtype)
-    return np.take(field, np.arange(lo, hi), axis=-3, mode="wrap", out=out)
+    shape = field.shape[:-3] + (hi - lo,) + field.shape[-2:]
+    out = np.empty(shape, field.dtype) if get is None else get(name, shape, field.dtype)
+    return _gather(field, lo, hi, out)
 
 
 def _buffers():
@@ -137,22 +178,26 @@ def _buffers():
     return get
 
 
-def _difference(field: np.ndarray, axis: int, halo: int = 0, out=None) -> np.ndarray:
-    """f[i+1] - f[i-1] along array `axis`, on `_trim(field, halo)`, written to
-    `out` (a new array when it is None).
+def _difference(
+    field: np.ndarray, axis: int, halo: int = 0, out=None, centered: bool = True
+) -> np.ndarray:
+    """f[i+1] - f[i-1] along array `axis` (f[i+1] - f[i] when not
+    `centered`), on `_trim(field, halo)`, written to `out` (a new array when
+    it is None).
 
     Along the first spatial axis a halo supplies the neighbours.  Along any
     other axis, or without a halo, the difference is periodic: each
     component's block, C-contiguous in `field` and `out`, is differenced
     flat with a shift of one plane of `axis` (1 site along z, N along y,
-    N^2 along x), then the two wrap planes, where that shift reached into
-    the neighbouring row or plane, are written over."""
+    N^2 along x), then the wrap planes, where that shift reached into the
+    neighbouring row or plane, are written over."""
+    back = int(centered)
     x = field.ndim - 3
     if halo and axis == x:
         k = field.shape[x]
         return np.subtract(
             field[..., halo + 1 : k - halo + 1, :, :],
-            field[..., halo - 1 : k - halo - 1, :, :],
+            field[..., halo - back : k - halo - back, :, :],
             out=out,
         )
     core = _trim(field, halo)
@@ -161,11 +206,13 @@ def _difference(field: np.ndarray, axis: int, halo: int = 0, out=None) -> np.nda
     step = math.prod(core.shape[axis + 1 :])
     src = core.reshape(core.shape[:x] + (-1,))
     dst = out.reshape(src.shape)
-    np.subtract(src[..., 2 * step :], src[..., : -2 * step], out=dst[..., step:-step])
+    lag = (1 + back) * step
+    np.subtract(src[..., lag:], src[..., :-lag], out=dst[..., back * step : -step])
     src = np.moveaxis(core, axis, 0)
     dst = np.moveaxis(out, axis, 0)
-    np.subtract(src[1], src[-1], out=dst[0])
-    np.subtract(src[0], src[-2], out=dst[-1])
+    if back:
+        np.subtract(src[1], src[-1], out=dst[0])
+    np.subtract(src[0], src[-1 - back], out=dst[-1])
     return out
 
 
@@ -421,8 +468,8 @@ def _four_component_planes(psi: np.ndarray, lo: int, hi: int, get) -> np.ndarray
         return _planes(psi, lo, hi, get, "psi4")
     shift = psi.shape[-3] // 8
     out = get("psi4", (4, hi - lo) + psi.shape[-2:])
-    np.take(psi, np.arange(lo, hi), axis=-3, mode="wrap", out=out[:2])
-    np.take(psi, np.arange(lo - shift, hi - shift), axis=-3, mode="wrap", out=out[2:])
+    _gather(psi, lo, hi, out[:2])
+    _gather(psi, lo - shift, hi - shift, out[2:])
     out[2:] *= 0.7
     return out
 
@@ -463,34 +510,85 @@ def _row_fields(pairs, kinetic: np.ndarray, m: float, get) -> np.ndarray:
     return out
 
 
-def _form(psi4, ea, fields, rows, h, g, get) -> complex:
+def _row_sum(*factors: np.ndarray) -> complex:
+    """sum of the product of `factors`: each row along the last axis by one
+    einsum, then the row sums added pairwise by np.sum.  A flat einsum adds
+    sequentially and loses digits; np.vdot goes through BLAS, which is
+    slower here and wakes its threads."""
+    subscripts = ",".join(["...k"] * len(factors)) + "->..."
+    return complex(np.sum(np.einsum(subscripts, *factors)))
+
+
+def _neighbour_sum(here, there: np.ndarray, axis: int, halo: int) -> complex:
+    """sum_x prod(here)(x) * there(x + e_axis) over the sites of the arrays in
+    `here`; `there` holds those sites and `halo` planes at each end of its
+    first axis, and is periodic along any axis without a halo."""
+    if halo and axis == 0:
+        return _row_sum(*here, there[halo + 1 : halo + 1 + len(here[0])])
+    there = _trim(there, halo)
+    lead = (slice(None),) * axis
+    body = _row_sum(*(v[lead + (slice(None, -1),)] for v in here), there[lead + (slice(1, None),)])
+    seam = _row_sum(*(v[lead + (-1,)] for v in here), there[lead + (0,)])
+    return body + seam
+
+
+def _hopping_form(psi4, conj, gamma, axis, h, weight, scale, get, link=None) -> complex:
+    """sum_ab gamma_ab [-i (L_ab - conj L_ba) / (2h) + scale W_ab] over the
+    x-planes that `conj` (conj psi there) covers, halo as in `_momentum`, with
+    L_ab = sum_x conj psi_a(x) link(x) psi_b(x + e_axis) (link = 1 when None)
+    and W_ab = sum_x weight(x) conj psi_a psi_b for a real `weight`.
+
+    With link = 1, weight = A_axis and scale = -e it is
+    sum psi^+ gamma^axis Pi_axis psi: the centered difference is the
+    forward hop minus the backward one, and the backward hop summed over
+    the box is the conjugate of the transposed forward one.  Every L_ab and
+    W_ab is reduced straight to a scalar; W_ba = conj W_ab."""
+    halo = (psi4.shape[-3] - conj.shape[-3]) // 2
+    core = _trim(psi4, halo)
+    needed = (gamma != 0) | (gamma.T != 0)
+    hops = np.zeros(gamma.shape, dtype=complex)
+    local = np.zeros(gamma.shape, dtype=complex)
+    term = get("term", conj.shape[1:])
+    for a in range(len(gamma)):
+        here = (conj[a],) if link is None else (conj[a], link)
+        for b in np.flatnonzero(needed[a]):
+            hops[a, b] = _neighbour_sum(here, psi4[b], axis, halo)
+        upper = np.flatnonzero(needed[a, a:]) + a
+        if upper.size:
+            np.multiply(conj[a], weight, out=term)
+            for b in upper:
+                value = _row_sum(term, core[b])
+                local[b, a] = value.conjugate()
+                local[a, b] = value
+    return complex(np.sum(gamma * (-0.5j / h * (hops - hops.conj().T) + scale * local)))
+
+
+def _form(psi4, conj, potential, e_charge, fields, rows, h, g, get) -> complex:
     """sum psi^+ [ (E - eA0) eta + gamma^i Pi_i + m eta^+ ] psi over the
-    x-planes that `ea` (e A) covers, halo as in `_momentum`.
+    x-planes that `potential` (A there) covers, halo as in
+    `_momentum`; `conj` holds conj(psi) on those planes.
 
     The eta terms come from the coefficient rows of `_coefficient_rows`
-    over the per-site `fields`: per row one product, then one product and
-    add for each further term.  gamma^i Pi_i is added one component of
-    Pi_i psi at a time.  The work arrays come from `get`."""
-    core = _trim(psi4, (psi4.shape[-3] - ea.shape[-3]) // 2)
-    applied = get("applied", core.shape)
-    momentum = get("momentum", core.shape[1:])
-    scratch = get("scratch", core.shape[1:])
-    for a, ((b, phase, field), *more) in enumerate(rows):
-        np.multiply(core[b], fields[field], out=applied[a])
-        if phase != 1:
-            applied[a] *= phase
-        for b, phase, field in more:
-            _add_term(applied[a], phase, np.multiply(core[b], fields[field], out=scratch))
+    over the per-site `fields`, each reduced with its conj(psi_a) straight
+    to a scalar (or conjugated from its transpose when that has the same
+    field); the gamma^i Pi_i terms come from `_hopping_form`.  The work
+    arrays come from `get`."""
+    core = _trim(psi4, (psi4.shape[-3] - conj.shape[-3]) // 2)
+    scratch = get("term", core.shape[1:])
+    total = 0j
+    sums = {}
+    for a, row in enumerate(rows):
+        for b, phase, field in row:
+            if (b, a, field) in sums:
+                # a real field: the transposed term's sum is the conjugate
+                value = sums[b, a, field].conjugate()
+            else:
+                value = _row_sum(conj[a], np.multiply(core[b], fields[field], out=scratch))
+            sums[a, b, field] = value
+            total += phase * value
     for axis, gamma in enumerate((g.gamma1, g.gamma2, g.gamma3)):
-        for b in range(len(gamma)):
-            targets = np.flatnonzero(gamma[:, b])
-            if targets.size:
-                _momentum(psi4[b], ea[axis], axis, h, momentum, scratch)
-                for a in targets:
-                    _add_term(applied[a], gamma[a, b], momentum)
-    for comp in range(len(applied)):
-        applied[comp] *= np.conjugate(core[comp], out=scratch)
-    return complex(np.sum(applied))
+        total += _hopping_form(psi4, conj, gamma, axis, h, potential[axis], -e_charge, get)
+    return total
 
 
 def wave_form_value(
@@ -506,8 +604,30 @@ def wave_form_value(
     rows, pairs = _coefficient_rows(build_eta(g))
     get = _buffers()
     psi4 = _four_component_planes(np.ascontiguousarray(psi, dtype=complex), 0, f.n, get)
+    conj = np.conjugate(psi4, out=get("conj", psi4.shape))
     fields = _row_fields(pairs, e_energy - e_charge * f.a0, m, get)
-    return _form(psi4, e_charge * f.a, fields, rows, f.h, g, get) * f.h**3
+    return _form(psi4, conj, f.a, e_charge, fields, rows, f.h, g, get) * f.h**3
+
+
+def _gauge_change(psi4, conj, theta_s, gamma, axis, e_charge, h, get) -> complex:
+    """The axis-`axis` part of q1 - q0 (see `gauge_invariance_check`) over the
+    x-planes that `conj` covers; `psi4` and `theta_s` hold them and an equal
+    halo at each end of the first spatial axis."""
+    halo = (psi4.shape[-3] - conj.shape[-3]) // 2
+    sites = conj.shape[1:]
+    # u = exp(-ie delta) - 1 = -2 sin^2(e delta / 2) - i sin(e delta): both
+    # parts without the cancellation of cos(e delta) - 1
+    angle = _difference(theta_s, axis, halo, get("angle", sites, float), centered=False)
+    angle *= -e_charge
+    link = get("link", sites)
+    np.sin(angle, out=link.imag)
+    angle *= 0.5
+    np.sin(angle, out=angle)
+    np.square(angle, out=angle)
+    np.multiply(angle, -2.0, out=link.real)
+    # theta(x + e_i) - theta(x - e_i), the potential shift times 2h
+    shift = _difference(theta_s, axis, halo, get("angle", sites, float))
+    return _hopping_form(psi4, conj, gamma, axis, h, shift, e_charge / (2.0 * h), get, link)
 
 
 def gauge_invariance_check(
@@ -518,63 +638,72 @@ def gauge_invariance_check(
     m: float,
     e_charge: float = 1.0,
 ) -> float:
-    """Relative change of the quadratic form under psi -> exp(-ie theta) psi
-    with the matching potential shift A -> A - grad theta (discrete gradient).
+    """Relative change |q1 - q0| / |q0| of the quadratic form q0 (that of
+    `wave_form_value`) under psi -> exp(-ie theta) psi with the matching
+    potential shift A -> A - grad theta (discrete gradient).
 
     With Pi = -i d - e A the compensating shift for the exp(-ie theta) phase
     carries a minus sign; the exp(+ie theta) / A + grad theta pairing is the
     same transformation with theta negated.  Exact for constant theta or
-    e_charge = 0; O(h^2) otherwise.  Both forms are taken in one pass over
-    slabs with a one-plane halo, and share the per-site coefficient fields.
+    e_charge = 0; O(h^2) otherwise.
+
+    The phase is unimodular, so the site-local eta terms are unchanged and
+    q1 - q0 comes from the difference stencil and the potential shift alone.
+    It is taken from the link phases directly, never as the difference of
+    two nearly equal forms: with delta = theta(x + e_i) - theta(x),
+    u_i = exp(-ie delta) - 1 = -2 sin^2(e delta / 2) - i sin(e delta),
+    F^i_ab = sum_x conj psi_a(x) u_i(x) psi_b(x + e_i) and
+    P^i_ab = sum_x (theta(x + e_i) - theta(x - e_i)) conj psi_a psi_b,
+    q1 - q0 = h^3 sum_i sum_ab gamma^i_ab [-i (F^i_ab - conj F^i_ba)
+    + e P^i_ab] / (2h).  q0 and q1 - q0 are taken in one pass over slabs
+    with a one-plane halo; theta is read slab by slab and may be a
+    broadcast view.
     """
     g = build_standard_gammas()
     rows, pairs = _coefficient_rows(build_eta(g))
     psi = _checked_state(f, psi, (2, 4))
-    theta = np.ascontiguousarray(theta)
-    if theta.shape != (f.n,) * 3:
-        raise ValueError(f"theta must have shape ({f.n}, {f.n}, {f.n}); got {theta.shape}")
+    theta = np.asarray(theta)
+    if theta.shape != (f.n,) * 3 or np.iscomplexobj(theta):
+        raise ValueError(
+            f"theta must be real with shape ({f.n}, {f.n}, {f.n}); got {theta.dtype} {theta.shape}"
+        )
     _check_finite(e_energy=e_energy, m=m, e_charge=e_charge)
     get = _buffers()
 
     def slab(lo, hi, halo):
         sites = (hi - lo,) + psi.shape[-2:]
-        wide = (hi - lo + 2 * halo,) + psi.shape[-2:]
         psi4 = _four_component_planes(psi, lo - halo, hi + halo, get)
-        a = _planes(f.a, lo, hi)
-        ea = get("ea", (3,) + sites, float)
-        np.multiply(a, e_charge, out=ea)
+        core = _trim(psi4, halo)
+        conj = np.conjugate(core, out=get("conj", core.shape))
         kinetic = get("kinetic", sites, float)
         np.multiply(_planes(f.a0, lo, hi), e_charge, out=kinetic)
         np.subtract(e_energy, kinetic, out=kinetic)
         fields = _row_fields(pairs, kinetic, m, get)
-        q0 = _form(psi4, ea, fields, rows, f.h, g, get)
-        theta_s = _planes(theta, lo - halo, hi + halo, get, "theta")
-        for axis in range(3):
-            shift = _difference(theta_s, axis, halo, ea[axis])
-            shift /= 2.0 * f.h
-            np.subtract(a[axis], shift, out=shift)
-            shift *= e_charge
-        phase = get("phase", wide)
-        np.multiply(theta_s, -1j * e_charge, out=phase)
-        np.exp(phase, out=phase)
-        # in place when psi4 is the slab's own buffer, never in the caller's psi
-        psi4 = np.multiply(psi4, phase, out=get("psi4", (4,) + wide))
-        q1 = _form(psi4, ea, fields, rows, f.h, g, get)
-        return q0, q1
+        q0 = _form(psi4, conj, _planes(f.a, lo, hi), e_charge, fields, rows, f.h, g, get)
+        # a contiguous copy even where the planes do not wrap: `_difference`
+        # takes each block flat
+        wide = (hi - lo + 2 * halo,) + psi.shape[-2:]
+        theta_s = _gather(theta, lo - halo, hi + halo, get("theta", wide, float))
+        change = sum(
+            _gauge_change(psi4, conj, theta_s, gamma, axis, e_charge, f.h, get)
+            for axis, gamma in enumerate((g.gamma1, g.gamma2, g.gamma3))
+        )
+        return q0, change
 
     parts = _over_slabs(slab, f.n, 1)
     q0 = sum(p[0] for p in parts) * f.h**3
-    q1 = sum(p[1] for p in parts) * f.h**3
-    _check_sums(q0, q1)
+    change = sum(p[1] for p in parts) * f.h**3
+    _check_sums(q0, change)
     if q0 == 0:
         raise ValueError("the quadratic form of psi is zero, or too small to represent")
-    return abs(q1 - q0) / abs(q0)
+    return abs(change) / abs(q0)
 
 
 def commensurate_theta(n: int, extent: float, amplitude: float = 0.4) -> np.ndarray:
-    """Gauge function completing a whole period across the box (smooth seam)."""
+    """Gauge function completing a whole period across the box (smooth seam),
+    as a read-only broadcast view of its (N, 1, 1) profile along x."""
     (x, _, _), _ = grid_coordinates(n, extent)
-    return np.broadcast_to(amplitude * np.sin(2.0 * np.pi * x / extent), (n, n, n)).copy()
+    return np.broadcast_to(amplitude * np.sin(2.0 * np.pi * x / extent), (n, n, n))
 
 
 def convergence_table(

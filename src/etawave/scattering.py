@@ -215,6 +215,14 @@ def continuity_residual(p: BarrierProblem) -> float:
     return num / scale
 
 
+def _ldexp(mantissa: float, exponent: int) -> float:
+    """mantissa * 2**exponent; inf where that is beyond the float range."""
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
+
+
 def closed_form(p: BarrierProblem) -> Coefficients:
     """Closed-form coefficients: one expression on both sides of the top.
 
@@ -224,24 +232,42 @@ def closed_form(p: BarrierProblem) -> Coefficients:
     Then T1 = 1 / (1 + q), R = q / (1 + q), and the spin split of R is
     R1 = R (E-m)^2/(E+m)^2, R2 = R 4Em/(E+m)^2.  Every term is positive, so
     nothing cancels near E = V0, where the formula equals the series limit.
+
+    z and q are products of the inputs' mantissas (math.frexp) scaled by
+    their binary exponents at the end, so no partial product overflows or
+    underflows, and the rounding is that of the plain products: only a q
+    beyond the float range is infinite, and it gives T1 = 0, R = 1.  Above
+    the top a phase sqrt(z) beyond the float range has no sine: ValueError.
     The expressions are those of spin-up incidence; spin-down incidence
     exchanges the channels.
     """
     e_energy, v0, m = p.e_energy, p.v0, p.m
-    g = 2.0 * m * (p.length / p.constants.hbar_c) ** 2
-    z = g * (e_energy - v0)
-    r = math.sqrt(abs(z))
-    c = v0**2 * g / (4.0 * e_energy)  # q = c S
+    gap = e_energy - v0
+    (mv, ev), (me, ee), (mm, em), (ml, el), (mh, eh), (mg, eg) = map(
+        math.frexp, (v0, e_energy, m, p.length, p.constants.hbar_c, abs(gap))
+    )
+    # g / 2 = m L^2 / hbar_c^2, then z and c = V0^2 g / (4E), each a mantissa
+    # within [2^-8, 2^8] and a binary exponent
+    half_g, half_g_exp = mm * ml * ml / (mh * mh), em + 2 * el - 2 * eh
+    r = math.sqrt(_ldexp(2.0 * half_g * mg, half_g_exp + eg))
+    c, c_exp = half_g * mv * mv / (2.0 * me), half_g_exp + 2 * ev - ee
     # T1 = a / (a + b) and R = b / (a + b) with b / a = q
-    if z >= 0:
-        a, b = 1.0, c * (math.sin(r) / r if r else 1.0) ** 2
+    if gap >= 0:
+        if r == math.inf:
+            raise ValueError("the barrier phase k L is beyond the float range")
+        # b = c (sin r / r)^2
+        (ms, es), (mr, er) = map(math.frexp, (abs(math.sin(r)), r) if r else (1.0, 1.0))
+        a, b = 1.0, _ldexp(c * ms * ms / (mr * mr), c_exp + 2 * es - 2 * er)
     else:
         # a = 1 / S = (r / sinh r)^2, through exp(-r): it underflows to 0
         # (T1 = 0, R = 1) where sinh^2 would overflow, at kappa L ~ 355
-        a, b = (2.0 * r * math.exp(-r) / -math.expm1(-2.0 * r)) ** 2, c
-    t1, refl = a / (a + b), b / (a + b)
-    r1 = refl * (e_energy - m) ** 2 / (e_energy + m) ** 2
-    r2 = refl * 4.0 * e_energy * m / (e_energy + m) ** 2
+        a = (2.0 * r * math.exp(-r) / -math.expm1(-2.0 * r)) ** 2 if r < math.inf else 0.0
+        b = _ldexp(c, c_exp)
+    t1, refl = (0.0, 1.0) if b == math.inf else (a / (a + b), b / (a + b))
+    # (E - m)^2 / (E + m)^2 and 4 E m / (E + m)^2 through the half sum
+    half_sum = 0.5 * e_energy + 0.5 * m
+    r1 = refl * ((0.5 * e_energy - 0.5 * m) / half_sum) ** 2
+    r2 = refl * (e_energy / half_sum) * (m / half_sum)
     if p.incident_spin == DOWN:
         # the barrier flips no spin in transmission and the problem is
         # symmetric under exchanging up and down

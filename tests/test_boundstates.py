@@ -158,6 +158,11 @@ def test_problem_validation():
         bs.WellProblem(length=10.0, m=-1.0, n_max=1)
     with pytest.raises(ValueError):
         bs.WellProblem(length=10.0, m=0.5e6, n_max=0)
+    # levels that are nan (2m overflows, L^2 underflows), underflow to 0, or
+    # divide by an underflowed 2 m L^2
+    for length, m in ((1e-300, 1.7e308), (1e200, 0.5e6), (1e-200, 0.5e6)):
+        with pytest.raises(ValueError):
+            bs.WellProblem(length=length, m=m, n_max=3)
 
 
 def test_levelset_ordering_enforced():

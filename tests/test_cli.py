@@ -83,6 +83,37 @@ def test_barrier_bridges_critical_point(tmp_path):
     assert "nan" not in out.read_text()
 
 
+def test_barrier_closed_form_beyond_the_float_range(capsys):
+    # V0^2 = 1e400 overflows a float; the closed form's q does not
+    argv = ["barrier", "--v0", "1e200", "--length", "1", "--steps", "3", "--method", "closed"]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == SWEEP_HEADER and len(lines) == 4
+    for line in lines[1:]:
+        fields = [float(v) for v in line.split(",")]
+        assert all(np.isfinite(fields)) and abs(fields[-1] - 1.0) <= 1e-10
+
+
+def test_point_flags_the_solver_that_fails(capsys):
+    # the matching system is singular at this scale: its row is flagged and
+    # the closed row kept, with exit 2 as a sweep with flagged rows
+    argv = ["point", "--v0", "1e200", "--length", "1", "--e-over-v0", "1.5", "--format", "json"]
+    assert run(argv) == 2
+    numeric, closed = json.loads(capsys.readouterr().out)
+    assert numeric["method"] == "numeric" and np.isnan(numeric["T1"])
+    assert numeric["flag"].startswith("DegenerateConfigurationError")
+    assert closed["method"] == "closed" and "flag" not in closed
+    assert abs(closed["sum"] - 1.0) <= 1e-10
+
+
+def test_well_rejects_levels_beyond_the_float_range(capsys):
+    # 2m overflows and L^2 underflows: every level was nan, with exit 0
+    with pytest.raises(SystemExit) as err:
+        run(["well", "--length", "1e-300", "--nmax", "3", "--mass", "1.7e308", "--numeric"])
+    assert err.value.code == 64
+    assert "not finite and positive" in capsys.readouterr().err
+
+
 def test_barrier_sweep_through_the_top_has_no_flagged_row(tmp_path):
     # 2001 points within 1e-5 of the top: the closed form neither raises just
     # outside the critical band nor disagrees with the matching solve there

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,7 +69,8 @@ def ref_wave_form(f, psi4, e_energy, m, e_charge):
     for axis, gamma in enumerate((g.gamma1, g.gamma2, g.gamma3)):
         applied += einsum_apply(gamma, ref_momentum(f, psi4, axis, e_charge))
     applied += m * einsum_apply(e_set.eta_dagger, psi4)
-    return complex(np.sum(np.conj(psi4) * applied) * f.h**3)
+    # a numpy scalar, so a long-double reference keeps its precision
+    return np.sum(np.conj(psi4) * applied) * f.h**3
 
 
 def ref_psi4(psi):
@@ -370,7 +373,8 @@ def test_momentum_kernel_on_a_slab_is_the_whole_box_value_bitwise(
 @pytest.mark.parametrize("halo", [0, 1, 2])
 def test_difference_and_momentum_are_the_roll_forms_bitwise(n, halo):
     # every axis at odd N, on the whole box (halo 0) and on slabs gathered
-    # with a halo; a 3-D field (the gauge function) and a 4-component state
+    # with a halo; a 3-D field (the gauge function: centered and forward
+    # differences) and a 4-component state
     rng = np.random.default_rng(n + 10 * halo)
     h = EXTENT / n
     theta = rng.standard_normal((n, n, n))
@@ -384,6 +388,9 @@ def test_difference_and_momentum_are_the_roll_forms_bitwise(n, halo):
         for axis in range(3):
             expected = np.roll(theta, -1, axis=axis) - np.roll(theta, 1, axis=axis)
             got = pg._difference(theta_s, axis, halo)
+            assert got.tobytes() == np.take(expected, planes, axis=0, mode="wrap").tobytes()
+            expected = np.roll(theta, -1, axis=axis) - theta
+            got = pg._difference(theta_s, axis, halo, centered=False)
             assert got.tobytes() == np.take(expected, planes, axis=0, mode="wrap").tobytes()
             got = pg._momentum(psi_s, no_potential[: hi - lo], axis, h)
             expected = np.take(-1j * roll_diff(psi, axis + 1, h), planes, axis=1, mode="wrap")
@@ -436,6 +443,7 @@ def test_checks_reject_what_they_cannot_measure():
         ("commutator, other N", lambda: commutator(f, pg.gaussian_bump_state(n // 2, EXTENT))),
         ("gauge, theta of other N", lambda: gauge(f, theta[:-1], psi, 2.0, 1.5)),
         ("gauge, 4-D theta", lambda: gauge(f, theta[None], psi, 2.0, 1.5)),
+        ("gauge, complex theta", lambda: gauge(f, theta + 0.1j, psi, 2.0, 1.5)),
         ("gauge, nan energy", lambda: gauge(f, theta, psi, np.nan, 1.5)),
         ("gauge, inf mass", lambda: gauge(f, theta, psi, 2.0, np.inf)),
         ("gauge, inf charge", lambda: gauge(f, theta, psi, 2.0, 1.5, np.inf)),
@@ -660,3 +668,86 @@ def test_checks_leave_inputs_unchanged_and_repeat_bitwise(width, monkeypatch):
         first = np.array(call()).tobytes()
         assert np.array(call()).tobytes() == first
         assert [x.tobytes() for x in inputs] == before
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double here"
+)
+@pytest.mark.parametrize("n", [16, 24, 40])
+@pytest.mark.parametrize("e_charge", [1.0, 0.7])
+def test_gauge_check_matches_long_double_reference(n, e_charge):
+    # the two forms and their difference in long double: q1 - q0 is about 1e-4
+    # of q0, so a difference of two double forms loses that much of its digits
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    a0 = 0.2 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    f = pg.GaugeField(
+        a0=np.broadcast_to(a0[:, None, None], (n, n, n)), a=f.a, b=f.b, h=f.h, n=n
+    )
+    psi = pg.gaussian_bump_state(n, EXTENT)
+    theta = pg.commensurate_theta(n, EXTENT)
+    wide = pg.GaugeField(
+        *(np.asarray(x, np.longdouble) for x in (f.a0, f.a, f.b)), h=f.h, n=n
+    )
+    expected = ref_gauge_check(
+        wide, theta.astype(np.longdouble), psi.astype(np.clongdouble), 2.0, 1.5, e_charge
+    )
+    assert expected.dtype == np.longdouble
+    got = pg.gauge_invariance_check(f, theta, psi, 2.0, 1.5, e_charge)
+    assert abs(got - expected) <= 2e-14 * expected
+
+
+def broadcast_and_dense_fields(n):
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    theta = pg.commensurate_theta(n, EXTENT)
+    assert 0 in f.a0.strides and 0 in f.a.strides and 0 in f.b.strides and 0 in theta.strides
+    dense = pg.GaugeField(a0=np.array(f.a0), a=np.array(f.a), b=np.array(f.b), h=f.h, n=n)
+    return (f, theta), (dense, np.array(theta))
+
+
+def check_calls(fields, theta, psi):
+    return (
+        lambda: pg.pauli_identity_check(fields, psi, 0.7),
+        lambda: pg.gauge_invariance_check(fields, theta, psi, 2.0, 1.5, 0.7),
+        lambda: pg.commutator_check(fields, psi, 0.7),
+    )
+
+
+@pytest.mark.parametrize("width", [5, 16])
+def test_checks_on_broadcast_fields_equal_dense_copies_bitwise(width, monkeypatch):
+    # one path for both: the broadcast fields are read plane by plane, the
+    # wrapping planes gathered by slice copies (N = 24: slabs 16 + 8 or 5 x 4 + 4)
+    monkeypatch.setattr(pg, "_SLAB_PLANES", width)
+    n = 24
+    psi = pg.gaussian_bump_state(n, EXTENT)
+    broadcast, dense = broadcast_and_dense_fields(n)
+    for got, expected in zip(check_calls(*broadcast, psi), check_calls(*dense, psi)):
+        assert np.float64(got()).tobytes() == np.float64(expected()).tobytes()
+
+
+def test_checks_copy_no_broadcast_field_whole():
+    # a dense copy of a broadcast field (np.ascontiguousarray, or np.take of
+    # wrapping planes, which copies a non-contiguous source whole) would add
+    # 2-6 MB at N = 64 to the peak that the same check reaches on dense fields
+    n = 64
+    psi = pg.gaussian_bump_state(n, EXTENT)
+    broadcast, dense = broadcast_and_dense_fields(n)
+    peaks = []
+    for calls in (check_calls(*broadcast, psi), check_calls(*dense, psi)):
+        row = []
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                row.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks.append(row)
+    for on_broadcast, on_dense in zip(*peaks):
+        assert on_broadcast <= on_dense + 2**20
+
+
+def test_uniform_field_and_theta_are_read_only():
+    f = pg.uniform_b_field(16, EXTENT, 0.3)
+    for array in (f.a0, f.a, f.b, pg.commensurate_theta(16, EXTENT)):
+        with pytest.raises(ValueError):
+            array[..., 0, 0, 0] = 1.0

@@ -564,3 +564,24 @@ def test_closed_form_evanescent_branch_against_40_digits(xp):
         assert abs(value - want) <= 4e-15 * abs(want)
     down = sc.closed_form(barrier(e_energy, v0, length, m, spin=sp.DOWN))
     assert _channels(down) == _swapped(got)
+
+
+@pytest.mark.parametrize("spin", [sp.UP, sp.DOWN])
+def test_closed_form_beyond_the_float_range(spin):
+    # spin down exchanges the channels: read both in spin-up order
+    view = _channels if spin == sp.UP else _swapped
+    # V0^2 = 1e400 is beyond the float range while q is not: above the top q
+    # is V0^2 sin^2(kL) / (4 E (E - V0)), at most 1 / 0.3 here
+    e_energy, v0, m = 1.5e200, 1e200, 0.5e6
+    c = sc.closed_form(barrier(e_energy, v0, 1.0, m, spin))
+    t1, t2, r1, r2 = view(c)
+    assert 1.0 / (1.0 + 1.0 / 0.3) <= t1 <= 1.0 and t2 == 0.0
+    assert abs(c.total - 1.0) <= 1e-14
+    # the spin split of R, (E-m)^2/(E+m)^2 and 4Em/(E+m)^2, without overflow
+    assert r1 == pytest.approx(1.0 - t1, rel=1e-14)
+    assert r2 == pytest.approx((1.0 - t1) * 4.0 * m / e_energy, rel=1e-14)
+    # below the top V0^2 g / (4E) itself is beyond the float range: q is
+    # infinite, and T1 = 0, R = 1 (not inf / inf)
+    t1, t2, r1, r2 = view(sc.closed_form(barrier(1e-300, 1e300, 1.0, m, spin)))
+    assert (t1, t2, r1) == (0.0, 0.0, 1.0)
+    assert r2 == pytest.approx(4.0 * 1e-300 / m, rel=1e-14)
