@@ -1,30 +1,30 @@
-"""Quantized levels of the symmetric well with periodic boundary conditions."""
+"""Quantized levels of the symmetric well with periodic boundary conditions.
+
+The table of analytic and root-found levels is written by `etawave well
+--numeric` to well_levels.csv and printed.
+"""
 
 import argparse
 
 from etawave import boundstates as bs
+from etawave import cli
 
 
 def main():
-    ap = argparse.ArgumentParser()
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--length", type=float, default=10.0, help="half-width, nm")
     ap.add_argument("--mass", type=float, default=0.5e6, help="rest energy, eV")
     ap.add_argument("--nmax", type=int, default=12)
     args = ap.parse_args()
 
-    w = bs.WellProblem(length=args.length, m=args.mass, n_max=args.nmax)
-    analytic = bs.energy_levels(w)
-    e_hi = analytic.energies()[-1] * (1.0 + 1.0 / (2.0 * args.nmax))
-    numeric = dict(bs.find_levels_numerically(w, e_hi).levels)
-
+    code = cli.main(
+        ["well", "--length", repr(args.length), "--mass", repr(args.mass),
+         "--nmax", str(args.nmax), "--numeric", "--output", "well_levels.csv"]
+    )
     print(f"L = {args.length} nm, m = {args.mass:.3e} eV, "
-          f"{bs.LevelSet.multiplicity}-fold degenerate levels")
-    print(f"{'n':>3} {'E_n (eV)':>18} {'numeric':>18} {'rel dev':>10} {'residual':>10}")
-    for n, e_n in analytic.levels:
-        e_num = numeric[n]
-        res = bs.periodic_residual(e_n, w)
-        print(f"{n:>3} {e_n:>18.12e} {e_num:>18.12e} "
-              f"{abs(e_num - e_n) / e_n:>10.2e} {res:>10.2e}")
+          f"{bs.LevelSet.multiplicity}-fold degenerate levels, exit code {code}")
+    with open("well_levels.csv", encoding="utf-8") as fh:
+        print(fh.read(), end="")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ normalization only pins |A|^2 + |B|^2 + |A'|^2 + |B'|^2 = 1/(4L).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -36,8 +37,9 @@ class WellProblem:
         highest = level_energy(self.n_max, self.length, self.m, self.constants)
         if not (0 < lowest and highest < np.inf):
             raise ValueError(
-                f"levels E_1 .. E_{self.n_max} are not finite and positive for "
-                f"L = {self.length!r}, m = {self.m!r}, hbar_c = {self.constants.hbar_c!r}"
+                f"levels E_1 .. E_{self.n_max} are not finite and positive, or lose their "
+                f"precision, for L = {self.length!r}, m = {self.m!r}, "
+                f"hbar_c = {self.constants.hbar_c!r}"
             )
 
 
@@ -60,12 +62,14 @@ class LevelSet:
 
 
 def level_energy(n: int, length: float, m: float, constants: PhysicalConstants) -> float:
-    # products, not float powers, and inf for a denominator that underflows:
-    # a level beyond the float range is inf instead of an exception
-    denominator = 2.0 * m * (length * length)
-    if not denominator:
+    # products, not float powers, and inf where a product falls below the
+    # normal range, to 0 or with its precision lost: such a level is rejected
+    # by WellProblem instead of printed wrong, as one beyond the float range is
+    hbar_c_sq, length_sq = constants.hbar_c * constants.hbar_c, length * length
+    denominator = 2.0 * m * length_sq
+    if not all(v >= sys.float_info.min for v in (hbar_c_sq, length_sq, denominator)):
         return np.inf
-    return n**2 * np.pi**2 * (constants.hbar_c * constants.hbar_c) / denominator
+    return n**2 * np.pi**2 * hbar_c_sq / denominator
 
 
 def energy_levels(w: WellProblem) -> LevelSet:
@@ -82,20 +86,23 @@ def energy_levels(w: WellProblem) -> LevelSet:
     )
 
 
+def _phase(e_energy: float, w: WellProblem) -> float:
+    # p L / hbar_c with p = sqrt(2 m) sqrt(E): sqrt(2 m E) overflows for some
+    # finite levels; 2 m itself is finite, or WellProblem rejects the levels
+    return np.sqrt(2.0 * w.m) * np.sqrt(e_energy) * w.length / w.constants.hbar_c
+
+
 def periodic_residual(e_energy: float, w: WellProblem) -> float:
     """|exp(2 i p L / hbar_c) - 1| with p = sqrt(2 m E); zero exactly on the
     quantized levels.  Equals 2 |sin(p L / hbar_c)|, hence never above 2."""
     if e_energy <= 0:
         raise ValueError("E must be positive")
-    p = np.sqrt(2.0 * w.m * e_energy)
-    phase = 2.0 * p * w.length / w.constants.hbar_c
-    return float(abs(np.exp(1j * phase) - 1.0))
+    return float(abs(np.exp(2j * _phase(e_energy, w)) - 1.0))
 
 
 def _phase_sin(e_energy: float, w: WellProblem) -> float:
     # sign-changing root function: sin(p L / hbar_c) crosses zero at each level
-    p = np.sqrt(2.0 * w.m * e_energy)
-    return float(np.sin(p * w.length / w.constants.hbar_c))
+    return float(np.sin(_phase(e_energy, w)))
 
 
 def find_levels_numerically(w: WellProblem, e_hi: float) -> LevelSet:
@@ -112,12 +119,14 @@ def find_levels_numerically(w: WellProblem, e_hi: float) -> LevelSet:
     and bisection find every level to 1e-10; it is not an independent solve
     of the periodic matching problem.
     """
-    if e_hi <= 0:
-        raise ValueError("e_hi must be positive")
+    if not 0 < e_hi < np.inf:
+        raise ValueError(f"the search bracket e_hi = {e_hi!r} eV is not finite and positive")
     e_1 = level_energy(1, w.length, w.m, w.constants)
     step = e_1 / 4.0
     found = []
     e_lo = step * 1e-6  # stay off the p = 0 endpoint
+    if not e_lo:
+        raise ValueError(f"E_1 = {e_1!r} eV is too small for the search grid")
     f_lo = _phase_sin(e_lo, w)
     e = e_lo
     while e < e_hi:
@@ -129,7 +138,9 @@ def find_levels_numerically(w: WellProblem, e_hi: float) -> LevelSet:
             a, b = e, e_next
             fa = f_lo
             while (b - a) > BISECTION_RTOL * b:
-                mid = 0.5 * (a + b)
+                mid = 0.5 * a + 0.5 * b  # a + b can overflow
+                if not a < mid < b:
+                    break  # subnormal levels: no float between a and b
                 fm = _phase_sin(mid, w)
                 if fm == 0.0:
                     a = b = mid
@@ -138,7 +149,7 @@ def find_levels_numerically(w: WellProblem, e_hi: float) -> LevelSet:
                     b = mid
                 else:
                     a, fa = mid, fm
-            found.append(0.5 * (a + b))
+            found.append(0.5 * a + 0.5 * b)
         e, f_lo = e_next, f_next
     return LevelSet(tuple((i + 1, e_n) for i, e_n in enumerate(found)))
 

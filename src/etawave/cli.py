@@ -94,16 +94,20 @@ def _render(header, records, fmt: str, precision: int, comment=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_sweep(table: scattering.SweepTable, args, precision: int) -> int:
-    """Write a sweep table; exit code 2 when it has flagged rows."""
-    header = table.header()
-    down = table.incident_spin == spinors.DOWN
+def _emit_rows(first_column: str, rows, args, precision: int, both: bool) -> int:
+    """Write a coefficient table of (first-column value, SweepRow) pairs for
+    barrier, step and point; a flagged row holds nan and its flag.  Exit code
+    2 when a row is flagged."""
+    header = [first_column, "T1", "T2", "R1", "R2", "T_qm", "R_qm", "sum"]
+    if both:
+        header.append("delta_numeric_closed")
+    down = args.spin == spinors.DOWN
     records = []
-    for r in table.rows:
+    for value, r in rows:
         c = r.coeffs
-        values = [r.e_over_v0]
+        values = [value]
         values += [_NAN] * 7 if c is None else [c.t1, c.t2, c.r1, c.r2, c.t_qm, c.r_qm, c.total]
-        if table.method == "both":
+        if both:
             values.append(_NAN if r.delta is None else r.delta)
         rec = dict(zip(header, values))
         if r.flag is not None:
@@ -113,7 +117,7 @@ def _emit_sweep(table: scattering.SweepTable, args, precision: int) -> int:
         records.append(rec)
     comment = f"incident_spin={spinors.DOWN}" if down else None
     _emit(_render(header, records, args.format, precision, comment), args.output)
-    return 2 if table.flagged else 0
+    return 2 if any(r.flag is not None for _, r in rows) else 0
 
 
 def _add_common(parser):
@@ -172,7 +176,9 @@ def cmd_barrier(parser, args) -> int:
         incident_spin=args.spin,
         constants=constants,
     )
-    return _emit_sweep(scattering.sweep(template, ratios * args.v0, args.method), args, precision)
+    table = scattering.sweep(template, ratios * args.v0, args.method)
+    rows = [(r.e_over_v0, r) for r in table.rows]
+    return _emit_rows("e_over_v0", rows, args, precision, args.method == "both")
 
 
 def cmd_step(parser, args) -> int:
@@ -184,17 +190,14 @@ def cmd_step(parser, args) -> int:
     if args.emin <= 0 or args.emax < args.emin:
         parser.error("need 0 < emin <= emax")
     rows = []
-    for ratio in np.linspace(args.emin, args.emax, args.steps):
+    for ratio in map(float, np.linspace(args.emin, args.emax, args.steps)):
         try:
-            coeffs = scattering.solve_step(
-                ratio * args.v0, args.v0, mass, args.spin, constants
-            )
-            rows.append(scattering.SweepRow(float(ratio), coeffs, None, None))
+            coeffs = scattering.solve_step(ratio * args.v0, args.v0, mass, args.spin, constants)
+            row = scattering.SweepRow(ratio, coeffs, None, None)
         except (ValueError, scattering.DegenerateConfigurationError) as exc:
-            rows.append(
-                scattering.SweepRow(float(ratio), None, None, f"{type(exc).__name__}: {exc}")
-            )
-    return _emit_sweep(scattering.SweepTable(rows, "numeric", args.spin), args, precision)
+            row = scattering.SweepRow(ratio, None, None, f"{type(exc).__name__}: {exc}")
+        rows.append((ratio, row))
+    return _emit_rows("e_over_v0", rows, args, precision, False)
 
 
 def cmd_well(parser, args) -> int:
@@ -213,7 +216,10 @@ def cmd_well(parser, args) -> int:
         e_hi = boundstates.level_energy(args.nmax, w.length, w.m, constants) * (
             1.0 + 1.0 / (2.0 * args.nmax)
         )
-        numeric = dict(boundstates.find_levels_numerically(w, e_hi).levels)
+        try:
+            numeric = dict(boundstates.find_levels_numerically(w, e_hi).levels)
+        except ValueError as exc:  # no search grid within the float range
+            parser.error(str(exc))
     header = ["n", "E_n_eV", "residual"]
     if args.numeric:
         header += ["E_n_numeric", "rel_deviation"]
@@ -266,31 +272,12 @@ def cmd_point(parser, args) -> int:
         )
     except ValueError as exc:  # E = (E/V0) * V0 can overflow
         parser.error(str(exc))
-    header = ["method", "T1", "T2", "R1", "R2", "T_qm", "R_qm", "sum"]
-    down = prob.incident_spin == spinors.DOWN
-    records = []
-    for name, solve in (("numeric", _numeric_point), ("closed", scattering.closed_form)):
-        # a solver that fails flags its row, as a sweep does
-        try:
-            c = solve(prob)
-            rec = dict(zip(header, (name, c.t1, c.t2, c.r1, c.r2, c.t_qm, c.r_qm, c.total)))
-        except (ValueError, scattering.DegenerateConfigurationError) as exc:
-            rec = dict(zip(header, (name,) + (_NAN,) * 7), flag=f"{type(exc).__name__}: {exc}")
-        if down:
-            rec["incident_spin"] = spinors.DOWN
-        records.append(rec)
-    comment = f"incident_spin={spinors.DOWN}" if down else None
-    _emit(_render(header, records, args.format, precision, comment), args.output)
-    return 2 if any("flag" in rec for rec in records) else 0
-
-
-def _numeric_point(prob):
-    """The matching solve's coefficients; closed_form inside the critical
-    band, which the matching solve refuses."""
-    try:
-        return scattering.solve_barrier(prob)[1]
-    except scattering.CriticalBandError:
-        return scattering.closed_form(prob)
+    # each row is a one-point sweep: a solver that fails flags its row
+    rows = [
+        (method, scattering.sweep(prob, [prob.e_energy], method).rows[0])
+        for method in ("numeric", "closed")
+    ]
+    return _emit_rows("method", rows, args, precision, False)
 
 
 def _corrupted_eta(e_set):
@@ -397,10 +384,7 @@ def _run_check(seed: int, fault: str | None):
             length = float(rng.uniform(0.05, 12.0))
             m = float(rng.uniform(1e4, 1e6))
             prob = scattering.BarrierProblem(ratio * v0, v0, length, m)
-            try:
-                _, numeric = scattering.solve_barrier(prob)
-            except scattering.CriticalBandError:
-                continue
+            _, numeric = scattering.solve_barrier(prob)
             closed = scattering.closed_form(prob)
             worst_sum = max(worst_sum, abs(numeric.total - 1.0), abs(closed.total - 1.0))
             worst_delta = max(worst_delta, scattering.coefficient_delta(numeric, closed))

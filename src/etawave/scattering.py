@@ -5,9 +5,10 @@ fixes the reflected, internal and transmitted amplitudes through an 8x8 (or
 4x4 for the step) linear system.  Two independent routes to the barrier
 coefficients are kept side by side: the interface-matching solve and the
 closed form, which must agree to 1e-10 everywhere including deep tunneling.
-The closed form is one expression through the barrier top; the matching
-solve refuses the critical band around E = V0, where sweeps use the closed
-form alone.
+The closed form is one expression through the barrier top; the barrier's
+matching solve refuses the critical band around E = V0, where its internal
++p and -p columns coincide and sweeps use the closed form alone.  The step
+has no internal region and solves through E = V0.
 
 Conventions: E is the nonrelativistic (kinetic) energy in eV, the barrier
 occupies 0 <= z <= L with L in nm, and spatial phases are k z with
@@ -28,19 +29,14 @@ import numpy as np
 
 from .numerics import SingularSystemError, solve_linear
 from .spinors import DOWN, UP, _mode_scalars
-from .waveop import (
-    CRITICAL,
-    PROPAGATING,
-    PhysicalConstants,
-    classify_regime,
-)
+from .waveop import CRITICAL, PhysicalConstants, classify_regime
 
 CONSERVATION_TOL = 1e-10
 
 
 class CriticalBandError(ValueError):
-    """E is inside the critical band around V0, where the matching solve
-    refuses; use closed_form there."""
+    """E is inside the critical band around V0, where the barrier's matching
+    solve refuses; use closed_form there."""
 
 
 class DegenerateConfigurationError(RuntimeError):
@@ -65,10 +61,6 @@ class BarrierProblem:
             raise ValueError("E, V0, L, m must all be finite and strictly positive")
         if self.incident_spin not in (UP, DOWN):
             raise ValueError(f"incident_spin must be up or down, got {self.incident_spin!r}")
-
-    @property
-    def regime(self) -> str:
-        return classify_regime(self.e_energy, self.v0)
 
 
 @dataclass(frozen=True)
@@ -163,7 +155,7 @@ def _solve_matching(p: BarrierProblem):
     """(M, rhs, x, ph1, ph2) of the solved barrier system; refuses the
     critical band and turns a singular system into
     DegenerateConfigurationError."""
-    if p.regime == CRITICAL:
+    if classify_regime(p.e_energy, p.v0) == CRITICAL:
         raise CriticalBandError(
             f"|E - V0| = {abs(p.e_energy - p.v0):.3e} eV is inside the critical "
             "band; evaluate closed_form instead"
@@ -260,14 +252,24 @@ def closed_form(p: BarrierProblem) -> Coefficients:
         a, b = 1.0, _ldexp(c * ms * ms / (mr * mr), c_exp + 2 * es - 2 * er)
     else:
         # a = 1 / S = (r / sinh r)^2, through exp(-r): it underflows to 0
-        # (T1 = 0, R = 1) where sinh^2 would overflow, at kappa L ~ 355
-        a = (2.0 * r * math.exp(-r) / -math.expm1(-2.0 * r)) ** 2 if r < math.inf else 0.0
+        # (T1 = 0, R = 1) where sinh^2 would overflow, at kappa L ~ 355,
+        # and it is S(0) = 1 where r underflows to 0
+        if r == math.inf:
+            a = 0.0
+        elif r:
+            a = (2.0 * r * math.exp(-r) / -math.expm1(-2.0 * r)) ** 2
+        else:
+            a = 1.0
         b = _ldexp(c, c_exp)
     t1, refl = (0.0, 1.0) if b == math.inf else (a / (a + b), b / (a + b))
-    # (E - m)^2 / (E + m)^2 and 4 E m / (E + m)^2 through the half sum
-    half_sum = 0.5 * e_energy + 0.5 * m
-    r1 = refl * ((0.5 * e_energy - 0.5 * m) / half_sum) ** 2
-    r2 = refl * (e_energy / half_sum) * (m / half_sum)
+    # (E - m)^2 / (E + m)^2 and 4 E m / (E + m)^2 through the half sum, of
+    # E and m scaled by one power of two so that it neither overflows nor
+    # underflows to 0
+    top = max(ee, em)
+    e_s, m_s = math.ldexp(me, ee - top), math.ldexp(mm, em - top)
+    half_sum = 0.5 * e_s + 0.5 * m_s
+    r1 = refl * ((0.5 * e_s - 0.5 * m_s) / half_sum) ** 2
+    r2 = refl * (e_s / half_sum) * (m_s / half_sum)
     if p.incident_spin == DOWN:
         # the barrier flips no spin in transmission and the problem is
         # symmetric under exchanging up and down
@@ -299,19 +301,19 @@ def solve_step(e_energy, v0, m, incident_spin=UP, constants: PhysicalConstants |
 
     Transmission carries the exact mode-flux ratio p2 (E+m) / (p1 (E-V0+m)),
     which reduces to p2/p1 in the nonrelativistic regime and is what makes
-    R + T = 1 hold to rounding at any energy.
+    R + T = 1 hold to rounding at any energy.  There is no critical band:
+    at E = V0 the 4x4 system stays regular, and T = 0 with p2 = 0.
     """
     if not 0 < e_energy < np.inf:
         raise ValueError("E must be finite and positive")
     if not 0 < m < np.inf:
         raise ValueError("mass must be finite and positive")
+    if not 2.0 * m * e_energy > 0:  # the flux ratio divides by p1 = sqrt(2 m E)
+        raise ValueError("2 m E underflows to 0: the incident wave carries no flux")
     if not math.isfinite(v0):
         raise ValueError("V0 must be finite")
     if incident_spin not in (UP, DOWN):
         raise ValueError(f"incident_spin must be up or down, got {incident_spin!r}")
-    regime = classify_regime(e_energy, v0)
-    if regime == CRITICAL:
-        raise CriticalBandError("E = V0 at the step has no transmitted basis")
     m4, rhs, p1, p2 = _assemble_step(e_energy, v0, m, incident_spin)
     try:
         x = solve_linear(m4, rhs).tolist()
@@ -319,7 +321,7 @@ def solve_step(e_energy, v0, m, incident_spin=UP, constants: PhysicalConstants |
         raise DegenerateConfigurationError(f"step matching singular: {exc}") from exc
     r1 = abs(x[0]) ** 2
     r2 = abs(x[1]) ** 2
-    if regime == PROPAGATING:
+    if e_energy > v0:
         # p1, p2 are real here
         flux = (p2.real * (e_energy + m)) / (p1.real * (e_energy - v0 + m))
         t1 = abs(x[2]) ** 2 * flux
@@ -341,18 +343,10 @@ class SweepRow:
 @dataclass
 class SweepTable:
     rows: list
-    method: str
-    incident_spin: str = UP
 
     @property
     def flagged(self) -> list:
         return [r for r in self.rows if r.flag is not None]
-
-    def header(self):
-        cols = ["e_over_v0", "T1", "T2", "R1", "R2", "T_qm", "R_qm", "sum"]
-        if self.method == "both":
-            cols.append("delta_numeric_closed")
-        return cols
 
 
 def coefficient_delta(a: Coefficients, b: Coefficients) -> float:
@@ -401,7 +395,7 @@ def sweep(template: BarrierProblem, e_grid, method: str = "numeric") -> SweepTab
             rows.append(SweepRow(ratio, coeffs, delta, None))
         except (ValueError, DegenerateConfigurationError) as exc:
             rows.append(SweepRow(ratio, None, None, f"{type(exc).__name__}: {exc}"))
-    return SweepTable(rows, method, template.incident_spin)
+    return SweepTable(rows)
 
 
 def r2_envelope(e_energy, v0, m) -> float:

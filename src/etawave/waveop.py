@@ -16,8 +16,9 @@ import numpy as np
 
 from .clifford import EtaSet, build_eta, build_standard_gammas, max_abs
 
-# relative half-width of the band around E = V where the matching solves
-# refuse: their propagating and evanescent bases degenerate there
+# relative half-width of the band around E = V where the barrier's matching
+# solve refuses: its internal +p and -p columns coincide at p = 0 (the step
+# has no internal region and solves through E = V)
 CRITICAL_BAND_RTOL = 1e-9
 
 PROPAGATING = "propagating"

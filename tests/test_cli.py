@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etawave import boundstates as bs
 from etawave import cli
@@ -133,16 +137,76 @@ def test_barrier_sweep_through_the_top_has_no_flagged_row(tmp_path):
         assert delta <= 1e-10 * max(map(abs, coeffs)) + 1e-11
 
 
-def test_step_critical_point_flagged(tmp_path):
+def test_step_through_the_top_exits_0(tmp_path):
+    # E = V0 is the middle row: total reflection, no flagged row
     out = tmp_path / "step.csv"
     code = run(
         ["step", "--v0", "10", "--emin", "0.5", "--emax", "1.5", "--steps", "3",
          "--output", str(out)]
     )
-    assert code == 2
-    text = out.read_text()
-    assert "nan" in text
-    assert len(text.splitlines()) == 4
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4 and "nan" not in out.read_text()
+    ratio, t1, t2, r1, r2, *_ = map(float, lines[2].split(","))
+    assert ratio == 1.0 and t1 == t2 == 0.0
+    assert abs(r1 + r2 - 1.0) <= 1e-10
+    for spin in ("up", "down"):
+        argv = ["step", "--v0", "10", "--emin", "1", "--emax", "1", "--steps", "1",
+                "--spin", spin, "--format", "json", "--output", str(out)]
+        assert run(argv) == 0
+        (rec,) = json.loads(out.read_text())
+        assert rec["T1"] == rec["T2"] == 0.0 and abs(rec["R1"] + rec["R2"] - 1.0) <= 1e-10
+
+
+def test_closed_form_where_the_phase_underflows(capsys):
+    # g (E - V0) underflows to 0: S(0) = 1, not a ZeroDivisionError
+    flags = ["--v0", "1", "--length", "6.5e-139", "--mass", "6.5e-139", "--hbar-c", "1"]
+    assert run(["point", "--e-over-v0", "0.5"] + flags + ["--format", "json"]) in (0, 2)
+    closed = json.loads(capsys.readouterr().out)[1]
+    assert closed["method"] == "closed" and "flag" not in closed
+    assert closed["T1"] == 1.0 and closed["sum"] == 1.0
+    argv = ["barrier", "--emin", "0.5", "--emax", "0.5", "--steps", "1", "--method", "closed"]
+    assert run(argv + flags) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "1.00000000000e+00"
+
+
+def test_well_numeric_where_sqrt_2mE_overflows(capsys):
+    # E_n is finite, sqrt(2 m E) is not: the phase is sqrt(2 m) sqrt(E) L / hbar_c
+    argv = ["well", "--length", "1e-153", "--nmax", "2", "--mass", "1e10", "--numeric"]
+    assert run(argv + ["--format", "json"]) == 0
+    for rec in json.loads(capsys.readouterr().out):
+        assert rec["residual"] <= 1e-10 and rec["rel_deviation"] <= 1e-10
+
+
+def test_well_numeric_near_the_top_of_the_float_range(capsys):
+    # E_3 = 1.04e308: a bisection midpoint 0.5 (a + b) overflowed to inf
+    argv = ["well", "--length", "4.488745761261332e-117", "--nmax", "3",
+            "--mass", "8.256992235064374e-70", "--numeric", "--format", "json"]
+    assert run(argv) == 0
+    for rec in json.loads(capsys.readouterr().out):
+        assert rec["rel_deviation"] <= 1e-10
+    # E_3 = 1.6e308: the bracket E_3 (1 + 1/6) above it is beyond the float range
+    with pytest.raises(SystemExit) as err:
+        run(["well", "--length", "3.6e-117", "--nmax", "3", "--mass", "8.256992235064374e-70",
+             "--numeric"])
+    assert err.value.code == 64
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_well_levels_below_the_normal_range(capsys):
+    # E_1 = 4.9e-314: the bisection of subnormal levels ends where no float
+    # lies between its ends (it looped forever)
+    flags = ["--hbar-c", "1e-150", "--length", "1", "--nmax", "3", "--numeric"]
+    assert run(["well", "--mass", "1e14", "--format", "json"] + flags) == 0
+    assert all(rec["rel_deviation"] <= 1e-9 for rec in json.loads(capsys.readouterr().out))
+    # E_1 = 4.9e-318 leaves no grid to search; 2 m L^2 = 4.9e-324 has lost
+    # its precision, and with it every level: usage errors, not wrong tables
+    for argv in (["well", "--mass", "1e18"] + flags,
+                 ["well", "--length", "0.625", "--mass", "5e-324", "--hbar-c", "1.175494351e-38",
+                  "--nmax", "3"]):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 64, argv
 
 
 def test_well_reference_level(tmp_path):
@@ -361,8 +425,8 @@ def test_precision_controls_mantissa(tmp_path):
         (["barrier", "--v0", "5", "--length", "1", "--mass", "1", "--emin", "0.7",
           "--emax", "0.9", "--steps", "3", "--method", "both", "--spin", "down"],
          {1: "ConventionSingularityError"}),
-        (["step", "--v0", "10", "--emin", "0.5", "--emax", "1.5", "--steps", "3"],
-         {1: "CriticalBandError"}),
+        (["step", "--v0", "5", "--mass", "1", "--emin", "0.7", "--emax", "0.9", "--steps", "3"],
+         {1: "ConventionSingularityError"}),
         (["well", "--length", "10", "--nmax", "4", "--numeric"], {}),
         (["pauli", "--base-size", "8", "--levels", "1"], {}),
         (["point", "--v0", "10", "--length", "10", "--e-over-v0", "1.5"], {}),
@@ -388,3 +452,48 @@ def test_csv_and_json_hold_the_same_table(argv, flagged, capsys):
                 assert float(text) == value or (text == "nan" and np.isnan(value))
             else:
                 assert text == str(value)
+
+
+# hypothesis' own float draws, and draws spread evenly over the binary exponents
+positive_floats = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1023)),
+).filter(lambda v: v > 0.0)
+spin_flags = st.sampled_from(["up", "down"]).map(lambda spin: ["--spin", spin])
+
+
+def _command(name, float_flags, *extra):
+    """argv of one command, every float flag drawn from the positive finite floats."""
+    flags = [positive_floats.map(lambda v, f=f: [f, repr(v)]) for f in float_flags]
+    return st.tuples(*flags, *extra).map(lambda parts: [name] + sum(parts, []))
+
+
+table_commands = st.one_of(
+    _command("barrier", ["--v0", "--length", "--emin", "--emax", "--mass", "--hbar-c"],
+             spin_flags, st.sampled_from(["numeric", "closed", "both"]).map(
+                 lambda method: ["--method", method]), st.just(["--steps", "3"])),
+    _command("step", ["--v0", "--emin", "--emax", "--mass", "--hbar-c"],
+             spin_flags, st.just(["--steps", "3"])),
+    _command("point", ["--v0", "--length", "--e-over-v0", "--mass", "--hbar-c"], spin_flags),
+    _command("well", ["--length", "--mass", "--hbar-c"], st.just(["--nmax", "3", "--numeric"])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_commands)
+def test_every_finite_input_gives_a_table_a_flag_or_a_usage_error(argv):
+    # no exception escapes cli.main, and an exit-0 table holds only finite
+    # values whose coefficient sums are 1 (17 digits: the values the library
+    # checked, not their rounding); numpy warnings stay warnings, since an
+    # overflowing E = (E/V0) V0 still warns although its row is flagged
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run(argv + ["--format", "json", "--precision", "17"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 64)
+    if code == 0:
+        for rec in json.loads(out.getvalue()):
+            assert all(math.isfinite(v) for v in rec.values() if isinstance(v, float)), rec
+            assert "sum" not in rec or abs(rec["sum"] - 1.0) <= 1e-10, rec
