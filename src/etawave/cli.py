@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -176,8 +177,15 @@ def cmd_barrier(parser, args) -> int:
         incident_spin=args.spin,
         constants=constants,
     )
-    table = scattering.sweep(template, ratios * args.v0, args.method)
-    rows = [(r.e_over_v0, r) for r in table.rows]
+    # E = (E/V0) V0 may overflow: the sweep flags its row, which is labelled
+    # with the requested ratio instead of inf / V0
+    with np.errstate(over="ignore"):
+        energies = ratios * args.v0
+    table = scattering.sweep(template, energies, args.method)
+    rows = [
+        (r.e_over_v0 if math.isfinite(e) else float(ratio), r)
+        for ratio, e, r in zip(ratios, energies, table.rows)
+    ]
     return _emit_rows("e_over_v0", rows, args, precision, args.method == "both")
 
 

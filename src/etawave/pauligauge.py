@@ -17,15 +17,21 @@ The checks run over slabs of sixteen x-planes (the first spatial axis,
 contiguous in the C-ordered (component, x, y, z) arrays) at every N, each
 gathered with a periodic halo, so every work array is slab-sized.  The slabs
 run one after another on the calling thread and their partial sums are added
-in slab order.  A check allocates its work arrays at its first (widest) slab
-and every later slab writes into them, so the slab loop allocates nothing;
-stages reuse the arrays an earlier stage has finished with.  Slabs stream
+in slab order.  A check allocates its slab-sized work arrays at its first
+(widest) slab and every later slab writes into them, so the slab loop
+allocates nothing larger than one value per (x, y) row; stages reuse the
+arrays an earlier stage has finished with.  Slabs stream
 from memory, so their time goes with the number of passes over slab-sized
 arrays: the eta terms of the wave operator and the e sigma.B term are
 applied as per-site coefficient rows, one product per term, and factors of
 +-i as swaps of real and imaginary parts.  The quadratic forms of the gauge
-check write no operator image at all: each term is reduced straight to a
-scalar, the difference stencil as sums over neighbouring sites, and the
+check write no operator image at all.  Each product of two components, or of
+one with its neighbour along an axis (the difference stencil), is summed
+along z once per slab, to rows over (x, y).  The weights of the terms (the
+eta fields, A, and the links and potential shift of the gauge change) are
+applied to those rows wherever they are constant along z, as every field of
+`convergence_table` is, and enter the row sums as a third factor elsewhere.
+Each form's terms are combined row by row before one pairwise sum, and the
 change of the form under the gauge transformation is taken from the link
 phases directly (see `gauge_invariance_check`).
 
@@ -123,7 +129,8 @@ def gaussian_bump_state(n: int, extent: float, sigma: float | None = None) -> np
     """Two-component localized test state; decays to ~1e-8 at the seam."""
     (x, y, z), _ = grid_coordinates(n, extent)
     sigma = sigma if sigma is not None else extent / 12.0
-    bump = np.exp(-(x**2 + y**2 + z**2) / (2.0 * sigma**2))
+    # sigma * sigma: a float ** 2 raises OverflowError where a product is inf
+    bump = np.exp(-(x**2 + y**2 + z**2) / (2.0 * (sigma * sigma)))
     state = np.empty((2, n, n, n), dtype=complex)
     np.multiply(bump, 1.0 + 0.3j, out=state[0])
     np.multiply(bump, 0.5 - 0.2j, out=state[1])
@@ -500,95 +507,163 @@ def _coefficient_rows(e_set):
     return rows, pairs
 
 
-def _row_fields(pairs, kinetic: np.ndarray, m: float, get) -> np.ndarray:
-    """alpha_j * kinetic + beta_j * m for the (alpha, beta) pairs, in the
-    work array "fields" of `get`."""
-    out = get("fields", (len(pairs),) + kinetic.shape, float)
-    for field, (alpha, beta) in zip(out, pairs):
-        np.multiply(kinetic, alpha, out=field)
-        field += beta * m
+def _z_rows(field: np.ndarray) -> np.ndarray:
+    """`field` as its (x, y) rows, a view whose last axis has length 1, when
+    it is constant along z (the last axis); else `field` itself.
+
+    The test is by value, not by strides, so a dense copy of a broadcast
+    field takes the same path to the same bits.  A nan is unequal to itself:
+    a field holding one is used site by site."""
+    return field[..., :1] if (field == field[..., :1]).all() else field
+
+
+def _rows(*factors: np.ndarray) -> np.ndarray:
+    """The (x, y) rows of the product of `factors` summed along z, by one
+    einsum.  Rows are combined before one pairwise np.sum: a flat einsum
+    adds sequentially and loses digits; np.vdot goes through BLAS, which is
+    slower here and wakes its threads."""
+    subscripts = ",".join(["...k"] * len(factors)) + "->..."
+    return np.einsum(subscripts, *factors)
+
+
+def _hop_rows(here, there: np.ndarray, axis, halo: int) -> np.ndarray:
+    """Rows of sum_z prod(here)(x) * there(x + e_axis) (there(x) when axis is
+    None) over the sites of the arrays in `here`; `there` holds those sites
+    and `halo` (at least one) planes at each end of its first axis, and is
+    periodic along y and z: the y hop writes its wrap row, the z hop adds its
+    seam column."""
+    if axis is None:
+        return _rows(*here, _trim(there, halo))
+    if axis == 0:
+        return _rows(*here, there[halo + 1 : halo + 1 + len(here[0])])
+    there = _trim(there, halo)
+    if axis == 1:
+        out = np.empty(there.shape[:-1], there.dtype)
+        out[:, :-1] = _rows(*(v[:, :-1] for v in here), there[:, 1:])
+        out[:, -1] = _rows(*(v[:, -1] for v in here), there[:, 0])
+        return out
+    out = _rows(*(v[..., :-1] for v in here), there[..., 1:])
+    out += math.prod(v[..., -1] for v in here) * there[..., 0]
     return out
 
 
-def _row_sum(*factors: np.ndarray) -> complex:
-    """sum of the product of `factors`: each row along the last axis by one
-    einsum, then the row sums added pairwise by np.sum.  A flat einsum adds
-    sequentially and loses digits; np.vdot goes through BLAS, which is
-    slower here and wakes its threads."""
-    subscripts = ",".join(["...k"] * len(factors)) + "->..."
-    return complex(np.sum(np.einsum(subscripts, *factors)))
+def _weighted_rows(weight, rows, here, there, axis, halo: int) -> np.ndarray:
+    """Rows of sum_z weight(x) here(x) there(x + e_axis), as `_hop_rows`,
+    for a weight from `_z_rows`: the weight's rows times `rows()`, the z-row
+    sums of here * there, when it is constant along z; else the weight
+    enters the row reduction as a third factor."""
+    if weight.shape[-1] == 1:
+        return weight[..., 0] * rows()
+    return _hop_rows((here, weight), there, axis, halo)
 
 
-def _neighbour_sum(here, there: np.ndarray, axis: int, halo: int) -> complex:
-    """sum_x prod(here)(x) * there(x + e_axis) over the sites of the arrays in
-    `here`; `there` holds those sites and `halo` planes at each end of its
-    first axis, and is periodic along any axis without a halo."""
-    if halo and axis == 0:
-        return _row_sum(*here, there[halo + 1 : halo + 1 + len(here[0])])
-    there = _trim(there, halo)
-    lead = (slice(None),) * axis
-    body = _row_sum(*(v[lead + (slice(None, -1),)] for v in here), there[lead + (slice(1, None),)])
-    seam = _row_sum(*(v[lead + (-1,)] for v in here), there[lead + (0,)])
-    return body + seam
+def _hop_difference(gamma: np.ndarray, hops) -> np.ndarray:
+    """Rows of sum_ab gamma_ab (K_ab - conj K_ba) from the hop rows `hops`
+    (K_ab of `_hop_rows`, for every pair that gamma or its transpose needs):
+    the forward hop less the backward one, whose sum over the box is the
+    conjugate of the transposed forward hop."""
+    return sum(
+        gamma[a, b] * (hops[a, b] - np.conjugate(hops[b, a])) for a, b in zip(*np.nonzero(gamma))
+    )
 
 
-def _hopping_form(psi4, conj, gamma, axis, h, weight, scale, get, link=None) -> complex:
-    """sum_ab gamma_ab [-i (L_ab - conj L_ba) / (2h) + scale W_ab] over the
-    x-planes that `conj` (conj psi there) covers, halo as in `_momentum`, with
-    L_ab = sum_x conj psi_a(x) link(x) psi_b(x + e_axis) (link = 1 when None)
-    and W_ab = sum_x weight(x) conj psi_a psi_b for a real `weight`.
-
-    With link = 1, weight = A_axis and scale = -e it is
-    sum psi^+ gamma^axis Pi_axis psi: the centered difference is the
-    forward hop minus the backward one, and the backward hop summed over
-    the box is the conjugate of the transposed forward one.  Every L_ab and
-    W_ab is reduced straight to a scalar; W_ba = conj W_ab."""
-    halo = (psi4.shape[-3] - conj.shape[-3]) // 2
-    core = _trim(psi4, halo)
-    needed = (gamma != 0) | (gamma.T != 0)
-    hops = np.zeros(gamma.shape, dtype=complex)
-    local = np.zeros(gamma.shape, dtype=complex)
-    term = get("term", conj.shape[1:])
-    for a in range(len(gamma)):
-        here = (conj[a],) if link is None else (conj[a], link)
-        for b in np.flatnonzero(needed[a]):
-            hops[a, b] = _neighbour_sum(here, psi4[b], axis, halo)
-        upper = np.flatnonzero(needed[a, a:]) + a
-        if upper.size:
-            np.multiply(conj[a], weight, out=term)
-            for b in upper:
-                value = _row_sum(term, core[b])
-                local[b, a] = value.conjugate()
-                local[a, b] = value
-    return complex(np.sum(gamma * (-0.5j / h * (hops - hops.conj().T) + scale * local)))
+def _link_and_shift(theta_s: np.ndarray, axis: int, halo: int, e_charge: float, get):
+    """(u, s) on the sites of the C-ordered `theta_s` (a slab with `halo`
+    planes at each end of its first axis, or the (x, y) rows of one) in the
+    work arrays of `get`: the link u = exp(-ie delta) - 1
+    = -2 sin^2(e delta / 2) - i sin(e delta) with
+    delta = theta(x + e_axis) - theta(x), both parts without the cancellation
+    of cos(e delta) - 1, and the potential shift times 2h,
+    s = theta(x + e_axis) - theta(x - e_axis)."""
+    sites = _trim(theta_s, halo).shape
+    angle = _difference(theta_s, axis, halo, get("angle", sites, float), centered=False)
+    angle *= -e_charge
+    link = get("link", sites)
+    np.sin(angle, out=link.imag)
+    angle *= 0.5
+    np.sin(angle, out=angle)
+    np.square(angle, out=angle)
+    np.multiply(angle, -2.0, out=link.real)
+    return link, _difference(theta_s, axis, halo, get("angle", sites, float))
 
 
-def _form(psi4, conj, potential, e_charge, fields, rows, h, g, get) -> complex:
-    """sum psi^+ [ (E - eA0) eta + gamma^i Pi_i + m eta^+ ] psi over the
-    x-planes that `potential` (A there) covers, halo as in
-    `_momentum`; `conj` holds conj(psi) on those planes.
-
-    The eta terms come from the coefficient rows of `_coefficient_rows`
-    over the per-site `fields`, each reduced with its conj(psi_a) straight
-    to a scalar (or conjugated from its transpose when that has the same
-    field); the gamma^i Pi_i terms come from `_hopping_form`.  The work
-    arrays come from `get`."""
-    core = _trim(psi4, (psi4.shape[-3] - conj.shape[-3]) // 2)
-    scratch = get("term", core.shape[1:])
-    total = 0j
-    sums = {}
+def _forms(f: GaugeField, psi: np.ndarray, e_energy, m, e_charge, theta=None):
+    """(q0, q1 - q0) / h^3 of `gauge_invariance_check`, each added over the
+    slabs in slab order; q1 - q0 is 0 when `theta` is None.  `psi` is a
+    C-ordered state of 2 or 4 components."""
+    g = build_standard_gammas()
+    rows, pairs = _coefficient_rows(build_eta(g))
+    # the eta terms as one matrix of phases per real field alpha (E - eA0) + beta m
+    eta = np.zeros((len(pairs),) + g.gamma1.shape, dtype=complex)
     for a, row in enumerate(rows):
         for b, phase, field in row:
-            if (b, a, field) in sums:
-                # a real field: the transposed term's sum is the conjugate
-                value = sums[b, a, field].conjugate()
-            else:
-                value = _row_sum(conj[a], np.multiply(core[b], fields[field], out=scratch))
-            sums[a, b, field] = value
-            total += phase * value
-    for axis, gamma in enumerate((g.gamma1, g.gamma2, g.gamma3)):
-        total += _hopping_form(psi4, conj, gamma, axis, h, potential[axis], -e_charge, get)
-    return total
+            eta[field, a, b] = phase
+    get = _buffers()
+
+    def slab(lo, hi, halo):
+        psi4 = _four_component_planes(psi, lo - halo, hi + halo, get)
+        core = _trim(psi4, halo)
+        conj = np.conjugate(core, out=get("conj", core.shape))
+        products = {}
+
+        def product(a, b):
+            """The rows G_ab = sum_z conj psi_a psi_b, each formed once per
+            slab; G_ba = conj G_ab."""
+            if (a, b) not in products:
+                if (b, a) in products:
+                    products[a, b] = np.conjugate(products[b, a])
+                else:
+                    products[a, b] = _hop_rows((conj[a],), psi4[b], None, halo)
+            return products[a, b]
+
+        def weighted(weight, coeffs):
+            """Rows of sum_z weight * sum_ab coeffs_ab conj psi_a psi_b for a
+            real `weight` from `_z_rows`; the transposed product's rows are
+            the conjugate."""
+            sums = {}
+            for a, b in zip(*np.nonzero(coeffs)):
+                if (b, a) in sums:
+                    sums[a, b] = np.conjugate(sums[b, a])
+                else:
+                    sums[a, b] = _weighted_rows(
+                        weight, lambda: product(a, b), conj[a], psi4[b], None, halo
+                    )
+            return sum(coeffs[pair] * value for pair, value in sums.items())
+
+        a0 = _z_rows(_planes(f.a0, lo, hi))
+        kinetic = get("kinetic", a0.shape, float)
+        np.multiply(a0, e_charge, out=kinetic)
+        np.subtract(e_energy, kinetic, out=kinetic)
+        field = get("field", a0.shape, float)
+        form = 0
+        for coeffs, (alpha, beta) in zip(eta, pairs):
+            np.multiply(kinetic, alpha, out=field)
+            field += beta * m
+            form = form + weighted(field, coeffs)
+        potential = _planes(f.a, lo, hi)
+        if theta is not None:
+            # C-ordered: `_difference` takes each block flat
+            theta_s = _planes(theta, lo - halo, hi + halo, get, "theta")
+            theta_s = np.ascontiguousarray(_z_rows(theta_s))
+        change = 0
+        for axis, gamma in enumerate((g.gamma1, g.gamma2, g.gamma3)):
+            needed = zip(*np.nonzero((gamma != 0) | (gamma.T != 0)))
+            hops = {(a, b): _hop_rows((conj[a],), psi4[b], axis, halo) for a, b in needed}
+            form = form + (-0.5j / f.h) * _hop_difference(gamma, hops)
+            form = form - e_charge * weighted(_z_rows(potential[axis]), gamma)
+            # a theta constant along z has no z links: u_z = s_z = 0
+            if theta is None or axis == 2 and theta_s.shape[-1] == 1:
+                continue
+            link, shift = _link_and_shift(theta_s, axis, halo, e_charge, get)
+            hops = {
+                (a, b): _weighted_rows(link, lambda: value, conj[a], psi4[b], axis, halo)
+                for (a, b), value in hops.items()
+            }
+            change = change - 1j * _hop_difference(gamma, hops) + e_charge * weighted(shift, gamma)
+        return complex(np.sum(form)), complex(np.sum(change)) / (2.0 * f.h)
+
+    parts = _over_slabs(slab, f.n, 1)
+    return sum(p[0] for p in parts), sum(p[1] for p in parts)
 
 
 def wave_form_value(
@@ -599,35 +674,10 @@ def wave_form_value(
     e_charge: float = 1.0,
 ) -> complex:
     """Quadratic form of the first-order operator,
-    sum psi^+ [ (E - eA0) eta + gamma^i Pi_i + m eta^+ ] psi * h^3."""
-    g = build_standard_gammas()
-    rows, pairs = _coefficient_rows(build_eta(g))
-    get = _buffers()
-    psi4 = _four_component_planes(np.ascontiguousarray(psi, dtype=complex), 0, f.n, get)
-    conj = np.conjugate(psi4, out=get("conj", psi4.shape))
-    fields = _row_fields(pairs, e_energy - e_charge * f.a0, m, get)
-    return _form(psi4, conj, f.a, e_charge, fields, rows, f.h, g, get) * f.h**3
-
-
-def _gauge_change(psi4, conj, theta_s, gamma, axis, e_charge, h, get) -> complex:
-    """The axis-`axis` part of q1 - q0 (see `gauge_invariance_check`) over the
-    x-planes that `conj` covers; `psi4` and `theta_s` hold them and an equal
-    halo at each end of the first spatial axis."""
-    halo = (psi4.shape[-3] - conj.shape[-3]) // 2
-    sites = conj.shape[1:]
-    # u = exp(-ie delta) - 1 = -2 sin^2(e delta / 2) - i sin(e delta): both
-    # parts without the cancellation of cos(e delta) - 1
-    angle = _difference(theta_s, axis, halo, get("angle", sites, float), centered=False)
-    angle *= -e_charge
-    link = get("link", sites)
-    np.sin(angle, out=link.imag)
-    angle *= 0.5
-    np.sin(angle, out=angle)
-    np.square(angle, out=angle)
-    np.multiply(angle, -2.0, out=link.real)
-    # theta(x + e_i) - theta(x - e_i), the potential shift times 2h
-    shift = _difference(theta_s, axis, halo, get("angle", sites, float))
-    return _hopping_form(psi4, conj, gamma, axis, h, shift, e_charge / (2.0 * h), get, link)
+    sum psi^+ [ (E - eA0) eta + gamma^i Pi_i + m eta^+ ] psi * h^3: the q0 of
+    `gauge_invariance_check`, formed over the same slabs."""
+    psi = _checked_state(f, psi, (2, 4))
+    return _forms(f, psi, e_energy, m, e_charge)[0] * f.h**3
 
 
 def gauge_invariance_check(
@@ -655,12 +705,23 @@ def gauge_invariance_check(
     F^i_ab = sum_x conj psi_a(x) u_i(x) psi_b(x + e_i) and
     P^i_ab = sum_x (theta(x + e_i) - theta(x - e_i)) conj psi_a psi_b,
     q1 - q0 = h^3 sum_i sum_ab gamma^i_ab [-i (F^i_ab - conj F^i_ba)
-    + e P^i_ab] / (2h).  q0 and q1 - q0 are taken in one pass over slabs
-    with a one-plane halo; theta is read slab by slab and may be a
+    + e P^i_ab] / (2h).
+
+    Both forms come from z-row sums.  On each slab (one-plane halo) every
+    product is reduced along z once, to rows over (x, y):
+    G_ab = sum_z conj psi_a psi_b for the pairs the eta terms and the gammas
+    need (G_ba = conj G_ab), and H^i_ab = sum_z conj psi_a(x) psi_b(x + e_i)
+    for the pairs of each gamma^i, which q0 and q1 - q0 share.  Each weight
+    is applied to the rows, as sum_xy w(x, y) R(x, y): the eta fields
+    alpha (E - eA0) + beta m, A_i, the shift s_i and the link u_i, the last
+    two formed on the rows.  A weight is used on the rows when its slab is
+    constant along z, a test by value (`_z_rows`); otherwise it enters the
+    row reduction as a third factor.  A theta constant along z has no z
+    links.  Each form's terms are combined row by row before one pairwise
+    sum per slab: the terms of q1 - q0 cancel to O(h^2), and adding them row
+    by row keeps their digits.  theta is read slab by slab and may be a
     broadcast view.
     """
-    g = build_standard_gammas()
-    rows, pairs = _coefficient_rows(build_eta(g))
     psi = _checked_state(f, psi, (2, 4))
     theta = np.asarray(theta)
     if theta.shape != (f.n,) * 3 or np.iscomplexobj(theta):
@@ -668,31 +729,8 @@ def gauge_invariance_check(
             f"theta must be real with shape ({f.n}, {f.n}, {f.n}); got {theta.dtype} {theta.shape}"
         )
     _check_finite(e_energy=e_energy, m=m, e_charge=e_charge)
-    get = _buffers()
-
-    def slab(lo, hi, halo):
-        sites = (hi - lo,) + psi.shape[-2:]
-        psi4 = _four_component_planes(psi, lo - halo, hi + halo, get)
-        core = _trim(psi4, halo)
-        conj = np.conjugate(core, out=get("conj", core.shape))
-        kinetic = get("kinetic", sites, float)
-        np.multiply(_planes(f.a0, lo, hi), e_charge, out=kinetic)
-        np.subtract(e_energy, kinetic, out=kinetic)
-        fields = _row_fields(pairs, kinetic, m, get)
-        q0 = _form(psi4, conj, _planes(f.a, lo, hi), e_charge, fields, rows, f.h, g, get)
-        # a contiguous copy even where the planes do not wrap: `_difference`
-        # takes each block flat
-        wide = (hi - lo + 2 * halo,) + psi.shape[-2:]
-        theta_s = _gather(theta, lo - halo, hi + halo, get("theta", wide, float))
-        change = sum(
-            _gauge_change(psi4, conj, theta_s, gamma, axis, e_charge, f.h, get)
-            for axis, gamma in enumerate((g.gamma1, g.gamma2, g.gamma3))
-        )
-        return q0, change
-
-    parts = _over_slabs(slab, f.n, 1)
-    q0 = sum(p[0] for p in parts) * f.h**3
-    change = sum(p[1] for p in parts) * f.h**3
+    # h^3 cancels in the ratio (and h**3 of a huge spacing raises OverflowError)
+    q0, change = _forms(f, psi, e_energy, m, e_charge, theta)
     _check_sums(q0, change)
     if q0 == 0:
         raise ValueError("the quadratic form of psi is zero, or too small to represent")

@@ -98,6 +98,21 @@ def test_barrier_closed_form_beyond_the_float_range(capsys):
         assert all(np.isfinite(fields)) and abs(fields[-1] - 1.0) <= 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_barrier_flags_energies_beyond_the_float_range_quietly(capsys):
+    # E = 2 V0 and 3 V0 overflow: their rows are flagged and labelled with the
+    # requested ratios, and numpy prints no overflow warning to stderr
+    argv = ["barrier", "--v0", "1e308", "--length", "1", "--emin", "1", "--emax", "3",
+            "--steps", "3", "--format", "json"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = json.loads(captured.out)
+    assert [rec["e_over_v0"] for rec in rows] == [1.0, 2.0, 3.0]
+    assert "flag" not in rows[0] and abs(rows[0]["sum"] - 1.0) <= 1e-10
+    assert all(rec["flag"].startswith("ValueError") for rec in rows[1:])
+
+
 def test_point_flags_the_solver_that_fails(capsys):
     # the matching system is singular at this scale: its row is flagged and
     # the closed row kept, with exit 2 as a sweep with flagged rows
@@ -476,6 +491,19 @@ table_commands = st.one_of(
              spin_flags, st.just(["--steps", "3"])),
     _command("point", ["--v0", "--length", "--e-over-v0", "--mass", "--hbar-c"], spin_flags),
     _command("well", ["--length", "--mass", "--hbar-c"], st.just(["--nmax", "3", "--numeric"])),
+    # the lattice checks: a field or a box too large to square, or too small
+    # to resolve, is a usage error; "--flag=value" lets argparse take a
+    # negative value
+    st.tuples(
+        st.sampled_from([8, 9, 12, 16]).map(lambda n: ["--base-size", str(n)]),
+        st.sampled_from([1, 2]).map(lambda k: ["--levels", str(k)]),
+        *(
+            st.one_of(positive_floats, positive_floats.map(lambda v: -v), st.just(0.0)).map(
+                lambda v, f=f: [f"{f}={v!r}"]
+            )
+            for f in ("--extent", "--bz")
+        ),
+    ).map(lambda parts: ["pauli"] + sum(parts, [])),
 )
 
 
@@ -484,8 +512,7 @@ table_commands = st.one_of(
 def test_every_finite_input_gives_a_table_a_flag_or_a_usage_error(argv):
     # no exception escapes cli.main, and an exit-0 table holds only finite
     # values whose coefficient sums are 1 (17 digits: the values the library
-    # checked, not their rounding); numpy warnings stay warnings, since an
-    # overflowing E = (E/V0) V0 still warns although its row is flagged
+    # checked, not their rounding)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:

@@ -629,6 +629,79 @@ def test_checks_match_reference_on_a_general_field(width, e_charge, monkeypatch)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("width", [5, 16])
+@pytest.mark.parametrize("e_charge", [1.0, 0.7])
+def test_gauge_check_mixes_row_and_site_weights(width, e_charge, monkeypatch):
+    # a0 and A constant along z are applied to the z-row sums, the links and
+    # the potential shift of a theta that varies along z site by site, in one
+    # call (N = 24: slabs 16 + 8 or 5 x 4 + 4); a random state, so that every
+    # axis of the gauge change contributes
+    monkeypatch.setattr(pg, "_SLAB_PLANES", width)
+    n = 24
+    rng = np.random.default_rng(31)
+    f = pg.GaugeField(
+        a0=np.broadcast_to(rng.standard_normal((n, n, 1)), (n, n, n)).copy(),
+        a=np.broadcast_to(rng.standard_normal((3, n, n, 1)), (3, n, n, n)).copy(),
+        b=np.zeros((3, n, n, n)),
+        h=EXTENT / n,
+        n=n,
+    )
+    theta = rng.standard_normal((n, n, n))
+    psi = rng.standard_normal((2, n, n, n)) + 1j * rng.standard_normal((2, n, n, n))
+    assert pg._z_rows(f.a0).shape[-1] == 1 and pg._z_rows(f.a[0]).shape[-1] == 1
+    assert pg._z_rows(theta) is theta
+    got = pg.gauge_invariance_check(f, theta, psi, 2.0, 1.5, e_charge)
+    assert got == pytest.approx(ref_gauge_check(f, theta, psi, 2.0, 1.5, e_charge), rel=1e-12)
+
+
+@pytest.mark.parametrize("along_z", [False, True])
+def test_weighted_rows_are_the_per_site_products(along_z):
+    # a weight constant along z times the z-row sums, and one varying along z
+    # as a third factor, against the per-site product of np.roll neighbours
+    # summed along z: every hop axis and the local product, on a slab inside
+    # the box and on one across the x seam; y and z hops cross their seams
+    n = 9
+    rng = np.random.default_rng(29)
+    psi = rng.standard_normal((2, n, n, n)) + 1j * rng.standard_normal((2, n, n, n))
+    weight = rng.standard_normal((n, n, n) if along_z else (n, n, 1))
+    weight = np.broadcast_to(weight, (n, n, n)).copy()
+    for lo, hi in ((2, 6), (n - 3, n + 2)):
+        psi_s = pg._planes(psi, lo - 1, hi + 1)
+        conj = np.conjugate(pg._trim(psi_s, 1))
+        w = pg._z_rows(pg._planes(weight, lo, hi))
+        assert (w.shape[-1] == 1) != along_z
+        for axis in (None, 0, 1, 2):
+            there = psi[1] if axis is None else np.roll(psi[1], -1, axis=axis)
+            sites = np.einsum("xyz,xyz,xyz->xy", np.conjugate(psi[0]), weight, there)
+            expected = np.take(sites, np.arange(lo, hi), axis=0, mode="wrap")
+            got = pg._weighted_rows(
+                w, lambda: pg._hop_rows((conj[0],), psi_s[1], axis, 1), conj[0], psi_s[1], axis, 1
+            )
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected)), axis
+
+
+def test_wave_form_value_runs_over_slabs():
+    # the gauge check's slab q0: no whole-box copy of the state or the fields
+    n = 64
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    psi = pg.gaussian_bump_state(n, EXTENT)
+    theta = pg.commensurate_theta(n, EXTENT)
+    peaks = []
+    for call in (
+        lambda: pg.gauge_invariance_check(f, theta, psi, 2.0, 1.5, 0.7),
+        lambda: pg.wave_form_value(f, psi, 2.0, 1.5, 0.7),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    gauge, form = peaks
+    assert form <= gauge + 2**20
+
+
 @pytest.mark.parametrize("comps", [2, 4])
 def test_wave_form_value_matches_reference(comps):
     n = 16
