@@ -157,6 +157,9 @@ def _resolve(parser, args):
         parser.error(f"precision must be in [6, 17], got {precision}")
     if hbar_c <= 0 or mass <= 0:
         parser.error("hbar_c and mass must be positive")
+    if seed < 0:
+        # numpy seeds its generators from non-negative integers only
+        parser.error(f"seed must be a non-negative integer, got {seed}")
     return PhysicalConstants(hbar_c=hbar_c), mass, precision, seed
 
 

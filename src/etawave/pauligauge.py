@@ -24,16 +24,29 @@ arrays an earlier stage has finished with.  Slabs stream
 from memory, so their time goes with the number of passes over slab-sized
 arrays: the eta terms of the wave operator and the e sigma.B term are
 applied as per-site coefficient rows, one product per term, and factors of
-+-i as swaps of real and imaginary parts.  The quadratic forms of the gauge
-check write no operator image at all.  Each product of two components, or of
-one with its neighbour along an axis (the difference stencil), is summed
-along z once per slab, to rows over (x, y).  The weights of the terms (the
-eta fields, A, and the links and potential shift of the gauge change) are
-applied to those rows wherever they are constant along z, as every field of
-`convergence_table` is, and enter the row sums as a third factor elsewhere.
-Each form's terms are combined row by row before one pairwise sum, and the
-change of the form under the gauge transformation is taken from the link
-phases directly (see `gauge_invariance_check`).
++-i as swaps of real and imaginary parts.
+
+The identity and commutator checks apply their stencils in the unscaled
+form P_a = D_a - 2ih e A_a, with Pi_a = -i/(2h) P_a, and divide each
+finished norm ratio once by 4h^2 (see `_stencil_scale`): no stencil pays a
+pass for its scale, and the ratio is the same at every scale of the box,
+where the squares of Pi would underflow or overflow.  The weights 2ih e A_a
+and 4h^2 e B_a are taken on the (x, y) rows where the field is constant
+along z (`_z_rows`), and a weight that is zero on a slab (A_z and B_x, B_y
+of the uniform field along z; a test by value) costs no product.  P is
+spin-diagonal, so sigma_x P_x psi is P_x of psi with its components
+swapped, written straight to the sigma.P buffer.
+
+The quadratic forms of the gauge check write no operator image at all.
+Each product of two components, or of one with its neighbour along an axis
+(the difference stencil), is summed along z once per slab, to rows over
+(x, y).  The weights of the terms (the eta fields, A, and the links and
+potential shift of the gauge change) are applied to those rows wherever
+they are constant along z, as every field of `convergence_table` is, and
+enter the row sums as a third factor elsewhere.  Each form's terms are
+combined row by row before one pairwise sum, and the change of the form
+under the gauge transformation is taken from the link phases directly (see
+`gauge_invariance_check`).
 
 The fields are stored at their true dimension: `uniform_b_field` and
 `commensurate_theta` return read-only broadcast views of a plane, a vector
@@ -44,9 +57,10 @@ code.
 The checks take C-ordered copies of oddly laid-out inputs and reject what
 they cannot measure with ValueError: a state of the wrong shape or number of
 components, a non-finite parameter, a zero state (for the gauge check, a
-zero quadratic form), or a non-finite sum (a non-finite input, or one whose
-squares overflow).  Non-finite arrays are found from the finished sums,
-with no extra pass over the inputs.
+zero quadratic form), a non-finite sum (a non-finite input, or one whose
+squares overflow), or, for the identity and commutator checks, a grid
+spacing whose 4h^2 is not a normal float.  Non-finite arrays are found from
+the finished sums, with no extra pass over the inputs.
 """
 
 from __future__ import annotations
@@ -223,25 +237,36 @@ def _difference(
     return out
 
 
-def _momentum(
-    psi: np.ndarray, ea: np.ndarray, axis: int, h: float, out=None, scratch=None
-) -> np.ndarray:
-    """Pi_axis psi = (-i D_axis - e A_axis) psi on the x-planes that `ea`
-    (e A_axis there) covers, written to `out` (a new array when it is None).
+def _momentum(psi: np.ndarray, w: np.ndarray, axis: int, out=None, scratch=None) -> np.ndarray:
+    """The unscaled momentum P_axis psi = D_axis psi - w psi on the x-planes
+    that the weight `w` (2ih e A_axis there, see `_weights`) covers, written
+    to `out` (a new array when it is None); Pi_axis = -i/(2h) P_axis.
     `psi` holds those planes and an equal halo at each end of its first
-    spatial axis; without a halo it is periodic in x.  e A psi is formed one
-    component at a time in `scratch`, a complex array of `ea`'s shape."""
-    halo = (psi.shape[-3] - ea.shape[-3]) // 2
+    spatial axis; without a halo it is periodic in x.  w psi is formed one
+    component at a time in `scratch`, a complex array of one component's
+    sites, and skipped when w is zero (a test by value)."""
+    halo = (psi.shape[-3] - w.shape[-3]) // 2
     out = _difference(psi, psi.ndim - 3 + axis, halo, out)
-    # one complex product by -i/(2h): the bits of scaling by 1/(2h) and
-    # then by -i, up to the sign of zeros, in one pass instead of two
-    out *= -0.5j / h
-    core = _trim(psi, halo)
-    if scratch is None:
-        scratch = np.empty(ea.shape, dtype=complex)
-    for comp in np.ndindex(out.shape[:-3]):
-        np.multiply(ea, core[comp], out=scratch)
-        out[comp] -= scratch
+    if w.any():
+        core = _trim(psi, halo)
+        if scratch is None:
+            scratch = np.empty(core.shape[-3:], dtype=complex)
+        for comp in np.ndindex(out.shape[:-3]):
+            out[comp] -= np.multiply(w, core[comp], out=scratch)
+    return out
+
+
+def _weights(fields, lo: int, hi: int, scale, get=None, name: str = "w") -> list:
+    """[scale * field on planes lo..hi-1 (periodic) of its first spatial axis]
+    for each field of `fields`: on its (x, y) rows where it is constant
+    along z there (`_z_rows`), else site by site; in the work arrays of `get`
+    (a new pool when it is None), named `name` and the field's index."""
+    get = get or _buffers()
+    out = []
+    for k, field in enumerate(fields):
+        rows = _z_rows(_planes(field, lo, hi, get, "planes"))
+        dtype = np.result_type(rows, scale)
+        out.append(np.multiply(rows, scale, out=get(f"{name}{k}", rows.shape, dtype)))
     return out
 
 
@@ -251,7 +276,10 @@ def covariant_momentum_apply(
     """Pi_axis psi = (-i D_axis - e A_axis) psi with periodic centered differences."""
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1 or 2")
-    return _momentum(np.ascontiguousarray(psi, dtype=complex), e_charge * f.a[axis], axis, f.h)
+    (w,) = _weights(f.a[axis : axis + 1], 0, f.n, 2j * f.h * e_charge)
+    out = _momentum(np.ascontiguousarray(psi, dtype=complex), w, axis)
+    out *= -0.5j / f.h
+    return out
 
 
 def _add_term(out: np.ndarray, coeff: complex, term: np.ndarray) -> None:
@@ -282,20 +310,26 @@ def _spin_apply(matrix: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
         _add_term(out[a], matrix[a, b], psi[b])
 
 
-def _sigma_pi(
-    psi: np.ndarray, ea: np.ndarray, h: float, out, momentum, scratch=None
-) -> np.ndarray:
-    """out = sigma.Pi psi on the x-planes that `ea` (e A) covers, halo as in
-    `_momentum`; `momentum` holds each Pi_axis psi in turn."""
-    out.fill(0)
-    for axis in range(3):
-        _spin_apply(PAULI[axis], _momentum(psi, ea[axis], axis, h, momentum, scratch), out)
+def _sigma_pi(psi: np.ndarray, w, out, momentum, scratch=None) -> np.ndarray:
+    """out = sigma.P psi (unscaled, as `_momentum`) on the x-planes that the
+    weights `w` (one per axis) cover, halo as in `_momentum`.  P is
+    spin-diagonal, so sigma_x P_x psi is P_x of psi with its components
+    swapped, written straight to `out`; `momentum` holds P_y psi and P_z psi
+    in turn."""
+    _momentum(psi[::-1], w[0], 0, out, scratch)
+    for axis in (1, 2):
+        _spin_apply(PAULI[axis], _momentum(psi, w[axis], axis, momentum, scratch), out)
     return out
 
 
 def sigma_pi_apply(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> np.ndarray:
-    psi = np.ascontiguousarray(psi, dtype=complex)
-    return _sigma_pi(psi, e_charge * f.a, f.h, np.empty_like(psi), np.empty_like(psi))
+    """sigma.Pi psi for a two-component psi, each Pi_a with periodic
+    centered differences."""
+    psi = _checked_state(f, psi, (2,))
+    w = _weights(f.a, 0, f.n, 2j * f.h * e_charge)
+    out = _sigma_pi(psi, w, np.empty_like(psi), np.empty_like(psi))
+    out *= -0.5j / f.h
+    return out
 
 
 def _sq_norm(psi: np.ndarray, work=None) -> float:
@@ -342,102 +376,127 @@ def _check_sums(*sums) -> None:
         )
 
 
-def _norm_ratio(parts) -> float:
-    """sqrt(sum of residual^2 / sum of |psi|^2) from (residual^2, |psi|^2)
-    slab parts, added in slab order."""
+def _stencil_scale(h: float) -> float:
+    """4h^2: the unscaled products P_a P_b psi of `_momentum` are
+    -4h^2 Pi_a Pi_b psi, whatever the scale of the box, and a check divides
+    its finished ratio by this factor once.  ValueError unless it is a
+    normal float: a subnormal one has lost its digits, an infinite one would
+    give a residual of 0."""
+    scale = 4.0 * h * h
+    if not np.finfo(float).tiny <= scale < math.inf:
+        raise ValueError(f"grid spacing {h!r} is out of range: 4h^2 = {scale!r}")
+    return scale
+
+
+def _norm_ratio(parts, scale: float) -> float:
+    """sqrt(sum of residual^2 / sum of |psi|^2) / scale from (residual^2,
+    |psi|^2) slab parts, added in slab order."""
     residual = sum(p[0] for p in parts)
     norm = sum(p[1] for p in parts)
     _check_sums(residual, norm)
     if norm == 0:
         raise ValueError("psi is zero, or too small to square")
-    return math.sqrt(residual) / math.sqrt(norm)
+    ratio = math.sqrt(residual) / math.sqrt(norm) / scale
+    # a subnormal ratio has lost digits, as a subnormal 4h^2 would have
+    if ratio == math.inf or 0 < ratio < np.finfo(float).tiny:
+        raise ValueError(f"the residual {ratio!r} is outside the normal float range")
+    return ratio
 
 
 def pauli_identity_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> float:
     """|| (sigma.Pi)^2 psi - (Pi^2 - e sigma.B) psi ||_2 / ||psi||_2.
 
-    Pi_a psi is formed once per axis and feeds both sigma.Pi psi and
-    Pi_a Pi_a psi: nine stencil applications in all.  Pi_x is applied
-    twice, so slabs carry a halo of two planes."""
+    It is formed in the unscaled momenta P_a = 2ih Pi_a of `_momentum` as
+    || (sigma.P)^2 psi - sum_a P_a^2 psi - 4h^2 e sigma.B psi ||
+    / (4h^2 ||psi||), so the factor -i/(2h) is applied once, to the finished ratio, not to
+    every stencil, and the ratio is the same at every scale of the box.
+    P_a psi is formed once per axis and feeds both sigma.P psi and
+    P_a P_a psi: nine stencil applications in all, each with its weight
+    2ih e A_a on the (x, y) rows where A_a is constant along z and none
+    where A_a is zero (A_z of a field along z), as the e sigma.B term skips
+    B_x and B_y when they are zero.  sigma_x P_x psi is P_x of psi with its
+    components swapped, written straight to sigma.P psi, and P_x of it,
+    swapped back, is P_x P_x psi.  P_x is applied twice, so slabs carry a
+    halo of two planes."""
     psi = _checked_state(f, psi, (2,))
     _check_finite(e_charge=e_charge)
+    scale = _stencil_scale(f.h)
     get = _buffers()
 
     def slab(lo, hi, halo):
-        # sigma.Pi psi is needed one plane beyond the slab, for the outer Pi_x
+        # sigma.P psi is needed one plane beyond the slab, for the outer P_x
         inner = halo - 1
         psi_s = _planes(psi, lo - halo, hi + halo, get, "psi")
-        ea_in = get("ea", (3, hi - lo + 2 * inner) + psi.shape[-2:], float)
-        np.multiply(_planes(f.a, lo - inner, hi + inner, get, "ea"), e_charge, out=ea_in)
-        ea = _trim(ea_in, inner)
-        sites = ea.shape[1:]
-        pi = get("pi", (len(psi),) + ea_in.shape[1:])
+        w_in = _weights(f.a, lo - inner, hi + inner, 2j * f.h * e_charge, get)
+        w = [_trim(x, inner) for x in w_in]
+        wide = (hi - lo + 2 * inner,) + psi.shape[-2:]
+        sites = (hi - lo,) + psi.shape[-2:]
+        pi = get("pi", (len(psi),) + wide)
         sigma_pi = get("sigma_pi", pi.shape)
         rhs = get("rhs", (len(psi),) + sites)
         pi_pi = get("pi_pi", rhs.shape)
-        sigma_pi.fill(0)
-        for axis in range(3):
-            _momentum(psi_s, ea_in[axis], axis, f.h, pi, get("scratch", ea_in.shape[1:]))
+        # P_x P_x psi goes straight to rhs, the others are added to it
+        _momentum(psi_s[::-1], w_in[0], 0, sigma_pi, get("scratch", wide))
+        _momentum(sigma_pi[::-1], w[0], 0, rhs, get("scratch", sites))
+        for axis in (1, 2):
+            _momentum(psi_s, w_in[axis], axis, pi, get("scratch", wide))
             _spin_apply(PAULI[axis], pi, sigma_pi)
-            # Pi_x Pi_x psi goes straight to rhs, the others are added to it
-            scratch = get("scratch", sites)
-            outer = _momentum(pi, ea[axis], axis, f.h, pi_pi if axis else rhs, scratch)
-            if axis:
-                rhs += outer
-        # rhs -= e sigma.B psi, as two coefficient rows: -e B_z on the
-        # diagonal, -e (B_x - i B_y) above it and its conjugate below
+            rhs += _momentum(pi, w[axis], axis, pi_pi, get("scratch", sites))
+        # rhs += 4h^2 e sigma.B psi, as coefficient rows: 4h^2 e B_z on the
+        # diagonal, 4h^2 e (B_x - i B_y) above it and its conjugate below
         core = _trim(psi_s, halo)
-        b = _planes(f.b, lo, hi)
-        bz = get("bz", sites, float)
-        np.multiply(b[2], -e_charge, out=bz)
-        bxy = get("bxy", sites)
-        np.multiply(b[0], -e_charge, out=bxy.real)
-        np.multiply(b[1], e_charge, out=bxy.imag)
+        bx, by, bz = _weights(f.b, lo, hi, scale * e_charge, get, "b")
         term = get("scratch", sites)
-        rhs[0] += np.multiply(core[0], bz, out=term)
-        rhs[0] += np.multiply(core[1], bxy, out=term)
-        rhs[1] -= np.multiply(core[1], bz, out=term)
-        rhs[1] += np.multiply(core[0], np.conjugate(bxy, out=bxy), out=term)
-        # sigma.Pi (sigma.Pi psi) goes into the free Pi psi buffer
-        lhs = _sigma_pi(sigma_pi, ea, f.h, get("pi", rhs.shape), pi_pi, term)
+        if bz.any():
+            rhs[0] += np.multiply(core[0], bz, out=term)
+            rhs[1] -= np.multiply(core[1], bz, out=term)
+        if bx.any() or by.any():
+            bxy = np.multiply(by, -1j, out=get("bxy", np.broadcast_shapes(bx.shape, by.shape)))
+            bxy += bx
+            rhs[0] += np.multiply(core[1], bxy, out=term)
+            rhs[1] += np.multiply(core[0], np.conjugate(bxy, out=bxy), out=term)
+        # sigma.P (sigma.P psi) goes into the free P psi buffer
+        lhs = _sigma_pi(sigma_pi, w, get("pi", rhs.shape), pi_pi, term)
         lhs -= rhs
         return _sq_norm(lhs, lhs), _sq_norm(core, rhs)
 
-    return _norm_ratio(_over_slabs(slab, f.n, 2))
+    return _norm_ratio(_over_slabs(slab, f.n, 2), scale)
 
 
 def commutator_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> float:
     """|| [Pi_x, Pi_y] psi - i e B_z psi || / ||psi||; the source of the
-    sigma.B term.  Pi_x is applied once, so slabs carry a one-plane halo."""
+    sigma.B term.  Formed, as `pauli_identity_check`, in the unscaled
+    momenta: || [P_x, P_y] psi + 4i h^2 e B_z psi || / (4h^2 ||psi||), the
+    B_z term skipped where B_z is zero.  P_x is applied once, so slabs carry
+    a one-plane halo."""
     psi = _checked_state(f, psi)
     _check_finite(e_charge=e_charge)
+    scale = _stencil_scale(f.h)
     get = _buffers()
 
     def slab(lo, hi, halo):
         psi_s = _planes(psi, lo - halo, hi + halo, get, "psi")
-        ea_s = get("ea", (2,) + psi_s.shape[1:], float)
-        np.multiply(_planes(f.a[:2], lo - halo, hi + halo, get, "ea"), e_charge, out=ea_s)
-        ea = _trim(ea_s, halo)
-        sites = ea.shape[1:]
-        core_shape = (len(psi),) + sites
+        w_s = _weights(f.a[:2], lo - halo, hi + halo, 2j * f.h * e_charge, get)
+        w = [_trim(x, halo) for x in w_s]
+        core_shape = (len(psi), hi - lo) + psi.shape[-2:]
         inner = get("inner", psi_s.shape)
-        _momentum(psi_s, ea_s[1], 1, f.h, inner, get("scratch", psi_s.shape[1:]))
-        scratch = get("scratch", sites)
-        residual = _momentum(inner, ea[0], 0, f.h, get("residual", core_shape), scratch)
-        # the second inner Pi goes into the first one's buffer
-        inner = _momentum(psi_s, ea[0], 0, f.h, get("inner", core_shape), scratch)
-        outer = _momentum(inner, ea[1], 1, f.h, get("outer", core_shape), scratch)
+        _momentum(psi_s, w_s[1], 1, inner, get("scratch", psi_s.shape[1:]))
+        scratch = get("scratch", core_shape[1:])
+        residual = _momentum(inner, w[0], 0, get("residual", core_shape), scratch)
+        # the second inner P goes into the first one's buffer
+        inner = _momentum(psi_s, w[0], 0, get("inner", core_shape), scratch)
+        outer = _momentum(inner, w[1], 1, get("outer", core_shape), scratch)
         residual -= outer
-        # residual -= i e B_z psi, with the factor i as a swap of real and
-        # imaginary parts
+        # residual += 4i h^2 e B_z psi, with the factor i as a swap of real
+        # and imaginary parts
         core = _trim(psi_s, halo)
-        ebz = get("ebz", sites, float)
-        np.multiply(_planes(f.b[2], lo, hi), e_charge, out=ebz)
-        for comp in range(len(psi)):
-            _add_term(residual[comp], -1j, np.multiply(core[comp], ebz, out=scratch))
+        (bz,) = _weights(f.b[2:], lo, hi, scale * e_charge, get, "b")
+        if bz.any():
+            for comp in range(len(psi)):
+                _add_term(residual[comp], 1j, np.multiply(core[comp], bz, out=scratch))
         return _sq_norm(residual, residual), _sq_norm(core, outer)
 
-    return _norm_ratio(_over_slabs(slab, f.n, 1))
+    return _norm_ratio(_over_slabs(slab, f.n, 1), scale)
 
 
 def pauli_hamiltonian_apply(
@@ -446,9 +505,12 @@ def pauli_hamiltonian_apply(
     """H psi = (sigma.Pi)^2 psi / (2m) + e A0 psi."""
     if m <= 0:
         raise ValueError("mass must be positive")
-    return sigma_pi_apply(f, sigma_pi_apply(f, psi, e_charge), e_charge) / (
-        2.0 * m
-    ) + e_charge * f.a0 * psi
+    out = sigma_pi_apply(f, sigma_pi_apply(f, psi, e_charge), e_charge)
+    out /= 2.0 * m
+    (ea0,) = _weights([f.a0], 0, f.n, e_charge)
+    if ea0.any():
+        out += ea0 * psi
+    return out
 
 
 def inner_product(phi: np.ndarray, psi: np.ndarray, h: float) -> complex:
@@ -511,10 +573,13 @@ def _z_rows(field: np.ndarray) -> np.ndarray:
     """`field` as its (x, y) rows, a view whose last axis has length 1, when
     it is constant along z (the last axis); else `field` itself.
 
-    The test is by value, not by strides, so a dense copy of a broadcast
-    field takes the same path to the same bits.  A nan is unequal to itself:
-    a field holding one is used site by site."""
-    return field[..., :1] if (field == field[..., :1]).all() else field
+    A z stride of 0 (a broadcast view) makes it so without a look; any other
+    field is tested by value, so a dense copy of a broadcast field takes the
+    same path to the same bits.  A nan is unequal to itself: a dense field
+    holding one is used site by site."""
+    if field.strides[-1] == 0 or (field == field[..., :1]).all():
+        return field[..., :1]
+    return field
 
 
 def _rows(*factors: np.ndarray) -> np.ndarray:

@@ -31,6 +31,9 @@ def test_missing_required_flag_exits_64():
         ["step", "--v0", "10", "--emax", "inf"],
         ["pauli", "--bz", "nan"],
         ["well", "--length", "10", "--mass", "inf"],
+        ["check", "--seed", "-1"],
+        # 4h^2 below the normal range: the lattice residuals would lose their digits
+        ["pauli", "--base-size", "8", "--levels", "1", "--extent", "1e-160"],
     ):
         with pytest.raises(SystemExit) as err:
             run(argv)
@@ -324,11 +327,12 @@ def test_flag_overrides_config(tmp_path):
 
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
-    for text in ("banana = 3\n", "hbar_c = inf\n", "mass_c2 = nan\n"):
+    for text in ("banana = 3\n", "hbar_c = inf\n", "mass_c2 = nan\n", "seed = -3\n"):
         cfg.write_text(text)
-        with pytest.raises(SystemExit) as err:
-            run(["well", "--length", "10", "--config", str(cfg)])
-        assert err.value.code == 64, text
+        for argv in (["well", "--length", "10"], ["check"]):
+            with pytest.raises(SystemExit) as err:
+                run(argv + ["--config", str(cfg)])
+            assert err.value.code == 64, (text, argv)
 
 
 def test_precision_out_of_range_rejected():
@@ -524,3 +528,16 @@ def test_every_finite_input_gives_a_table_a_flag_or_a_usage_error(argv):
         for rec in json.loads(out.getvalue()):
             assert all(math.isfinite(v) for v in rec.values() if isinstance(v, float)), rec
             assert "sum" not in rec or abs(rec["sum"] - 1.0) <= 1e-10, rec
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers())
+def test_check_gives_a_report_or_a_usage_error_for_any_seed(seed):
+    # integers of both signs and any size: a report for a seed numpy takes, a
+    # usage error for a negative one, and no traceback
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run(["check", f"--seed={seed}"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code == (64 if seed < 0 else 0)

@@ -1,8 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from etawave import pauligauge as pg
 from etawave.clifford import (
@@ -323,8 +324,8 @@ lattice_sizes = st.integers(8, 20)
     st.integers(0, 2**32 - 1),
 )
 def test_centered_diff_is_the_roll_difference_bitwise(shape, h, seed):
-    # the gauge shift's gradient and, with no potential, the momentum kernel
-    # are the np.roll differences to the bit
+    # the gauge shift's gradient and, with no potential, -i/(2h) times the
+    # unscaled momentum kernel are the np.roll differences to the bit
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(shape)
     psi = rng.standard_normal((4, *shape)) + 1j * rng.standard_normal((4, *shape))
@@ -332,7 +333,7 @@ def test_centered_diff_is_the_roll_difference_bitwise(shape, h, seed):
     for axis in range(3):
         got = pg._difference(theta, axis) / (2.0 * h)
         assert got.tobytes() == roll_diff(theta, axis, h).tobytes(), axis
-        got = pg._momentum(psi, no_potential, axis, h)
+        got = pg._momentum(psi, no_potential, axis) * (-0.5j / h)
         expected = -1j * roll_diff(psi, axis + 1, h)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes(), axis
@@ -352,7 +353,8 @@ def test_momentum_kernel_on_a_slab_is_the_whole_box_value_bitwise(
     n, comps, lo, width, halo, e_charge, seed
 ):
     # planes lo..lo+width-1, wrapping past the seam, gathered with a periodic
-    # halo as the checks gather them
+    # halo and weighted as the checks gather and weight them; -i/(2h) times
+    # the unscaled kernel is the public whole-box value
     rng = np.random.default_rng(seed)
     lo %= n
     hi = lo + min(width, n)
@@ -362,8 +364,9 @@ def test_momentum_kernel_on_a_slab_is_the_whole_box_value_bitwise(
     )
     psi = rng.standard_normal((comps, n, n, n)) + 1j * rng.standard_normal((comps, n, n, n))
     psi_s = pg._planes(psi, lo - halo, hi + halo)
+    weights = pg._weights(f.a, lo, hi, 2j * f.h * e_charge)
     for axis in range(3):
-        got = pg._momentum(psi_s, e_charge * pg._planes(f.a[axis], lo, hi), axis, f.h)
+        got = pg._momentum(psi_s, weights[axis], axis) * (-0.5j / f.h)
         whole = pg.covariant_momentum_apply(f, psi, axis, e_charge)
         expected = np.take(whole, np.arange(lo, hi), axis=1, mode="wrap")
         assert got.tobytes() == expected.tobytes(), axis
@@ -392,7 +395,7 @@ def test_difference_and_momentum_are_the_roll_forms_bitwise(n, halo):
             expected = np.roll(theta, -1, axis=axis) - theta
             got = pg._difference(theta_s, axis, halo, centered=False)
             assert got.tobytes() == np.take(expected, planes, axis=0, mode="wrap").tobytes()
-            got = pg._momentum(psi_s, no_potential[: hi - lo], axis, h)
+            got = pg._momentum(psi_s, no_potential[: hi - lo], axis) * (-0.5j / h)
             expected = np.take(-1j * roll_diff(psi, axis + 1, h), planes, axis=1, mode="wrap")
             assert got.tobytes() == expected.tobytes(), (lo, hi, axis)
 
@@ -429,6 +432,10 @@ def test_checks_reject_what_they_cannot_measure():
     nan_psi[1, n // 2, 3, 4] = np.nan
     inf_field = pg.GaugeField(a0=f.a0, a=f.a, b=np.full_like(f.b, np.inf), h=f.h, n=n)
     huge = pg.uniform_b_field(n, EXTENT, 1e150)
+    # 4h^2 below the normal range (a residual divided by it would have lost
+    # its digits) and beyond the float range (it would read 0)
+    tiny_box = pg.uniform_b_field(n, 1e-160, 0.3)
+    vast_box = pg.uniform_b_field(n, 1e160, 0.3)
     identity, gauge, commutator = (
         pg.pauli_identity_check,
         pg.gauge_invariance_check,
@@ -437,6 +444,7 @@ def test_checks_reject_what_they_cannot_measure():
     calls = [
         ("identity, 4 components", lambda: identity(f, psi4)),
         ("identity, 3 components", lambda: identity(f, psi4[:3])),
+        ("sigma.Pi, 4 components", lambda: pg.sigma_pi_apply(f, psi4)),
         ("gauge, 3 components", lambda: gauge(f, theta, psi4[:3], 2.0, 1.5)),
         ("commutator, 0 components", lambda: commutator(f, psi[:0])),
         ("identity, 3-D state", lambda: identity(f, psi[0])),
@@ -461,6 +469,10 @@ def test_checks_reject_what_they_cannot_measure():
         ("gauge, nan in theta", lambda: gauge(f, np.full_like(theta, np.nan), psi, 2.0, 1.5)),
         ("identity, squares overflow", lambda: identity(huge, psi)),
         ("commutator, squares overflow", lambda: commutator(huge, psi)),
+        ("identity, 4h^2 subnormal", lambda: identity(tiny_box, psi)),
+        ("commutator, 4h^2 subnormal", lambda: commutator(tiny_box, psi)),
+        ("identity, 4h^2 overflows", lambda: identity(vast_box, psi)),
+        ("commutator, 4h^2 overflows", lambda: commutator(vast_box, psi)),
     ]
     # non-finite inputs are found from the sums, and numpy warns on the way
     with np.errstate(all="ignore"):
@@ -817,6 +829,52 @@ def test_checks_copy_no_broadcast_field_whole():
         peaks.append(row)
     for on_broadcast, on_dense in zip(*peaks):
         assert on_broadcast <= on_dense + 2**20
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-520, 520))
+@example(256)
+@example(496)
+@example(-496)
+def test_identity_and_commutator_residuals_scale_with_the_box(k):
+    # the box scaled by s = 2^k and the field by 1/s^2: the residuals, of
+    # dimension 1/length^2, scale by exactly 1/s^2 or the check refuses the
+    # spacing, also where squares of the scaled momenta Pi would leave the
+    # float range (|k| >= 256)
+    n = 16
+    s = math.ldexp(1.0, k)
+    # the fields of the widest boxes overflow on the way
+    with np.errstate(all="ignore"):
+        scaled = pg.uniform_b_field(n, EXTENT * s, 0.3 / s / s), pg.gaussian_bump_state(
+            n, EXTENT * s
+        )
+    base = pg.uniform_b_field(n, EXTENT, 0.3), pg.gaussian_bump_state(n, EXTENT)
+    for check in (pg.pauli_identity_check, pg.commutator_check):
+        try:
+            got = check(*scaled) * s * s
+        except ValueError:
+            assert abs(k) > 496, k
+            continue
+        assert got == pytest.approx(check(*base), rel=1e-13, abs=0)
+
+
+def test_whole_box_functions_take_the_fields_by_rows():
+    # the broadcast fields are applied as their rows: no whole-box e A or
+    # e A0 beside the two work arrays of sigma.Pi psi (N = 64: 8 MiB each)
+    n = 64
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    psi = pg.gaussian_bump_state(n, EXTENT)
+    for call, limit in (
+        (lambda: pg.sigma_pi_apply(f, psi, 0.7), 24),
+        (lambda: pg.pauli_hamiltonian_apply(f, psi, 1.5, 0.7), 32),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * 2**20
 
 
 def test_uniform_field_and_theta_are_read_only():
