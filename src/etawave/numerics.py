@@ -9,6 +9,9 @@ checks and the singularity threshold the matching solvers rely on.
 
 from __future__ import annotations
 
+import cmath
+import functools
+import math
 import warnings
 
 import numpy as np
@@ -34,15 +37,6 @@ def _as_matrix(m):
     return a
 
 
-def _as_vector(b):
-    v = np.asarray(b, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got ndim={v.ndim}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
-    return v
-
-
 def norm_inf(m):
     """Max absolute row sum for matrices, max modulus for vectors."""
     a = np.asarray(m)
@@ -58,22 +52,43 @@ def adjoint(a):
     return _as_matrix(a).conj().T
 
 
+@functools.lru_cache(maxsize=None)
+def _zero_and_identity(n: int) -> np.ndarray:
+    """The read-only n x (n + 1) right-hand side [0 | I]; copy it to write."""
+    rhs = np.eye(n, n + 1, 1, dtype=complex)
+    rhs.flags.writeable = False
+    return rhs
+
+
 def solve_linear(m, b):
     """Solve M x = b.
 
     Raises SingularSystemError when M lies within PIVOT_RTOL * ||M||_inf of
-    a singular matrix, i.e. when 1 / ||M^-1||_inf <= PIVOT_RTOL * ||M||_inf.
+    a singular matrix, i.e. when 1 / ||M^-1||_inf <= PIVOT_RTOL * ||M||_inf,
+    and ValueError for a non-finite M or b.  A finite M whose inf-norm
+    overflows is singular to within that threshold.
     """
-    m = _as_matrix(m)
-    b = _as_vector(b)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
+    # a nan or inf entry makes the norm nan or inf: only then look entry by
+    # entry, to tell it from a finite matrix whose row sum overflows
+    norm = norm_inf(m)
+    if not norm < math.inf and not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    b = np.asarray(b, dtype=complex)
+    if b.ndim != 1:
+        raise ValueError(f"expected a 1-d vector, got ndim={b.ndim}")
+    if not all(map(cmath.isfinite, b.tolist())):
+        raise ValueError("vector entries must be finite")
     n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
+    if m.shape[1] != n:
         raise ValueError("matrix must be square")
     if b.shape[0] != n:
         raise ValueError("right-hand side dimension mismatch")
-    threshold = PIVOT_RTOL * norm_inf(m)
+    threshold = PIVOT_RTOL * norm
     # [b | I]: one factorization gives both x and M^-1 for the distance test
-    rhs = np.eye(n, n + 1, 1, dtype=complex)
+    rhs = _zero_and_identity(n).copy()
     rhs[:, 0] = b
     try:
         sol = np.linalg.solve(m, rhs)

@@ -60,7 +60,10 @@ components, a non-finite parameter, a zero state (for the gauge check, a
 zero quadratic form), a non-finite sum (a non-finite input, or one whose
 squares overflow), or, for the identity and commutator checks, a grid
 spacing whose 4h^2 is not a normal float.  Non-finite arrays are found from
-the finished sums, with no extra pass over the inputs.
+the finished sums, with no extra pass over the inputs.  Every check is
+homogeneous in psi and exact under psi -> 2^k psi, so a state so small that
+its squares underflow, or so large that they overflow, is checked again
+scaled to unit size (see `_rescaled`).
 """
 
 from __future__ import annotations
@@ -388,6 +391,28 @@ def _stencil_scale(h: float) -> float:
     return scale
 
 
+# squares lose digits near the subnormal range: a gaussian_bump_state scaled
+# by 1e-154 (sum |psi|^2 about 1e-306) moves the checks by 5e-13 relative.
+# Below this floor, 2^510 above that range, a state is checked again rescaled.
+_SUM_FLOOR = 2.0**-512
+
+
+def _rescaled(psi: np.ndarray, total) -> np.ndarray | None:
+    """psi 2^k, with its largest real or imaginary part in [1/2, 1), where a
+    check's finished sum `total` (sum |psi|^2, or the gauge form q0) is below
+    `_SUM_FLOOR` or not finite and k is not 0; else None.  A state of normal
+    size pays the one compare.  An inf or nan in psi, or a zero psi, gives
+    None, and the check raises as before."""
+    if _SUM_FLOOR <= abs(total) < math.inf:
+        return None
+    re_im = psi.view(np.float64)
+    peak = float(np.max(np.abs(re_im)))
+    if not 0 < peak < math.inf:
+        return None
+    k = -math.frexp(peak)[1]
+    return np.ldexp(re_im, k).view(complex) if k else None
+
+
 def _norm_ratio(parts, scale: float) -> float:
     """sqrt(sum of residual^2 / sum of |psi|^2) / scale from (residual^2,
     |psi|^2) slab parts, added in slab order."""
@@ -460,7 +485,11 @@ def pauli_identity_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) 
         lhs -= rhs
         return _sq_norm(lhs, lhs), _sq_norm(core, rhs)
 
-    return _norm_ratio(_over_slabs(slab, f.n, 2), scale)
+    parts = _over_slabs(slab, f.n, 2)
+    scaled = _rescaled(psi, sum(p[1] for p in parts))
+    if scaled is not None:
+        return pauli_identity_check(f, scaled, e_charge)
+    return _norm_ratio(parts, scale)
 
 
 def commutator_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> float:
@@ -496,7 +525,11 @@ def commutator_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> f
                 _add_term(residual[comp], 1j, np.multiply(core[comp], bz, out=scratch))
         return _sq_norm(residual, residual), _sq_norm(core, outer)
 
-    return _norm_ratio(_over_slabs(slab, f.n, 1), scale)
+    parts = _over_slabs(slab, f.n, 1)
+    scaled = _rescaled(psi, sum(p[1] for p in parts))
+    if scaled is not None:
+        return commutator_check(f, scaled, e_charge)
+    return _norm_ratio(parts, scale)
 
 
 def pauli_hamiltonian_apply(
@@ -796,6 +829,9 @@ def gauge_invariance_check(
     _check_finite(e_energy=e_energy, m=m, e_charge=e_charge)
     # h^3 cancels in the ratio (and h**3 of a huge spacing raises OverflowError)
     q0, change = _forms(f, psi, e_energy, m, e_charge, theta)
+    scaled = _rescaled(psi, q0)
+    if scaled is not None:
+        return gauge_invariance_check(f, theta, scaled, e_energy, m, e_charge)
     _check_sums(q0, change)
     if q0 == 0:
         raise ValueError("the quadratic form of psi is zero, or too small to represent")

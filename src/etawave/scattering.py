@@ -57,7 +57,12 @@ class BarrierProblem:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.e_energy, self.v0, self.length, self.m)):
+        if not (
+            0 < self.e_energy < math.inf
+            and 0 < self.v0 < math.inf
+            and 0 < self.length < math.inf
+            and 0 < self.m < math.inf
+        ):
             raise ValueError("E, V0, L, m must all be finite and strictly positive")
         if self.incident_spin not in (UP, DOWN):
             raise ValueError(f"incident_spin must be up or down, got {self.incident_spin!r}")
@@ -93,16 +98,17 @@ class Coefficients:
     r_qm: float
 
     def __post_init__(self):
-        vals = (self.t1, self.t2, self.r1, self.r2)
-        for name, v in zip(("t1", "t2", "r1", "r2"), vals):
-            if not (-CONSERVATION_TOL <= v <= 1.0 + CONSERVATION_TOL):
-                raise ConservationError(f"{name}={v!r} outside [0, 1]")
-        total = sum(vals)
+        t1, t2, r1, r2 = self.t1, self.t2, self.r1, self.r2
+        lo, hi = -CONSERVATION_TOL, 1.0 + CONSERVATION_TOL
+        if not (lo <= t1 <= hi and lo <= t2 <= hi and lo <= r1 <= hi and lo <= r2 <= hi):
+            for name in ("t1", "t2", "r1", "r2"):
+                v = getattr(self, name)
+                if not lo <= v <= hi:
+                    raise ConservationError(f"{name}={v!r} outside [0, 1]")
+        total = t1 + t2 + r1 + r2
         if abs(total - 1.0) > CONSERVATION_TOL:
             raise ConservationError(f"coefficient sum {total!r} deviates from 1")
-        if abs(self.t_qm - (self.t1 + self.t2)) > 1e-12 or abs(
-            self.r_qm - (self.r1 + self.r2)
-        ) > 1e-12:
+        if abs(self.t_qm - (t1 + t2)) > 1e-12 or abs(self.r_qm - (r1 + r2)) > 1e-12:
             raise ConservationError("channel sums inconsistent with t_qm/r_qm")
 
     @property
@@ -117,7 +123,16 @@ def _coeffs(t1, t2, r1, r2) -> Coefficients:
 def _incident_rhs(c1, d1, incident_spin):
     """Minus the incident column, spin up (1, 0, c, -d) or down (0, 1, d, -c),
     of the zero-potential region."""
-    return [-1, 0, -c1, d1] if incident_spin == UP else [0, -1, -d1, c1]
+    return [-1 + 0j, 0j, -c1, d1] if incident_spin == UP else [0j, -1 + 0j, -d1, c1]
+
+
+def _system(flat, n):
+    """(M, rhs) of an n x n system from one flat list of its n rows and then
+    its right-hand side, converted by one np.array call.  Callers write the
+    constant entries as complex numbers (0j, 1 + 0j), which numpy converts
+    faster than ints."""
+    a = np.array(flat, dtype=complex)
+    return a[: n * n].reshape(n, n), a[n * n :]
 
 
 def _assemble_barrier(p: BarrierProblem):
@@ -134,20 +149,20 @@ def _assemble_barrier(p: BarrierProblem):
     ph1 = cmath.exp(1j * (p1 / hbar_c) * length)
     ph2 = cmath.exp(1j * (p2 / hbar_c) * length)  # |ph2| <= 1 in both regimes
     a, b = ph2 * c2, ph2 * d2
-    m8 = np.array(
+    m8, rhs = _system(
         [
-            [1, 0, -1, 0, -ph2, 0, 0, 0],
-            [0, 1, 0, -1, 0, -ph2, 0, 0],
-            [c1, -d1, -c2, -d2, -a, b, 0, 0],
-            [d1, -c1, d2, c2, -b, a, 0, 0],
-            [0, 0, ph2, 0, 1, 0, -1, 0],
-            [0, 0, 0, ph2, 0, 1, 0, -1],
-            [0, 0, a, b, c2, -d2, -c1, -d1],
-            [0, 0, -b, -a, d2, -c2, d1, c1],
+            1 + 0j, 0j, -1 + 0j, 0j, -ph2, 0j, 0j, 0j,
+            0j, 1 + 0j, 0j, -1 + 0j, 0j, -ph2, 0j, 0j,
+            c1, -d1, -c2, -d2, -a, b, 0j, 0j,
+            d1, -c1, d2, c2, -b, a, 0j, 0j,
+            0j, 0j, ph2, 0j, 1 + 0j, 0j, -1 + 0j, 0j,
+            0j, 0j, 0j, ph2, 0j, 1 + 0j, 0j, -1 + 0j,
+            0j, 0j, a, b, c2, -d2, -c1, -d1,
+            0j, 0j, -b, -a, d2, -c2, d1, c1,
+            *_incident_rhs(c1, d1, p.incident_spin), 0j, 0j, 0j, 0j,
         ],
-        dtype=complex,
-    )
-    rhs = np.array(_incident_rhs(c1, d1, p.incident_spin) + [0, 0, 0, 0], dtype=complex)
+        8,
+    )  # fmt: skip
     return m8, rhs, ph1, ph2
 
 
@@ -215,6 +230,17 @@ def _ldexp(mantissa: float, exponent: int) -> float:
         return math.inf
 
 
+def _scaled_half_sum(me, ee, mm, em):
+    """(E', m', (E' + m') / 2) from the math.frexp pairs (me, ee) of E and
+    (mm, em) of m, with E' and m' scaled by one power of two so that the
+    half sum neither overflows nor underflows to 0: the spin split
+    ((E - m) / (E + m))^2 and 4 E m / (E + m)^2 = (E' / half) (m' / half)
+    is taken through it."""
+    top = max(ee, em)
+    e_s, m_s = math.ldexp(me, ee - top), math.ldexp(mm, em - top)
+    return e_s, m_s, 0.5 * e_s + 0.5 * m_s
+
+
 def closed_form(p: BarrierProblem) -> Coefficients:
     """Closed-form coefficients: one expression on both sides of the top.
 
@@ -262,12 +288,8 @@ def closed_form(p: BarrierProblem) -> Coefficients:
             a = 1.0
         b = _ldexp(c, c_exp)
     t1, refl = (0.0, 1.0) if b == math.inf else (a / (a + b), b / (a + b))
-    # (E - m)^2 / (E + m)^2 and 4 E m / (E + m)^2 through the half sum, of
-    # E and m scaled by one power of two so that it neither overflows nor
-    # underflows to 0
-    top = max(ee, em)
-    e_s, m_s = math.ldexp(me, ee - top), math.ldexp(mm, em - top)
-    half_sum = 0.5 * e_s + 0.5 * m_s
+    # (E - m)^2 / (E + m)^2 and 4 E m / (E + m)^2
+    e_s, m_s, half_sum = _scaled_half_sum(me, ee, mm, em)
     r1 = refl * ((0.5 * e_s - 0.5 * m_s) / half_sum) ** 2
     r2 = refl * (e_s / half_sum) * (m_s / half_sum)
     if p.incident_spin == DOWN:
@@ -283,16 +305,16 @@ def _assemble_step(e_energy, v0, m, incident_spin):
     amplitudes."""
     p1, c1, d1 = _mode_scalars(e_energy, 0.0, m)
     p2, c2, d2 = _mode_scalars(e_energy, v0, m)
-    m4 = np.array(
+    m4, rhs = _system(
         [
-            [1, 0, -1, 0],
-            [0, 1, 0, -1],
-            [c1, -d1, -c2, -d2],
-            [d1, -c1, d2, c2],
+            1 + 0j, 0j, -1 + 0j, 0j,
+            0j, 1 + 0j, 0j, -1 + 0j,
+            c1, -d1, -c2, -d2,
+            d1, -c1, d2, c2,
+            *_incident_rhs(c1, d1, incident_spin),
         ],
-        dtype=complex,
-    )
-    rhs = np.array(_incident_rhs(c1, d1, incident_spin), dtype=complex)
+        4,
+    )  # fmt: skip
     return m4, rhs, p1, p2
 
 
@@ -400,16 +422,21 @@ def sweep(template: BarrierProblem, e_grid, method: str = "numeric") -> SweepTab
 
 def r2_envelope(e_energy, v0, m) -> float:
     """Phase-free upper bound of the spin-flip reflection above the barrier
-    (sin^2 -> 1, cos -> -1 in the closed form)."""
+    (sin^2 -> 1, cos -> -1 in the closed form):
+    [4 E m / (E + m)^2] [V0 / (2E - V0)]^2.
+
+    The spin factor is that of closed_form, through the scaled half sum of
+    E and m.  V0 / (2E - V0) is formed on E and V0 scaled by E's binary
+    exponent, with 2E - V0 as E + (E - V0).  No intermediate overflows; one
+    underflows only where E/m, m/E or V0/E is below 2^-1022, and the bound
+    is then below 2^-1020."""
     if e_energy <= v0:
         raise ValueError("envelope defined for E > V0")
-    return (
-        8.0
-        * e_energy
-        * m
-        * v0**2
-        / ((e_energy + m) ** 2 * (8.0 * e_energy**2 - 8.0 * e_energy * v0 + 2.0 * v0**2))
-    )
+    (me, ee), (mm, em) = math.frexp(e_energy), math.frexp(m)
+    e_s, m_s, half_sum = _scaled_half_sum(me, ee, mm, em)
+    v_s = math.ldexp(v0, -ee)
+    ratio = v_s / (me + (me - v_s))
+    return (e_s / half_sum) * (m_s / half_sum) * ratio * ratio
 
 
 def l_sensitivity_scan(e_energy, v0, m, lengths, constants: PhysicalConstants | None = None):

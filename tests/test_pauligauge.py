@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -460,8 +461,6 @@ def test_checks_reject_what_they_cannot_measure():
         ("identity, zero state", lambda: identity(f, np.zeros_like(psi))),
         ("commutator, zero state", lambda: commutator(f, np.zeros_like(psi))),
         ("gauge, zero state", lambda: gauge(f, theta, np.zeros_like(psi), 2.0, 1.5)),
-        ("gauge, form underflows", lambda: gauge(f, theta, psi * 1e-200, 2.0, 1.5)),
-        ("identity, squares underflow", lambda: identity(f, psi * 1e-170)),
         ("identity, nan in psi", lambda: identity(f, nan_psi)),
         ("gauge, nan in psi", lambda: gauge(f, theta, nan_psi, 2.0, 1.5)),
         ("commutator, nan in psi", lambda: commutator(f, nan_psi)),
@@ -480,6 +479,41 @@ def test_checks_reject_what_they_cannot_measure():
             with pytest.raises(ValueError):
                 call()
                 pytest.fail(label)
+
+
+@pytest.mark.parametrize(
+    "scale, exact",
+    [
+        (2.0**-520, True),
+        (1e-158, False),
+        # squares, and the gauge form, underflow to 0: once refused
+        (1e-200, False),
+        # squares overflow
+        (2.0**520, True),
+    ],
+)
+def test_checks_of_a_scaled_state_equal_those_of_the_state(scale, exact):
+    # the checks are exact under psi -> 2^k psi: a state whose squares
+    # underflow or overflow is checked again at unit scale, a power-of-two
+    # multiple of psi gives its bits, and any other multiple its value to
+    # rounding
+    n = 16
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    psi = pg.gaussian_bump_state(n, EXTENT)
+    theta = pg.commensurate_theta(n, EXTENT)
+    for check in (
+        lambda p: pg.pauli_identity_check(f, p),
+        lambda p: pg.gauge_invariance_check(f, theta, p, 2.0, 1.5),
+        lambda p: pg.commutator_check(f, p),
+    ):
+        expected = check(psi)
+        # the first pass over a huge state overflows on the way
+        with np.errstate(over="ignore", invalid="ignore") if scale > 1 else contextlib.nullcontext():
+            got = check(psi * scale)
+        if exact:
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def spin_matrices(rng):

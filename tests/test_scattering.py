@@ -2,6 +2,8 @@
 agreement, spin selection, deep tunneling conditioning, and the sweep table
 plumbing."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +16,10 @@ from etawave.numerics import SingularSystemError
 from etawave.waveop import CRITICAL, PhysicalConstants, classify_regime, complex_momentum
 
 CONSTANTS = PhysicalConstants()
+
+# the matching solve reads finiteness from norms: a kernel that makes inf or
+# nan fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def barrier(e_energy, v0=10.0, length=2.0, m=0.5e6, spin=sp.UP):
@@ -405,6 +411,24 @@ def test_envelope_requires_propagation():
         sc.r2_envelope(5.0, 10.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "e_energy, v0, m",
+    [
+        (1e160, 1e159, 1.0),  # E^2 overflows
+        (1e-170, 1e-171, 1e-170),  # (E + m)^2 underflows to 0
+        (1.7e308, 1.6e308, 1e308),  # 2E overflows
+        (15.0, 10.0, 0.5e6),
+    ],
+)
+def test_envelope_at_finite_extremes_against_50_digits(e_energy, v0, m):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    e, v, mm = mpmath.mpf(e_energy), mpmath.mpf(v0), mpmath.mpf(m)
+    exact = 8 * e * mm * v**2 / ((e + mm) ** 2 * (8 * e**2 - 8 * e * v + 2 * v**2))
+    got = sc.r2_envelope(e_energy, v0, m)
+    assert abs(got - exact) <= 1e-14 * exact
+
+
 def test_length_sensitivity_scan():
     scan = sc.l_sensitivity_scan(1.5e5, 1.0e5, 0.5e6, np.linspace(9.999, 10.001, 21))
     r2 = np.array([c.r2 for _, c in scan])
@@ -444,6 +468,40 @@ def _step_system_from_columns(e_energy, v0, m, spin):
     w_fu, w_fd, _, _ = _mode_columns(e_energy, v0, m)
     m4 = np.column_stack([u_bu, u_bd, -w_fu, -w_fd])
     return m4, -(u_fu if spin == sp.UP else u_fd)
+
+
+def _nested_barrier_system(p):
+    """The barrier system as a nested list per row, converted by np.array
+    row by row: the assembly the flat one replaced."""
+    _, c1, d1 = sp._mode_scalars(p.e_energy, 0.0, p.m)
+    p2, c2, d2 = sp._mode_scalars(p.e_energy, p.v0, p.m)
+    ph2 = cmath.exp(1j * (p2 / p.constants.hbar_c) * p.length)
+    a, b = ph2 * c2, ph2 * d2
+    m8 = np.array(
+        [
+            [1, 0, -1, 0, -ph2, 0, 0, 0],
+            [0, 1, 0, -1, 0, -ph2, 0, 0],
+            [c1, -d1, -c2, -d2, -a, b, 0, 0],
+            [d1, -c1, d2, c2, -b, a, 0, 0],
+            [0, 0, ph2, 0, 1, 0, -1, 0],
+            [0, 0, 0, ph2, 0, 1, 0, -1],
+            [0, 0, a, b, c2, -d2, -c1, -d1],
+            [0, 0, -b, -a, d2, -c2, d1, c1],
+        ],
+        dtype=complex,
+    )
+    incident = [-1, 0, -c1, d1] if p.incident_spin == sp.UP else [0, -1, -d1, c1]
+    return m8, np.array(incident + [0, 0, 0, 0], dtype=complex)
+
+
+def _nested_step_system(e_energy, v0, m, spin):
+    _, c1, d1 = sp._mode_scalars(e_energy, 0.0, m)
+    _, c2, d2 = sp._mode_scalars(e_energy, v0, m)
+    m4 = np.array(
+        [[1, 0, -1, 0], [0, 1, 0, -1], [c1, -d1, -c2, -d2], [d1, -c1, d2, c2]], dtype=complex
+    )
+    incident = [-1, 0, -c1, d1] if spin == sp.UP else [0, -1, -d1, c1]
+    return m4, np.array(incident, dtype=complex)
 
 
 def _assert_same_system(got, ref):
@@ -495,6 +553,28 @@ def test_step_system_equals_mode_column_assembly(ratio, v0, m, spin):
     for got, want in zip(_channels(sc.solve_step(e_energy, v0, m, spin)), ref):
         assert type(got) is float
         assert abs(got - want) <= 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(ratios_above, ratios_below, st.floats(0.999, 1.001)),
+    heights,
+    lengths,
+    st.floats(1.0, 1e7),
+    spins,
+)
+def test_flat_assembly_equals_nested_list_bitwise(ratio, v0, length, m, spin):
+    e_energy = ratio * v0
+    # away from the component pole E - V0 + m = 0 that _mode_scalars refuses
+    assume(abs(e_energy - v0 + m) > 1e-6 * m)
+    p = barrier(e_energy, v0, length, m, spin)
+    for got, ref in (
+        (sc._assemble_barrier(p)[:2], _nested_barrier_system(p)),
+        (sc._assemble_step(e_energy, v0, m, spin)[:2], _nested_step_system(e_energy, v0, m, spin)),
+    ):
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape and g.dtype == r.dtype
+            assert g.tobytes() == r.tobytes()
 
 
 def _exact_closed_form(mpmath, e_energy, v0, length, m, z_scale=1):
