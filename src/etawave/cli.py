@@ -78,17 +78,26 @@ def _render(header, records, fmt: str, precision: int, comment=None) -> str:
     Floats print with `precision` significant digits, ints and strings with
     str.  CSV holds the header columns, after an optional `# comment` line;
     JSON holds every key of each record, floats rounded through the same text.
+    NaN and Infinity are not JSON: a non-finite float (a flagged row's value)
+    is null, and a finite one whose text rounds past the float range is kept
+    unrounded.
     """
     float_text = f"{{:.{precision - 1}e}}".format
 
     def text(v):
         return float_text(v) if isinstance(v, float) else str(v)
 
+    def json_value(v):
+        if not isinstance(v, float):
+            return v
+        if not math.isfinite(v):
+            return None
+        rounded = float(float_text(v))
+        return rounded if math.isfinite(rounded) else v
+
     if fmt == "json":
-        return json.dumps(
-            [{k: float(float_text(v)) if isinstance(v, float) else v for k, v in rec.items()}
-             for rec in records]
-        ) + "\n"
+        records = [{k: json_value(v) for k, v in rec.items()} for rec in records]
+        return json.dumps(records, allow_nan=False) + "\n"
     lines = [f"# {comment}"] if comment else []
     lines.append(",".join(header))
     lines += [",".join([text(rec[h]) for h in header]) for rec in records]

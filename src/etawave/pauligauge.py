@@ -22,9 +22,8 @@ in slab order.  A check allocates its slab-sized work arrays at its first
 allocates nothing larger than one value per (x, y) row; stages reuse the
 arrays an earlier stage has finished with.  Slabs stream
 from memory, so their time goes with the number of passes over slab-sized
-arrays: the eta terms of the wave operator and the e sigma.B term are
-applied as per-site coefficient rows, one product per term, and factors of
-+-i as swaps of real and imaginary parts.
+arrays: the Pauli and gamma matrices act through their nonzero entries
+only, factors of +-i as swaps of real and imaginary parts.
 
 The identity and commutator checks apply their stencils in the unscaled
 form P_a = D_a - 2ih e A_a, with Pi_a = -i/(2h) P_a, and divide each
@@ -40,19 +39,24 @@ swapped, written straight to the sigma.P buffer.
 The quadratic forms of the gauge check write no operator image at all.
 Each product of two components, or of one with its neighbour along an axis
 (the difference stencil), is summed along z once per slab, to rows over
-(x, y).  The weights of the terms (the eta fields, A, and the links and
-potential shift of the gauge change) are applied to those rows wherever
-they are constant along z, as every field of `convergence_table` is, and
-enter the row sums as a third factor elsewhere.  Each form's terms are
-combined row by row before one pairwise sum, and the change of the form
-under the gauge transformation is taken from the link phases directly (see
-`gauge_invariance_check`).
+(x, y).  The weights of the terms (E - eA0 of eta, m of eta^+, A, and
+the links and potential shift of the gauge change) are applied to those
+rows wherever they are constant along z, as every field of
+`convergence_table` is, and enter the row sums as a third factor
+elsewhere.  Each form's terms are combined row by row before one pairwise
+sum, and the change of the form under the gauge transformation is taken
+from the link phases directly (see `gauge_invariance_check`).
 
 The fields are stored at their true dimension: `uniform_b_field` and
 `commensurate_theta` return read-only broadcast views of a plane, a vector
-or a profile, and the checks read them slab by slab (wrapping planes by
-slice copies) without ever making them dense.  Dense fields take the same
-code.
+or a profile, and the checks read them slab by slab, a field constant
+along z as its (x, y) rows (see `_planes`), without ever making them dense.
+Dense fields take the same code.
+
+The public surface is the three checks with `convergence_table` and
+`convergence_orders`, and the fields and states they take.  The whole-box
+kernels `covariant_momentum_apply`, `sigma_pi_apply` and `wave_form_value`
+serve no check; they are kept for the benchmark, which traces them by name.
 
 The checks take C-ordered copies of oddly laid-out inputs and reject what
 they cannot measure with ValueError: a state of the wrong shape or number of
@@ -77,15 +81,10 @@ import numpy as np
 from .clifford import PAULI, build_eta, build_standard_gammas
 
 # x-planes per slab, at every N: at N = 128 a slab has 2^18 sites, whose
-# 4-component temporaries (16 MB each) stream from memory.  Slabs that fit in
-# the last-level cache ran faster, but their speed rose and fell with the
-# cache traffic of other tenants of a shared host: the run-to-run spread of
-# convergence_table was about twice that of streaming slabs.  A box checked
-# whole (as N <= 64 once was) allocated its 40-60 MB of work arrays and
-# faulted them in again on every call: 11k minor page faults and 40-50 ms
-# of system time per identity, gauge and commutator set at N = 64.  Its
-# 16-plane slabs take about 8k faults in a fresh process, and none once an
-# N = 128 call has run in it.
+# 4-component temporaries (16 MB each) stream from memory.  Cache-sized slabs
+# ran faster, but with twice the run-to-run spread on a host shared with other
+# tenants; a box checked whole faulted its 40-60 MB of work arrays in again on
+# every call.
 _SLAB_PLANES = 16
 
 
@@ -178,7 +177,11 @@ def _gather(field: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
 def _planes(field: np.ndarray, lo: int, hi: int, get=None, name=None) -> np.ndarray:
     """Planes lo..hi-1 of the first spatial axis of `field`, indices taken
     periodically: a view when they do not wrap, else a copy, written to the
-    work array `name` of `get` (see `_buffers`) when one is given."""
+    work array `name` of `get` (see `_buffers`) when one is given.  A field
+    whose z stride is 0 (a broadcast view) is taken as its (x, y) rows, a
+    last axis of length 1, so a wrapping slab copies rows, not planes."""
+    if field.strides[-1] == 0:
+        field = field[..., :1]
     if 0 <= lo and hi <= field.shape[-3]:
         return field[..., lo:hi, :, :]
     shape = field.shape[:-3] + (hi - lo,) + field.shape[-2:]
@@ -335,12 +338,11 @@ def sigma_pi_apply(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> np.
     return out
 
 
-def _sq_norm(psi: np.ndarray, work=None) -> float:
+def _sq_norm(psi: np.ndarray, work: np.ndarray) -> float:
     """sum |psi|^2: the real and imaginary parts squared into `work` (an
-    array like psi, which may be psi itself; a new one when it is None) and
-    added by numpy's pairwise sum.  The last axis of psi is contiguous."""
-    squares = None if work is None else work.view(np.float64)
-    return float(np.sum(np.square(psi.view(np.float64), out=squares)))
+    array like psi, which may be psi itself) and added by numpy's pairwise
+    sum.  The last axis of psi is contiguous."""
+    return float(np.sum(np.square(psi.view(np.float64), out=work.view(np.float64))))
 
 
 def _over_slabs(slab, n: int, halo: int) -> list:
@@ -532,35 +534,6 @@ def commutator_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> f
     return _norm_ratio(parts, scale)
 
 
-def pauli_hamiltonian_apply(
-    f: GaugeField, psi: np.ndarray, m: float, e_charge: float = 1.0
-) -> np.ndarray:
-    """H psi = (sigma.Pi)^2 psi / (2m) + e A0 psi."""
-    if m <= 0:
-        raise ValueError("mass must be positive")
-    out = sigma_pi_apply(f, sigma_pi_apply(f, psi, e_charge), e_charge)
-    out /= 2.0 * m
-    (ea0,) = _weights([f.a0], 0, f.n, e_charge)
-    if ea0.any():
-        out += ea0 * psi
-    return out
-
-
-def inner_product(phi: np.ndarray, psi: np.ndarray, h: float) -> complex:
-    return complex(np.sum(np.conj(phi) * psi) * h**3)
-
-
-def hermiticity_deviation(
-    f: GaugeField, phi: np.ndarray, psi: np.ndarray, m: float, e_charge: float = 1.0
-) -> float:
-    phi = np.ascontiguousarray(phi, dtype=complex)
-    psi = np.ascontiguousarray(psi, dtype=complex)
-    lhs = inner_product(phi, pauli_hamiltonian_apply(f, psi, m, e_charge), f.h)
-    rhs = inner_product(pauli_hamiltonian_apply(f, phi, m, e_charge), psi, f.h)
-    norms = math.sqrt(_sq_norm(phi)) * math.sqrt(_sq_norm(psi))
-    return abs(lhs - rhs) / (norms * f.h**3)
-
-
 def _four_component_planes(psi: np.ndarray, lo: int, hi: int, get) -> np.ndarray:
     """Planes lo..hi-1 (periodic) of the 4-component state, in the work array
     "psi4" of `get` unless they are a view: those of `psi` when it has four
@@ -576,41 +549,15 @@ def _four_component_planes(psi: np.ndarray, lo: int, hi: int, get) -> np.ndarray
     return out
 
 
-def _coefficient_rows(e_set):
-    """(E - eA0) eta + m eta^+ as rows of terms phase * field * psi[b].
-
-    Each nonzero entry is a phase, 1 or i, times a real per-site field
-    alpha (E - eA0) + beta m.  Returns (rows, pairs): pairs lists the
-    distinct (alpha, beta), and rows[a] the (b, phase, index into pairs) of
-    row a, real phases first.  For the standard set the fields are
-    +-(E - eA0 + m)/sqrt(2) and (E - eA0 - m)/sqrt(2)."""
-    pairs, rows = [], []
-    for eta_row, dagger_row in zip(e_set.eta, e_set.eta_dagger):
-        row = []
-        for b in np.flatnonzero((eta_row != 0) | (dagger_row != 0)):
-            for phase in (1, 1j):
-                alpha, beta = eta_row[b] * phase.conjugate(), dagger_row[b] * phase.conjugate()
-                if alpha.imag == 0 and beta.imag == 0:
-                    break
-            else:
-                raise ValueError("an eta entry is not a phase 1 or i times a real pair")
-            pair = (float(alpha.real), float(beta.real))
-            if pair not in pairs:
-                pairs.append(pair)
-            row.append((b, phase, pairs.index(pair)))
-        rows.append(sorted(row, key=lambda term: term[1] != 1))
-    return rows, pairs
-
-
 def _z_rows(field: np.ndarray) -> np.ndarray:
     """`field` as its (x, y) rows, a view whose last axis has length 1, when
     it is constant along z (the last axis); else `field` itself.
 
-    A z stride of 0 (a broadcast view) makes it so without a look; any other
-    field is tested by value, so a dense copy of a broadcast field takes the
-    same path to the same bits.  A nan is unequal to itself: a dense field
-    holding one is used site by site."""
-    if field.strides[-1] == 0 or (field == field[..., :1]).all():
+    The test is by value, so a dense copy of a broadcast field takes the
+    same path to the same bits as the rows `_planes` takes of the broadcast
+    field.  A nan is unequal to itself: a dense field holding one is used
+    site by site."""
+    if (field == field[..., :1]).all():
         return field[..., :1]
     return field
 
@@ -690,12 +637,8 @@ def _forms(f: GaugeField, psi: np.ndarray, e_energy, m, e_charge, theta=None):
     slabs in slab order; q1 - q0 is 0 when `theta` is None.  `psi` is a
     C-ordered state of 2 or 4 components."""
     g = build_standard_gammas()
-    rows, pairs = _coefficient_rows(build_eta(g))
-    # the eta terms as one matrix of phases per real field alpha (E - eA0) + beta m
-    eta = np.zeros((len(pairs),) + g.gamma1.shape, dtype=complex)
-    for a, row in enumerate(rows):
-        for b, phase, field in row:
-            eta[field, a, b] = phase
+    e_set = build_eta(g)
+    mass = np.full((1, 1, 1), m, dtype=float)  # a weight constant along z
     get = _buffers()
 
     def slab(lo, hi, halo):
@@ -732,12 +675,7 @@ def _forms(f: GaugeField, psi: np.ndarray, e_energy, m, e_charge, theta=None):
         kinetic = get("kinetic", a0.shape, float)
         np.multiply(a0, e_charge, out=kinetic)
         np.subtract(e_energy, kinetic, out=kinetic)
-        field = get("field", a0.shape, float)
-        form = 0
-        for coeffs, (alpha, beta) in zip(eta, pairs):
-            np.multiply(kinetic, alpha, out=field)
-            field += beta * m
-            form = form + weighted(field, coeffs)
+        form = weighted(kinetic, e_set.eta) + weighted(mass, e_set.eta_dagger)
         potential = _planes(f.a, lo, hi)
         if theta is not None:
             # C-ordered: `_difference` takes each block flat
@@ -810,9 +748,9 @@ def gauge_invariance_check(
     G_ab = sum_z conj psi_a psi_b for the pairs the eta terms and the gammas
     need (G_ba = conj G_ab), and H^i_ab = sum_z conj psi_a(x) psi_b(x + e_i)
     for the pairs of each gamma^i, which q0 and q1 - q0 share.  Each weight
-    is applied to the rows, as sum_xy w(x, y) R(x, y): the eta fields
-    alpha (E - eA0) + beta m, A_i, the shift s_i and the link u_i, the last
-    two formed on the rows.  A weight is used on the rows when its slab is
+    is applied to the rows, as sum_xy w(x, y) R(x, y): E - eA0 (of eta),
+    m (of eta^+), A_i, the shift s_i and the link u_i, the last two formed
+    on the rows.  A weight is used on the rows when its slab is
     constant along z, a test by value (`_z_rows`); otherwise it enters the
     row reduction as a third factor.  A theta constant along z has no z
     links.  Each form's terms are combined row by row before one pairwise

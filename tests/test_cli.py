@@ -18,6 +18,15 @@ def run(argv):
     return cli.main(argv)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def loads(text):
+    """json.loads that refuses NaN and Infinity, as strict parsers do."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def test_missing_required_flag_exits_64():
     # a non-finite value is a usage error like a missing flag, not a
     # property failure (exit 1) and not a table of nan rows
@@ -101,7 +110,6 @@ def test_barrier_closed_form_beyond_the_float_range(capsys):
         assert all(np.isfinite(fields)) and abs(fields[-1] - 1.0) <= 1e-10
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_barrier_flags_energies_beyond_the_float_range_quietly(capsys):
     # E = 2 V0 and 3 V0 overflow: their rows are flagged and labelled with the
     # requested ratios, and numpy prints no overflow warning to stderr
@@ -110,10 +118,21 @@ def test_barrier_flags_energies_beyond_the_float_range_quietly(capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == ""
-    rows = json.loads(captured.out)
+    rows = loads(captured.out)
     assert [rec["e_over_v0"] for rec in rows] == [1.0, 2.0, 3.0]
     assert "flag" not in rows[0] and abs(rows[0]["sum"] - 1.0) <= 1e-10
     assert all(rec["flag"].startswith("ValueError") for rec in rows[1:])
+
+
+def test_json_keeps_a_value_whose_text_rounds_past_the_float_range(capsys):
+    # the largest float to 10 digits reads as inf: JSON has no Infinity, so
+    # the value is written unrounded, and the flagged row's values are null
+    big = "1.7976931348623157e308"
+    argv = ["barrier", "--v0", "1", "--length", "1", "--emin", big, "--emax", big,
+            "--steps", "1", "--precision", "10", "--format", "json"]
+    assert run(argv) == 2
+    (rec,) = loads(capsys.readouterr().out)
+    assert rec["e_over_v0"] == float(big) and rec["T1"] is None and "flag" in rec
 
 
 def test_point_flags_the_solver_that_fails(capsys):
@@ -121,8 +140,8 @@ def test_point_flags_the_solver_that_fails(capsys):
     # the closed row kept, with exit 2 as a sweep with flagged rows
     argv = ["point", "--v0", "1e200", "--length", "1", "--e-over-v0", "1.5", "--format", "json"]
     assert run(argv) == 2
-    numeric, closed = json.loads(capsys.readouterr().out)
-    assert numeric["method"] == "numeric" and np.isnan(numeric["T1"])
+    numeric, closed = loads(capsys.readouterr().out)
+    assert numeric["method"] == "numeric" and numeric["T1"] is None
     assert numeric["flag"].startswith("DegenerateConfigurationError")
     assert closed["method"] == "closed" and "flag" not in closed
     assert abs(closed["sum"] - 1.0) <= 1e-10
@@ -172,7 +191,7 @@ def test_step_through_the_top_exits_0(tmp_path):
         argv = ["step", "--v0", "10", "--emin", "1", "--emax", "1", "--steps", "1",
                 "--spin", spin, "--format", "json", "--output", str(out)]
         assert run(argv) == 0
-        (rec,) = json.loads(out.read_text())
+        (rec,) = loads(out.read_text())
         assert rec["T1"] == rec["T2"] == 0.0 and abs(rec["R1"] + rec["R2"] - 1.0) <= 1e-10
 
 
@@ -180,7 +199,7 @@ def test_closed_form_where_the_phase_underflows(capsys):
     # g (E - V0) underflows to 0: S(0) = 1, not a ZeroDivisionError
     flags = ["--v0", "1", "--length", "6.5e-139", "--mass", "6.5e-139", "--hbar-c", "1"]
     assert run(["point", "--e-over-v0", "0.5"] + flags + ["--format", "json"]) in (0, 2)
-    closed = json.loads(capsys.readouterr().out)[1]
+    closed = loads(capsys.readouterr().out)[1]
     assert closed["method"] == "closed" and "flag" not in closed
     assert closed["T1"] == 1.0 and closed["sum"] == 1.0
     argv = ["barrier", "--emin", "0.5", "--emax", "0.5", "--steps", "1", "--method", "closed"]
@@ -192,7 +211,7 @@ def test_well_numeric_where_sqrt_2mE_overflows(capsys):
     # E_n is finite, sqrt(2 m E) is not: the phase is sqrt(2 m) sqrt(E) L / hbar_c
     argv = ["well", "--length", "1e-153", "--nmax", "2", "--mass", "1e10", "--numeric"]
     assert run(argv + ["--format", "json"]) == 0
-    for rec in json.loads(capsys.readouterr().out):
+    for rec in loads(capsys.readouterr().out):
         assert rec["residual"] <= 1e-10 and rec["rel_deviation"] <= 1e-10
 
 
@@ -201,7 +220,7 @@ def test_well_numeric_near_the_top_of_the_float_range(capsys):
     argv = ["well", "--length", "4.488745761261332e-117", "--nmax", "3",
             "--mass", "8.256992235064374e-70", "--numeric", "--format", "json"]
     assert run(argv) == 0
-    for rec in json.loads(capsys.readouterr().out):
+    for rec in loads(capsys.readouterr().out):
         assert rec["rel_deviation"] <= 1e-10
     # E_3 = 1.6e308: the bracket E_3 (1 + 1/6) above it is beyond the float range
     with pytest.raises(SystemExit) as err:
@@ -216,7 +235,7 @@ def test_well_levels_below_the_normal_range(capsys):
     # lies between its ends (it looped forever)
     flags = ["--hbar-c", "1e-150", "--length", "1", "--nmax", "3", "--numeric"]
     assert run(["well", "--mass", "1e14", "--format", "json"] + flags) == 0
-    assert all(rec["rel_deviation"] <= 1e-9 for rec in json.loads(capsys.readouterr().out))
+    assert all(rec["rel_deviation"] <= 1e-9 for rec in loads(capsys.readouterr().out))
     # E_1 = 4.9e-318 leaves no grid to search; 2 m L^2 = 4.9e-324 has lost
     # its precision, and with it every level: usage errors, not wrong tables
     for argv in (["well", "--mass", "1e18"] + flags,
@@ -346,7 +365,7 @@ def test_barrier_json_records(capsys):
         ["barrier", "--v0", "10", "--length", "10", "--steps", "3", "--format", "json"]
     )
     assert code == 0
-    records = json.loads(capsys.readouterr().out)
+    records = loads(capsys.readouterr().out)
     assert isinstance(records, list) and len(records) == 3
     assert set(records[0]) == set(SWEEP_HEADER.split(","))
     assert records[0]["sum"] == pytest.approx(1.0, abs=1e-10)
@@ -363,14 +382,14 @@ def test_spin_down_marked_in_output(tmp_path, capsys):
         ["barrier", "--v0", "10", "--length", "10", "--steps", "3", "--spin", "down",
          "--format", "json"]
     )
-    records = json.loads(capsys.readouterr().out)
+    records = loads(capsys.readouterr().out)
     assert all(rec["incident_spin"] == "down" for rec in records)
     # closed form and matching agree for spin-down incidence, critical band included
     run(
         ["barrier", "--v0", "10", "--length", "10", "--emin", "0.5", "--emax", "1.5",
          "--steps", "5", "--spin", "down", "--method", "both", "--format", "json"]
     )
-    records = json.loads(capsys.readouterr().out)
+    records = loads(capsys.readouterr().out)
     assert len(records) == 5
     assert all(rec["delta_numeric_closed"] <= 1e-10 for rec in records)
 
@@ -381,13 +400,13 @@ def test_point_spin_down_marked_in_output(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "# incident_spin=down" and lines[1].startswith("method,")
     assert run(argv + ["--spin", "down", "--format", "json"]) == 0
-    records = json.loads(capsys.readouterr().out)
+    records = loads(capsys.readouterr().out)
     assert [rec["incident_spin"] for rec in records] == ["down", "down"]
     # spin-up output carries no marker
     assert run(argv) == 0
     assert capsys.readouterr().out.startswith("method,")
     assert run(argv + ["--format", "json"]) == 0
-    assert all("incident_spin" not in rec for rec in json.loads(capsys.readouterr().out))
+    assert all("incident_spin" not in rec for rec in loads(capsys.readouterr().out))
 
 
 def test_pauli_table(tmp_path):
@@ -456,7 +475,7 @@ def test_csv_and_json_hold_the_same_table(argv, flagged, capsys):
     code = run(argv + ["--format", "csv"])
     lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     assert run(argv + ["--format", "json"]) == code
-    records = json.loads(capsys.readouterr().out)
+    records = loads(capsys.readouterr().out)
     header = lines[0].split(",")
     assert len(records) == len(lines) - 1
     for i, (line, rec) in enumerate(zip(lines[1:], records)):
@@ -467,8 +486,10 @@ def test_csv_and_json_hold_the_same_table(argv, flagged, capsys):
         if i in flagged:
             assert rec["flag"].startswith(flagged[i])
         for text, value in zip(line.split(","), (rec[h] for h in header)):
-            if isinstance(value, float):
-                assert float(text) == value or (text == "nan" and np.isnan(value))
+            if value is None:
+                assert text == "nan"
+            elif isinstance(value, float):
+                assert float(text) == value
             else:
                 assert text == str(value)
 
@@ -514,9 +535,10 @@ table_commands = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(table_commands)
 def test_every_finite_input_gives_a_table_a_flag_or_a_usage_error(argv):
-    # no exception escapes cli.main, and an exit-0 table holds only finite
-    # values whose coefficient sums are 1 (17 digits: the values the library
-    # checked, not their rounding)
+    # no exception escapes cli.main, every table (exit 0, or 2 with flagged
+    # rows) is strict JSON, and an exit-0 table holds only finite values whose
+    # coefficient sums are 1 (17 digits: the values the library checked, not
+    # their rounding)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -524,8 +546,10 @@ def test_every_finite_input_gives_a_table_a_flag_or_a_usage_error(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 64)
+    records = loads(out.getvalue()) if code in (0, 2) else []
     if code == 0:
-        for rec in json.loads(out.getvalue()):
+        for rec in records:
+            assert None not in rec.values(), rec
             assert all(math.isfinite(v) for v in rec.values() if isinstance(v, float)), rec
             assert "sum" not in rec or abs(rec["sum"] - 1.0) <= 1e-10, rec
 

