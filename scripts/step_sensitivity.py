@@ -1,7 +1,7 @@
 """Potential step: coefficients vs energy and the size of the spin flip.
 
 A single interface transmits a small spin-flipped component; the
-amplitude ratio falls out of the 4x4 matching as
+amplitude ratio falls out of the interface matching as
 (c1 - c2) / (d1 + d2) with c1 - c2 = 2 m V0 / ((E+m)(E-V0+m)), so
 T2/T1 shrinks like (V0 / p)^2 toward the nonrelativistic limit.  The
 two-interface barrier cancels this amplitude exactly; the step does not.

@@ -78,11 +78,16 @@ def _render(header, records, fmt: str, precision: int, comment=None) -> str:
     Floats print with `precision` significant digits, ints and strings with
     str.  CSV holds the header columns, after an optional `# comment` line;
     JSON holds every key of each record, floats rounded through the same text.
-    NaN and Infinity are not JSON: a non-finite float (a flagged row's value)
-    is null, and a finite one whose text rounds past the float range is kept
-    unrounded.
+    A finite float whose rounded text reads back as inf is written unrounded
+    in both.  NaN and Infinity are not JSON: a non-finite float (a flagged
+    row's value) is null there.
     """
-    float_text = f"{{:.{precision - 1}e}}".format
+    rounded = f"{{:.{precision - 1}e}}".format
+
+    def float_text(v):
+        t = rounded(v)
+        # only a text with the largest exponent can read back as inf
+        return repr(float(v)) if t.endswith("e+308") and math.isinf(float(t)) else t
 
     def text(v):
         return float_text(v) if isinstance(v, float) else str(v)
@@ -90,10 +95,7 @@ def _render(header, records, fmt: str, precision: int, comment=None) -> str:
     def json_value(v):
         if not isinstance(v, float):
             return v
-        if not math.isfinite(v):
-            return None
-        rounded = float(float_text(v))
-        return rounded if math.isfinite(rounded) else v
+        return float(float_text(v)) if math.isfinite(v) else None
 
     if fmt == "json":
         records = [{k: json_value(v) for k, v in rec.items()} for rec in records]
@@ -130,36 +132,42 @@ def _emit_rows(first_column: str, rows, args, precision: int, both: bool) -> int
     return 2 if any(r.flag is not None for _, r in rows) else 0
 
 
-def _add_common(parser):
+def _add_common(parser, table=True, constants=True, seed=False):
+    """The common flags a command reads: --config and --output always, the
+    table's --format and --precision, the constants' --hbar-c and --mass,
+    and --seed."""
     parser.add_argument("--config", help="key=value file for constants")
     parser.add_argument("--output", help="write the table here instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--precision", type=int, default=None, help="significant digits (6..17)")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--hbar-c", type=_finite_float, default=None, help="eV nm")
-    parser.add_argument("--mass", type=_finite_float, default=None, help="particle rest energy, eV")
+    if table:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+        parser.add_argument("--precision", type=int, help="significant digits (6..17)")
+    if seed:
+        parser.add_argument("--seed", type=int)
+    if constants:
+        parser.add_argument("--hbar-c", type=_finite_float, help="eV nm")
+        parser.add_argument("--mass", type=_finite_float, help="particle rest energy, eV")
 
 
 def _resolve(parser, args):
-    """Merge config file and flags; flags win.  Returns (constants, mass,
-    precision, seed)."""
+    """Merge config file and flags; flags win, and where the command takes
+    no flag the config value or the default holds.  Returns (constants,
+    mass, precision, seed)."""
     conf = {}
     if args.config:
         try:
             conf = _load_config(args.config)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
+
+    def pick(flag, key, default, kind):
+        value = getattr(args, flag, None)
+        return kind(conf.get(key, default)) if value is None else value
+
     try:
-        hbar_c = (
-            args.hbar_c
-            if args.hbar_c is not None
-            else _finite_float(conf.get("hbar_c", PhysicalConstants.hbar_c))
-        )
-        mass = args.mass if args.mass is not None else _finite_float(conf.get("mass_c2", 0.5e6))
-        precision = (
-            args.precision if args.precision is not None else int(conf.get("precision", 12))
-        )
-        seed = args.seed if args.seed is not None else int(conf.get("seed", 0))
+        hbar_c = pick("hbar_c", "hbar_c", PhysicalConstants.hbar_c, _finite_float)
+        mass = pick("mass", "mass_c2", 0.5e6, _finite_float)
+        precision = pick("precision", "precision", 12, int)
+        seed = pick("seed", "seed", 0, int)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(f"bad config value: {exc}")
     if not 6 <= precision <= 17:
@@ -486,11 +494,11 @@ def build_parser() -> _Parser:
     p_pauli.add_argument("--levels", type=int, default=3)
     p_pauli.add_argument("--extent", type=_finite_float, default=8.0)
     p_pauli.add_argument("--bz", type=_finite_float, default=0.3)
-    _add_common(p_pauli)
+    _add_common(p_pauli, constants=False)
 
     p_check = sub.add_parser("check", help="identity and property suite")
     p_check.add_argument("--fault", choices=("eta-sign",), default=None, help=argparse.SUPPRESS)
-    _add_common(p_check)
+    _add_common(p_check, table=False, constants=False, seed=True)
 
     p_point = sub.add_parser("point", help="both solvers at one energy")
     p_point.add_argument("--v0", type=_finite_float, required=True)

@@ -1,10 +1,11 @@
 """Small dense complex linear algebra used by the matching solvers.
 
 Everything here operates on plain numpy arrays (complex128 for matrices and
-vectors, float64 for the real least-squares path).  Systems are tiny (4x4 and
-8x8 for the interface matching, 64x32 for the representation fit); numpy's
-LAPACK routines do the factorizations, and this module adds the finite-input
-checks and the singularity threshold the matching solvers rely on.
+vectors, float64 for the real least-squares path).  Systems are tiny (stacks
+of two 2x2 or 4x4 channel systems for the interface matching, 64x32 for the
+representation fit); numpy's LAPACK routines do the factorizations, and this
+module adds the finite-input checks and the singularity threshold the
+matching solvers rely on.
 """
 
 from __future__ import annotations
@@ -38,13 +39,14 @@ def _as_matrix(m):
 
 
 def norm_inf(m):
-    """Max absolute row sum for matrices, max modulus for vectors."""
+    """Max absolute row sum for matrices (over a whole stack of them: the
+    norm of their block-diagonal matrix), max modulus for vectors."""
     a = np.asarray(m)
     if not a.size:
         return 0.0
     if a.ndim == 1:
         return float(np.abs(a).max())
-    return float(np.abs(a).sum(axis=1).max())
+    return float(np.abs(a).sum(axis=-1).max())
 
 
 def adjoint(a):
@@ -53,53 +55,55 @@ def adjoint(a):
 
 
 @functools.lru_cache(maxsize=None)
-def _zero_and_identity(n: int) -> np.ndarray:
-    """The read-only n x (n + 1) right-hand side [0 | I]; copy it to write."""
-    rhs = np.eye(n, n + 1, 1, dtype=complex)
+def _zero_and_identity(shape: tuple) -> np.ndarray:
+    """The read-only [0 | I] of shape (..., n, n + 1) for shape = (..., n);
+    copy it to write."""
+    n = shape[-1]
+    rhs = np.broadcast_to(np.eye(n, n + 1, 1, dtype=complex), shape + (n + 1,)).copy()
     rhs.flags.writeable = False
     return rhs
 
 
 def solve_linear(m, b):
-    """Solve M x = b.
+    """Solve M x = b, or a stack of systems: M (..., n, n), b (..., n).
 
-    Raises SingularSystemError when M lies within PIVOT_RTOL * ||M||_inf of
-    a singular matrix, i.e. when 1 / ||M^-1||_inf <= PIVOT_RTOL * ||M||_inf,
-    and ValueError for a non-finite M or b.  A finite M whose inf-norm
-    overflows is singular to within that threshold.
+    Raises SingularSystemError when M (a stack: its block-diagonal matrix)
+    lies within PIVOT_RTOL * ||M||_inf of a singular matrix, i.e. when
+    1 / ||M^-1||_inf <= PIVOT_RTOL * ||M||_inf, and ValueError for a
+    non-finite M or b.  A finite M whose inf-norm overflows is singular to
+    within that threshold.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of them, got ndim={m.ndim}")
     # a nan or inf entry makes the norm nan or inf: only then look entry by
     # entry, to tell it from a finite matrix whose row sum overflows
     norm = norm_inf(m)
     if not norm < math.inf and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     b = np.asarray(b, dtype=complex)
-    if b.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got ndim={b.ndim}")
-    if not all(map(cmath.isfinite, b.tolist())):
+    if b.ndim != m.ndim - 1:
+        raise ValueError(f"expected b of ndim {m.ndim - 1}, got ndim={b.ndim}")
+    if not all(map(cmath.isfinite, b.ravel().tolist())):
         raise ValueError("vector entries must be finite")
-    n = m.shape[0]
-    if m.shape[1] != n:
+    if m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
-    if b.shape[0] != n:
+    if b.shape != m.shape[:-1]:
         raise ValueError("right-hand side dimension mismatch")
     threshold = PIVOT_RTOL * norm
     # [b | I]: one factorization gives both x and M^-1 for the distance test
-    rhs = _zero_and_identity(n).copy()
-    rhs[:, 0] = b
+    rhs = _zero_and_identity(b.shape).copy()
+    rhs[..., 0] = b
     try:
         sol = np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"exactly singular: {exc}") from exc
-    distance = 1.0 / norm_inf(sol[:, 1:])
+    distance = 1.0 / norm_inf(sol[..., 1:])
     if not distance > threshold:
         raise SingularSystemError(
             f"distance to singularity {distance:.3e} below threshold {threshold:.3e}"
         )
-    return sol[:, 0]
+    return sol[..., 0]
 
 
 def least_squares(m, b):

@@ -1,22 +1,25 @@
 """Spin-resolved transmission and reflection: rectangular barrier and step.
 
-A spin-up mode comes in from the left; component continuity at the interfaces
-fixes the reflected, internal and transmitted amplitudes through an 8x8 (or
-4x4 for the step) linear system.  Two independent routes to the barrier
-coefficients are kept side by side: the interface-matching solve and the
-closed form, which must agree to 1e-10 everywhere including deep tunneling.
-The closed form is one expression through the barrier top; the barrier's
-matching solve refuses the critical band around E = V0, where its internal
-+p and -p columns coincide and sweeps use the closed form alone.  The step
-has no internal region and solves through E = V0.
+A mode of either spin comes in from the left; component continuity at the
+interfaces fixes the reflected, internal and transmitted amplitudes.  Two
+independent routes to the barrier coefficients are kept side by side: the
+interface-matching solve and the closed form, which must agree to 1e-10
+everywhere including deep tunneling.  The closed form is one expression
+through the barrier top; the barrier's matching solve refuses the critical
+band around E = V0, and sweeps use the closed form there.  The step solves
+through E = V0.
 
-Conventions: E is the nonrelativistic (kinetic) energy in eV, the barrier
-occupies 0 <= z <= L with L in nm, and spatial phases are k z with
-k = sqrt(2m(E-V))/hbar_c.  The internal backward/growing amplitude is
-parameterized anchored at z = L so the matching matrix only ever contains
-exp(i k2 L) with |exp(i k2 L)| <= 1; that keeps the system well conditioned
-for kappa*L up to several hundred.  Reported amplitudes are converted back to
-the plain z-anchored-at-0 convention.
+The matching splits into two channels, s = +1 and s = -1.  With c1 the c of
+the zero-potential region (see spinors), an interface's rows are
+u = (psi0 + s psi1)/sqrt2 and v = (psi2 - s psi3)/sqrt2 - c1 u, and each
+unknown is (x_up + s x_down)/sqrt2; a region's +p / -p column is then
+(1, c - c1 +- s d), so a small d is never added to the order-1 c.  One
+stacked solve of both channels, at unit incidence in each, gives both
+incident spins: the same-spin amplitudes are the channels' half sums, the
+spin-flip ones their half differences.
+
+Conventions: E is the kinetic energy in eV, the barrier occupies
+0 <= z <= L with L in nm, and phases are k z with k = sqrt(2m(E-V))/hbar_c.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import SingularSystemError, solve_linear
-from .spinors import DOWN, UP, _mode_scalars
+from .numerics import SingularSystemError, norm_inf, solve_linear
+from .spinors import DOWN, UP, _c_shift, _mode_scalars
 from .waveop import CRITICAL, PhysicalConstants, classify_regime
 
 CONSERVATION_TOL = 1e-10
@@ -69,26 +72,6 @@ class BarrierProblem:
 
 
 @dataclass(frozen=True)
-class Amplitudes:
-    """Matching amplitudes, z-anchored at 0 (incident normalized to 1).
-
-    mid_* amplitudes multiply the internal +p / -p branch columns; below the
-    barrier top those branches decay/grow and the backward (growing) entries
-    underflow to 0 for deep barriers since the stored value carries exp(-kappa L).
-    """
-
-    incident: complex
-    refl_up: complex
-    refl_down: complex
-    mid_fwd_up: complex
-    mid_fwd_down: complex
-    mid_bwd_up: complex
-    mid_bwd_down: complex
-    trans_up: complex
-    trans_down: complex
-
-
-@dataclass(frozen=True)
 class Coefficients:
     t1: float  # transmission, spin-up channel
     t2: float  # transmission, spin-down channel
@@ -120,106 +103,107 @@ def _coeffs(t1, t2, r1, r2) -> Coefficients:
     return Coefficients(t1, t2, r1, r2, t1 + t2, r1 + r2)
 
 
-def _incident_rhs(c1, d1, incident_spin):
-    """Minus the incident column, spin up (1, 0, c, -d) or down (0, 1, d, -c),
-    of the zero-potential region."""
-    return [-1 + 0j, 0j, -c1, d1] if incident_spin == UP else [0j, -1 + 0j, -d1, c1]
+def _channel_coeffs(x, flux, incident_spin) -> Coefficients:
+    """Coefficients from the solved channels x, the "+" row then the "-"
+    row, each reflected amplitude first and transmitted one last, for unit
+    incidence in each channel; flux scales |t|^2 to the transmitted current.
+    Same-spin amplitudes are the channels' half sums, spin-flip ones their
+    half differences."""
+    (r_p, *_, t_p), (r_m, *_, t_m) = x.tolist()
+    same = (0.25 * abs(t_p + t_m) ** 2 * flux, 0.25 * abs(r_p + r_m) ** 2)
+    flip = (0.25 * abs(t_p - t_m) ** 2 * flux, 0.25 * abs(r_p - r_m) ** 2)
+    up, down = (same, flip) if incident_spin == UP else (flip, same)
+    return _coeffs(up[0], down[0], up[1], down[1])
 
 
-def _system(flat, n):
-    """(M, rhs) of an n x n system from one flat list of its n rows and then
-    its right-hand side, converted by one np.array call.  Callers write the
-    constant entries as complex numbers (0j, 1 + 0j), which numpy converts
-    faster than ints."""
+def _channel_systems(flat, n):
+    """The stacked "+" and "-" n x n matrices and right-hand sides from one
+    flat list of their rows, then the right-hand sides; constant entries are
+    complex numbers (0j, 1 + 0j), which numpy converts faster than ints."""
     a = np.array(flat, dtype=complex)
-    return a[: n * n].reshape(n, n), a[n * n :]
+    return a[: 2 * n * n].reshape(2, n, n), a[2 * n * n :].reshape(2, n)
+
+
+def _interface_scalars(e_energy, v0, m):
+    """(p1, p2, d1, d2, dc): p and d before and beyond an interface from
+    zero potential to v0, and the shift dc = c2 - c1 of c across it."""
+    p1, _, d1 = _mode_scalars(e_energy, 0.0, m)
+    p2, _, d2 = _mode_scalars(e_energy, v0, m)
+    return p1, p2, d1, d2, _c_shift(e_energy, v0, m)
 
 
 def _assemble_barrier(p: BarrierProblem):
-    """(M, rhs, ph1, ph2) of the barrier matching system.
+    """(M, rhs) of the barrier's two channel systems: the unknowns are the
+    reflected, two internal and the transmitted amplitudes, the rows u and v
+    at z = 0, then at z = L.
 
-    The unknowns are the reflected up/down, internal +p up/down, internal -p
-    up/down (anchored at z = L) and transmitted up/down amplitudes; rows 0-3
-    are the four components of continuity at z = 0, rows 4-7 at z = L.  Each
-    column is a spinors.mode_column column written with its region's (c, d).
+    An internal column (al, be, ga, de) has entries -al, -(al dc + be s d2)
+    at z = 0 and ga, ga dc + de s d2 at z = L.  Where |p2 L / hbar_c| > 1 the
+    two are the +p mode and the -p mode anchored at z = L, so that |ph2| <= 1
+    up to kappa L of several hundred.  Nearer the top, where those two nearly
+    coincide, they are their sum and difference, written through
+    e = ph2 - 1 = expm1(i p2 L / hbar_c) without cancelling.
     """
-    e_energy, m, length, hbar_c = p.e_energy, p.m, p.length, p.constants.hbar_c
-    p1, c1, d1 = _mode_scalars(e_energy, 0.0, m)
-    p2, c2, d2 = _mode_scalars(e_energy, p.v0, m)
-    ph1 = cmath.exp(1j * (p1 / hbar_c) * length)
-    ph2 = cmath.exp(1j * (p2 / hbar_c) * length)  # |ph2| <= 1 in both regimes
-    a, b = ph2 * c2, ph2 * d2
-    m8, rhs = _system(
-        [
-            1 + 0j, 0j, -1 + 0j, 0j, -ph2, 0j, 0j, 0j,
-            0j, 1 + 0j, 0j, -1 + 0j, 0j, -ph2, 0j, 0j,
-            c1, -d1, -c2, -d2, -a, b, 0j, 0j,
-            d1, -c1, d2, c2, -b, a, 0j, 0j,
-            0j, 0j, ph2, 0j, 1 + 0j, 0j, -1 + 0j, 0j,
-            0j, 0j, 0j, ph2, 0j, 1 + 0j, 0j, -1 + 0j,
-            0j, 0j, a, b, c2, -d2, -c1, -d1,
-            0j, 0j, -b, -a, d2, -c2, d1, c1,
-            *_incident_rhs(c1, d1, p.incident_spin), 0j, 0j, 0j, 0j,
-        ],
-        8,
-    )  # fmt: skip
-    return m8, rhs, ph1, ph2
+    _, p2, d1, d2, dc = _interface_scalars(p.e_energy, p.v0, p.m)
+    ik = 1j * (p2 / p.constants.hbar_c) * p.length
+    if abs(ik) > 1.0:
+        ph2 = cmath.exp(ik)
+        cols = (1 + 0j, 1 + 0j, ph2, ph2), (ph2, -ph2, 1 + 0j, -1 + 0j)
+    else:
+        x, y = ik.real, ik.imag  # one of them is 0
+        e = complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
+                    math.exp(x) * math.sin(y))
+        w = 2.0 + e
+        cols = (w, -e, w, e), (-e, w, e, w)
+    (al0, be0, ga0, de0), (al1, be1, ga1, de1) = cols
+    rows, rhs = [], []
+    for sd1, sd2 in ((d1, d2), (-d1, -d2)):
+        rows += [
+            1 + 0j, -al0, -al1, 0j,
+            -sd1, -(al0 * dc + be0 * sd2), -(al1 * dc + be1 * sd2), 0j,
+            0j, ga0, ga1, -1 + 0j,
+            0j, ga0 * dc + de0 * sd2, ga1 * dc + de1 * sd2, -sd1,
+        ]  # fmt: skip
+        rhs += [-1 + 0j, -sd1, 0j, 0j]
+    return _channel_systems(rows + rhs, 4)
 
 
 def _solve_matching(p: BarrierProblem):
-    """(M, rhs, x, ph1, ph2) of the solved barrier system; refuses the
-    critical band and turns a singular system into
-    DegenerateConfigurationError."""
+    """(M, rhs, x) of the solved barrier channels; refuses the critical band
+    and turns a singular system into DegenerateConfigurationError."""
     if classify_regime(p.e_energy, p.v0) == CRITICAL:
         raise CriticalBandError(
             f"|E - V0| = {abs(p.e_energy - p.v0):.3e} eV is inside the critical "
             "band; evaluate closed_form instead"
         )
-    m8, rhs, ph1, ph2 = _assemble_barrier(p)
+    m, rhs = _assemble_barrier(p)
     try:
-        x = solve_linear(m8, rhs)
+        x = solve_linear(m, rhs)
     except SingularSystemError as exc:
         raise DegenerateConfigurationError(f"matching system singular: {exc}") from exc
-    return m8, rhs, x, ph1, ph2
+    return m, rhs, x
 
 
 def solve_barrier(p: BarrierProblem):
     """Interface matching for the rectangular barrier.
 
-    Returns (Amplitudes, Coefficients).  Inside the critical band around
-    E = V0 the internal basis degenerates and this refuses; closed_form
-    holds there as everywhere.
+    Returns (x, Coefficients), x the (2, 4) solution of the "+" and "-"
+    channels.  Inside the critical band around E = V0 the internal basis
+    degenerates and this refuses; closed_form holds there as everywhere.
     """
-    _, _, x, ph1, ph2 = _solve_matching(p)
-    x = x.tolist()
-    amps = Amplitudes(
-        incident=1.0 + 0.0j,
-        refl_up=x[0],
-        refl_down=x[1],
-        mid_fwd_up=x[2],
-        mid_fwd_down=x[3],
-        mid_bwd_up=x[4] * ph2,
-        mid_bwd_down=x[5] * ph2,
-        trans_up=x[6] / ph1,
-        trans_down=x[7] / ph1,
-    )
-    coeffs = _coeffs(
-        abs(x[6]) ** 2, abs(x[7]) ** 2, abs(x[0]) ** 2, abs(x[1]) ** 2
-    )
-    return amps, coeffs
+    _, _, x = _solve_matching(p)
+    return x, _channel_coeffs(x, 1.0, p.incident_spin)
 
 
 def continuity_residual(p: BarrierProblem) -> float:
-    """Scaled residual of the matching equations at the solved amplitudes.
+    """Scaled residual of the channel matching equations at the solved
+    amplitudes.
 
     Raises what solve_barrier raises: CriticalBandError inside the band,
     DegenerateConfigurationError for a singular system."""
-    m8, rhs, x, _, _ = _solve_matching(p)
-    num = float(np.max(np.abs(m8 @ x - rhs)))
-    scale = float(
-        np.max(np.sum(np.abs(m8), axis=1)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
-    )
-    return num / scale
+    m, rhs, x = _solve_matching(p)
+    num = float(np.abs((m @ x[..., None])[..., 0] - rhs).max())
+    return num / (norm_inf(m) * float(np.abs(x).max()) + float(np.abs(rhs).max()))
 
 
 def _ldexp(mantissa: float, exponent: int) -> float:
@@ -299,23 +283,12 @@ def closed_form(p: BarrierProblem) -> Coefficients:
     return _coeffs(float(t1), 0.0, float(r1), float(r2))
 
 
-def _assemble_step(e_energy, v0, m, incident_spin):
-    """(M, rhs, p1, p2) of the step matching system: continuity of the four
-    components at z = 0 for the reflected up/down and transmitted up/down
-    amplitudes."""
-    p1, c1, d1 = _mode_scalars(e_energy, 0.0, m)
-    p2, c2, d2 = _mode_scalars(e_energy, v0, m)
-    m4, rhs = _system(
-        [
-            1 + 0j, 0j, -1 + 0j, 0j,
-            0j, 1 + 0j, 0j, -1 + 0j,
-            c1, -d1, -c2, -d2,
-            d1, -c1, d2, c2,
-            *_incident_rhs(c1, d1, incident_spin),
-        ],
-        4,
-    )  # fmt: skip
-    return m4, rhs, p1, p2
+def _assemble_step(e_energy, v0, m):
+    """(M, rhs, p1, p2) of the step's two channel systems: rows u and v at
+    z = 0 for the reflected and transmitted amplitudes."""
+    p1, p2, d1, d2, dc = _interface_scalars(e_energy, v0, m)
+    rows = [1 + 0j, -1 + 0j, -d1, -(dc + d2), 1 + 0j, -1 + 0j, d1, -(dc - d2)]
+    return (*_channel_systems(rows + [-1 + 0j, -d1, -1 + 0j, d1], 2), p1, p2)
 
 
 def solve_step(e_energy, v0, m, incident_spin=UP, constants: PhysicalConstants | None = None):
@@ -324,7 +297,7 @@ def solve_step(e_energy, v0, m, incident_spin=UP, constants: PhysicalConstants |
     Transmission carries the exact mode-flux ratio p2 (E+m) / (p1 (E-V0+m)),
     which reduces to p2/p1 in the nonrelativistic regime and is what makes
     R + T = 1 hold to rounding at any energy.  There is no critical band:
-    at E = V0 the 4x4 system stays regular, and T = 0 with p2 = 0.
+    at E = V0 the channel systems stay regular, and T = 0 with p2 = 0.
     """
     if not 0 < e_energy < np.inf:
         raise ValueError("E must be finite and positive")
@@ -336,22 +309,14 @@ def solve_step(e_energy, v0, m, incident_spin=UP, constants: PhysicalConstants |
         raise ValueError("V0 must be finite")
     if incident_spin not in (UP, DOWN):
         raise ValueError(f"incident_spin must be up or down, got {incident_spin!r}")
-    m4, rhs, p1, p2 = _assemble_step(e_energy, v0, m, incident_spin)
+    m2, rhs, p1, p2 = _assemble_step(e_energy, v0, m)
     try:
-        x = solve_linear(m4, rhs).tolist()
+        x = solve_linear(m2, rhs)
     except SingularSystemError as exc:
         raise DegenerateConfigurationError(f"step matching singular: {exc}") from exc
-    r1 = abs(x[0]) ** 2
-    r2 = abs(x[1]) ** 2
-    if e_energy > v0:
-        # p1, p2 are real here
-        flux = (p2.real * (e_energy + m)) / (p1.real * (e_energy - v0 + m))
-        t1 = abs(x[2]) ** 2 * flux
-        t2 = abs(x[3]) ** 2 * flux
-    else:
-        t1 = 0.0
-        t2 = 0.0
-    return _coeffs(t1, t2, r1, r2)
+    # p1, p2 are real above the step; below it nothing is transmitted
+    flux = (p2.real * (e_energy + m)) / (p1.real * (e_energy - v0 + m)) if e_energy > v0 else 0.0
+    return _channel_coeffs(x, flux, incident_spin)
 
 
 @dataclass(frozen=True)

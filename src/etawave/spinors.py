@@ -104,6 +104,18 @@ def _mode_scalars(e_energy, v, m, variant="adopted"):
     return p, 1j * b * (e_energy - v - m), SQRT2 * b * p
 
 
+def _c_shift(e_energy, v, m):
+    """c(V = v) - c(V = 0) of the adopted convention, as the product
+    -2i (m / (E + m)) (v / (E - v + m)), in which nothing cancels."""
+    shift = (m / (e_energy + m)) * (v / (e_energy - v + m))
+    if not math.isfinite(shift):
+        # v / (E - v + m) overflowed (times 0 if m / (E + m) underflowed):
+        # E + m is then close to v, and the other pairing of the factors is
+        # of order 1 / DENOMINATOR_RTOL at most
+        shift = (v / (e_energy + m)) * (m / (e_energy - v + m))
+    return complex(0.0, -2.0 * shift)
+
+
 def mode_column(e_energy, v, m, spin, positive_branch, variant="adopted"):
     """Component column for the +p (positive_branch) or -p eigenmode.
 

@@ -124,15 +124,49 @@ def test_barrier_flags_energies_beyond_the_float_range_quietly(capsys):
     assert all(rec["flag"].startswith("ValueError") for rec in rows[1:])
 
 
-def test_json_keeps_a_value_whose_text_rounds_past_the_float_range(capsys):
-    # the largest float to 10 digits reads as inf: JSON has no Infinity, so
-    # the value is written unrounded, and the flagged row's values are null
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_json_keeps_a_value_whose_text_rounds_past_the_float_range(fmt, capsys):
+    # the largest float to 10 digits reads as inf: both formats write the
+    # value unrounded, and the flagged row's values are nan in CSV, null in
+    # JSON (which has no Infinity either)
+    def table(ratio):
+        code = run(["barrier", "--v0", "1", "--length", "1", "--emin", ratio, "--emax", ratio,
+                    "--steps", "1", "--precision", "10", "--format", fmt])
+        text = capsys.readouterr().out
+        if fmt == "json":
+            (rec,) = loads(text)
+        else:
+            header, row = (line.split(",") for line in text.splitlines())
+            rec = {k: None if v == "nan" else float(v) for k, v in zip(header, row)}
+        return code, rec
+
     big = "1.7976931348623157e308"
-    argv = ["barrier", "--v0", "1", "--length", "1", "--emin", big, "--emax", big,
-            "--steps", "1", "--precision", "10", "--format", "json"]
-    assert run(argv) == 2
-    (rec,) = loads(capsys.readouterr().out)
-    assert rec["e_over_v0"] == float(big) and rec["T1"] is None and "flag" in rec
+    code, rec = table(big)
+    assert code == 2 and rec["e_over_v0"] == float(big) and rec["T1"] is None
+    assert fmt == "csv" or "flag" in rec
+    # a value whose text stays in range keeps its rounding to 10 digits
+    code, rec = table("1.5")
+    assert code == 0 and 0.0 < rec["T1"] < 1.0 and float(f"{rec['T1']:.9e}") == rec["T1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, "--seed", "1"] for command in ("barrier", "step", "well", "pauli", "point")]
+    + [["pauli", flag, "1"] for flag in ("--hbar-c", "--mass")]
+    + [["check", flag, value] for flag, value in
+       (("--hbar-c", "1"), ("--mass", "1"), ("--format", "json"), ("--precision", "6"))],
+    ids=lambda argv: f"{argv[0]}{argv[1]}",
+)
+def test_a_command_refuses_a_common_flag_it_does_not_read(argv, capsys):
+    # the seed is read only by check; pauli has no constants, and check
+    # writes a report, not a table
+    required = {"barrier": ["--v0", "1", "--length", "1"], "step": ["--v0", "1"],
+                "well": ["--length", "1"], "point": ["--v0", "1", "--length", "1",
+                                                     "--e-over-v0", "1.5"]}
+    with pytest.raises(SystemExit) as err:
+        run(argv[:1] + required.get(argv[0], []) + argv[1:])
+    assert err.value.code == 64
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 def test_point_flags_the_solver_that_fails(capsys):

@@ -206,3 +206,64 @@ def test_solve_singular_systems_like_the_reference():
     for m in (exactly, near, np.zeros((3, 3), dtype=complex)):
         kind, _ = _assert_same_outcome(m, np.ones(len(m), dtype=complex))
         assert kind is SingularSystemError
+
+
+# ------------------------------------------------ stacks of systems
+
+
+@st.composite
+def stacks(draw):
+    """(M, b): a stack of 1 to 3 random complex n x n systems, n <= 8, at a
+    common scale within 1e-100 ... 1e100 and each within 1e5 of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    scales = 10.0 ** (draw(st.integers(-100, 100)) + rng.integers(-5, 6, size=k))
+    m = _random_complex(rng, (k, n, n)) * scales[:, None, None]
+    b = _random_complex(rng, (k, n)) * 10.0 ** rng.integers(-50, 51, size=(k, 1))
+    return m, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacks())
+def test_a_stack_solves_bitwise_like_each_block_alone(system):
+    m, b = system
+    try:
+        x = solve_linear(m, b)
+    except SingularSystemError:
+        # the stack's threshold is its largest block's: some block is that
+        # close to singular, or the blocks' scales are PIVOT_RTOL apart
+        return
+    assert x.shape == b.shape
+    for block, rhs, got in zip(m, b, x):
+        assert got.tobytes() == solve_linear(block, rhs).tobytes()
+
+
+def test_a_near_singular_block_makes_the_stack_singular():
+    good = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
+    for blocks in ((good, near), (near, good)):
+        with pytest.raises(SingularSystemError):
+            solve_linear(np.array(blocks), np.ones((2, 2), dtype=complex))
+
+
+def test_a_non_finite_entry_in_any_block_is_rejected():
+    m = np.array([[[2.0, 1.0], [1.0, 3.0]]] * 3, dtype=complex)
+    b = np.ones((3, 2), dtype=complex)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        for k in range(3):
+            mm, bb = m.copy(), b.copy()
+            mm[k, 1, 0] = bad
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                solve_linear(mm, b)
+            bb[k, 1] = bad
+            with pytest.raises(ValueError, match="vector entries must be finite"):
+                solve_linear(m, bb)
+
+
+def test_a_right_hand_side_of_the_wrong_shape_is_rejected():
+    m = np.array([np.eye(2)] * 3, dtype=complex)
+    for b in (np.ones(2), np.ones((2, 2)), np.ones((3, 3)), np.ones((3, 2, 1))):
+        with pytest.raises(ValueError):
+            solve_linear(m, b)
+    with pytest.raises(ValueError, match="square"):
+        solve_linear(np.ones((3, 2, 3)), np.ones((3, 2)))

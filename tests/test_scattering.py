@@ -2,7 +2,7 @@
 agreement, spin selection, deep tunneling conditioning, and the sweep table
 plumbing."""
 
-import cmath
+import math
 
 import numpy as np
 import pytest
@@ -93,8 +93,12 @@ def test_numeric_matches_closed(ratio, v0, length, m):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(ratios_above, ratios_below), heights, lengths, masses)
 def test_spin_down_transmission_zero(ratio, v0, length, m):
+    # the barrier flips no spin in transmission: the spin-flip T is the half
+    # difference of the two channels' equal transmitted amplitudes
     _, numeric = sc.solve_barrier(barrier(ratio * v0, v0, length, m))
-    assert numeric.t2 <= 1e-10
+    assert numeric.t2 <= 1e-25
+    _, numeric = sc.solve_barrier(barrier(ratio * v0, v0, length, m, spin=sp.DOWN))
+    assert numeric.t1 <= 1e-25
 
 
 def test_deep_tunneling_kappa_l_200():
@@ -274,8 +278,8 @@ def test_step_conservation(ratio, v0, m):
 @settings(max_examples=80, deadline=None)
 @given(st.floats(1.2, 4.0), heights, masses)
 def test_step_spin_flip_ratio(ratio, v0, m):
-    # a single interface does flip spin in transmission; eliminating the
-    # 4x4 continuity system by hand gives t2/t1 = |c1-c2|^2 / |d1+d2|^2
+    # a single interface does flip spin in transmission; solving the
+    # four-component continuity by hand gives t2/t1 = |c1-c2|^2 / |d1+d2|^2
     # with c1-c2 = 2mV0/((E+m)(E-V0+m)).  only the two-interface barrier
     # cancels this amplitude exactly.
     e_energy = ratio * v0
@@ -311,7 +315,7 @@ def test_step_flux_factor_matters():
 
 @pytest.mark.parametrize("spin", [sp.UP, sp.DOWN])
 def test_step_solves_through_the_top(spin):
-    # the 4x4 system stays regular at E = V0, where the flux factor p2 is 0:
+    # the channel systems stay regular at E = V0, where the flux factor p2 is 0:
     # total reflection; within 1e-9 of the top, where the barrier's matching
     # solve refuses, the step conserves to rounding
     for v0 in (0.5, 10.0, 50.0, 1e3):
@@ -323,6 +327,11 @@ def test_step_solves_through_the_top(spin):
                 coeffs = sc.solve_step(v0 * (1.0 + offset), v0, m, spin)
                 assert abs(coeffs.total - 1.0) <= 1e-10
                 assert (coeffs.t_qm > 0.0) == (offset > 0.0)
+    # V0 / (E - V0 + m) = V0 / m overflows at the top: the shift c2 - c1,
+    # of order 1 there, is formed with its factors paired the other way
+    for v0, m in ((1e10, 1e-300), (1e300, 1e-10)):
+        top = sc.solve_step(v0, v0, m, spin)
+        assert top.t_qm == 0.0 and abs(top.r_qm - 1.0) <= 1e-10
 
 
 def test_step_rejects_an_incident_momentum_that_underflows():
@@ -465,45 +474,45 @@ def _step_system_from_columns(e_energy, v0, m, spin):
     return m4, -(u_fu if spin == sp.UP else u_fd)
 
 
-def _nested_barrier_system(p):
-    """The barrier system as a nested list per row, converted by np.array
-    row by row: the assembly the flat one replaced."""
-    _, c1, d1 = sp._mode_scalars(p.e_energy, 0.0, p.m)
-    p2, c2, d2 = sp._mode_scalars(p.e_energy, p.v0, p.m)
-    ph2 = cmath.exp(1j * (p2 / p.constants.hbar_c) * p.length)
-    a, b = ph2 * c2, ph2 * d2
-    m8 = np.array(
-        [
-            [1, 0, -1, 0, -ph2, 0, 0, 0],
-            [0, 1, 0, -1, 0, -ph2, 0, 0],
-            [c1, -d1, -c2, -d2, -a, b, 0, 0],
-            [d1, -c1, d2, c2, -b, a, 0, 0],
-            [0, 0, ph2, 0, 1, 0, -1, 0],
-            [0, 0, 0, ph2, 0, 1, 0, -1],
-            [0, 0, a, b, c2, -d2, -c1, -d1],
-            [0, 0, -b, -a, d2, -c2, d1, c1],
-        ],
-        dtype=complex,
-    )
-    incident = [-1, 0, -c1, d1] if p.incident_spin == sp.UP else [0, -1, -d1, c1]
-    return m8, np.array(incident + [0, 0, 0, 0], dtype=complex)
+def _channel_form(m, rhs, c1, spin, mix):
+    """The matching system (m, rhs) of 4-component interface rows and
+    (up, down) unknown pairs, rewritten in the channel basis: rows
+    u = psi0 + s psi1 and v = psi2 - s psi3 - c1 u per interface, unknowns
+    (x_up + s x_down) / 2, then combined by the k x k matrix mix in each
+    channel, and the right-hand side of unit incidence in each channel.
+    Returns the (2, k, k) diagonal blocks, the off-block part and the (2, k)
+    right-hand sides, s = +1 first."""
+    n = len(m)
+    rows = np.zeros((n, n), dtype=complex)
+    cols = np.zeros((n, n), dtype=complex)
+    k = n // 2
+    for half, s in enumerate((1.0, -1.0)):
+        for i in range(n // 4):
+            u, v = half * k + 2 * i, half * k + 2 * i + 1
+            rows[u, 4 * i : 4 * i + 2] = [1.0, s]
+            rows[v, 4 * i + 2 : 4 * i + 4] = [1.0, -s]
+            rows[v] -= c1 * rows[u]
+        for j in range(k):
+            cols[2 * j : 2 * j + 2, half * k + j] = [1.0, s]
+    # rows and cols carry a factor sqrt2 each: the channel matrix is half
+    # their product; spin-up incidence is 1 / sqrt2 in each channel and
+    # spin-down s / sqrt2, so the right-hand side of unit incidence is
+    # rows @ rhs, times s for spin down
+    full = rows @ m @ cols @ np.kron(np.eye(2), mix) / 2.0
+    signs = np.array([1.0, 1.0]) if spin == sp.UP else np.array([1.0, -1.0])
+    blocks = np.array([full[:k, :k], full[k:, k:]])
+    off = np.concatenate([full[:k, k:], full[k:, :k]])
+    return blocks, off, (rows @ rhs).reshape(2, k) * signs[:, None]
 
 
-def _nested_step_system(e_energy, v0, m, spin):
-    _, c1, d1 = sp._mode_scalars(e_energy, 0.0, m)
-    _, c2, d2 = sp._mode_scalars(e_energy, v0, m)
-    m4 = np.array(
-        [[1, 0, -1, 0], [0, 1, 0, -1], [c1, -d1, -c2, -d2], [d1, -c1, d2, c2]], dtype=complex
-    )
-    incident = [-1, 0, -c1, d1] if spin == sp.UP else [0, -1, -d1, c1]
-    return m4, np.array(incident, dtype=complex)
-
-
-def _assert_same_system(got, ref):
-    scale = np.abs(ref[0]).max()
-    for g, r in zip(got, ref):
+def _assert_channel_blocks(got, m, rhs, c1, spin, mix):
+    # a combined unknown's column sums columns of m: its entries' scale too
+    scale = np.abs(m).max() * np.abs(mix).sum(axis=0).max()
+    blocks, off, channel_rhs = _channel_form(m, rhs, c1, spin, mix)
+    for g, r in zip(got, (blocks, channel_rhs)):
         assert g.shape == r.shape
         assert np.abs(g - r).max() <= 1e-15 * scale
+    assert np.abs(off).max() <= 1e-15 * scale
 
 
 def _clamp_kappa_l(ratio, v0, length, m, limit=220.0):
@@ -521,10 +530,21 @@ spins = st.sampled_from([sp.UP, sp.DOWN])
 def test_barrier_system_equals_mode_column_assembly(ratio, v0, length, m, spin):
     p = barrier(ratio * v0, v0, _clamp_kappa_l(ratio, v0, length, m), m, spin)
     m8, rhs = _barrier_system_from_columns(p)
-    _assert_same_system(sc._assemble_barrier(p)[:2], (m8, rhs))
+    c1 = sp._mode_scalars(p.e_energy, 0.0, m)[1]
+    # within a phase |p2 L / hbar_c| of 1 of the top, the internal unknowns
+    # are the sum and difference of the +p and -p (anchored at L) columns
+    near_top = abs(complex_momentum(p.e_energy, v0, m) / CONSTANTS.hbar_c * p.length) <= 1.0
+    mix = np.eye(4)
+    if near_top:
+        mix[1:3, 1:3] = [[1.0, 1.0], [1.0, -1.0]]
+    _assert_channel_blocks(sc._assemble_barrier(p), m8, rhs, c1, spin, mix)
     x = np.linalg.solve(m8, rhs)
     _, coeffs = sc.solve_barrier(p)
     ref = [abs(x[k]) ** 2 for k in (6, 7, 0, 1)]
+    if near_top:
+        # the 8x8's nearly equal +p and -p columns cost its solve up to
+        # 1.6e-14 there (against 50-digit values); the closed form keeps 6e-16
+        ref = _channels(sc.closed_form(p))
     for got, want in zip(_channels(coeffs), ref):
         assert type(got) is float
         assert abs(got - want) <= 1e-14
@@ -536,7 +556,8 @@ def test_step_system_equals_mode_column_assembly(ratio, v0, m, spin):
     assume(abs(ratio - 1.0) > 1e-6)
     e_energy = ratio * v0
     m4, rhs = _step_system_from_columns(e_energy, v0, m, spin)
-    _assert_same_system(sc._assemble_step(e_energy, v0, m, spin)[:2], (m4, rhs))
+    c1 = sp._mode_scalars(e_energy, 0.0, m)[1]
+    _assert_channel_blocks(sc._assemble_step(e_energy, v0, m)[:2], m4, rhs, c1, spin, np.eye(2))
     x = np.linalg.solve(m4, rhs)
     t = [0.0, 0.0]
     if e_energy > v0:
@@ -548,28 +569,6 @@ def test_step_system_equals_mode_column_assembly(ratio, v0, m, spin):
     for got, want in zip(_channels(sc.solve_step(e_energy, v0, m, spin)), ref):
         assert type(got) is float
         assert abs(got - want) <= 1e-14
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(ratios_above, ratios_below, st.floats(0.999, 1.001)),
-    heights,
-    lengths,
-    st.floats(1.0, 1e7),
-    spins,
-)
-def test_flat_assembly_equals_nested_list_bitwise(ratio, v0, length, m, spin):
-    e_energy = ratio * v0
-    # away from the component pole E - V0 + m = 0 that _mode_scalars refuses
-    assume(abs(e_energy - v0 + m) > 1e-6 * m)
-    p = barrier(e_energy, v0, length, m, spin)
-    for got, ref in (
-        (sc._assemble_barrier(p)[:2], _nested_barrier_system(p)),
-        (sc._assemble_step(e_energy, v0, m, spin)[:2], _nested_step_system(e_energy, v0, m, spin)),
-    ):
-        for g, r in zip(got, ref):
-            assert g.shape == r.shape and g.dtype == r.dtype
-            assert g.tobytes() == r.tobytes()
 
 
 def _exact_closed_form(mpmath, e_energy, v0, length, m, z_scale=1):
@@ -624,6 +623,40 @@ def test_closed_form_against_50_digits(ratio, v0, length, m):
     _, numeric = sc.solve_barrier(barrier(edge, v0, up.length, m))
     drift = abs(_exact_closed_form(mpmath, edge, v0, up.length, m)[0] - exact[0])
     assert abs(got.t1 - numeric.t1) <= drift + 1e-10 * got.t1 + 1e-11
+
+
+# from 1.1e-9 to 1e-5 of the top on either side, just outside the critical band
+beside_top = st.builds(
+    lambda offset, side: 1.0 + side * offset,
+    st.floats(math.log10(1.1e-9), -5.0).map(lambda x: 10.0**x),
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(beside_top, heights, lengths, masses)
+def test_matching_beside_the_top_against_50_digits(ratio, v0, length, m):
+    # the +p and -p internal columns nearly coincide here, and a solve on
+    # them loses up to a tenth of the criterion-04 bound; on their sum and
+    # difference the matching solve stays within a thousandth of it
+    mpmath = pytest.importorskip("mpmath")
+    up = barrier(ratio * v0, v0, _clamp_kappa_l(ratio, v0, length, m), m)
+    exact = _exact_closed_form(mpmath, up.e_energy, v0, up.length, m)
+    _, numeric = sc.solve_barrier(up)
+    for got, want in zip(_channels(numeric), (exact[0], 0, *exact[1:])):
+        assert abs(got - want) <= 1e-3 * (1e-10 * abs(want) + 1e-11)
+
+
+def test_no_spin_flip_transmission_where_d_is_tiny():
+    # E / m = 6e22: d1 ~ 8e-12 next to c1 ~ -i, so c1 +- d1 would keep only a
+    # few bits of d1; the spin-flip T2 and R2 (exactly 0 and 1.9e-34) stay at
+    # rounding level and the coefficients sum to 1
+    v0 = 1.298074214633707e33
+    p = sc.BarrierProblem(200000.0 * v0, v0, 1.5, 4195815672910693.0,
+                          constants=PhysicalConstants(65.0))
+    _, numeric = sc.solve_barrier(p)
+    assert numeric.t2 <= 1e-20 and numeric.r2 <= 1e-20
+    assert abs(numeric.total - 1.0) <= 1e-14
 
 
 def _s_form_t1(e_energy, v0, length, m):
