@@ -132,10 +132,9 @@ def _emit_rows(first_column: str, rows, args, precision: int, both: bool) -> int
     return 2 if any(r.flag is not None for _, r in rows) else 0
 
 
-def _add_common(parser, table=True, constants=True, seed=False):
+def _add_common(parser, table=True, hbar_c=True, mass=True, seed=False):
     """The common flags a command reads: --config and --output always, the
-    table's --format and --precision, the constants' --hbar-c and --mass,
-    and --seed."""
+    table's --format and --precision, --hbar-c, --mass and --seed."""
     parser.add_argument("--config", help="key=value file for constants")
     parser.add_argument("--output", help="write the table here instead of stdout")
     if table:
@@ -143,8 +142,9 @@ def _add_common(parser, table=True, constants=True, seed=False):
         parser.add_argument("--precision", type=int, help="significant digits (6..17)")
     if seed:
         parser.add_argument("--seed", type=int)
-    if constants:
+    if hbar_c:
         parser.add_argument("--hbar-c", type=_finite_float, help="eV nm")
+    if mass:
         parser.add_argument("--mass", type=_finite_float, help="particle rest energy, eV")
 
 
@@ -210,7 +210,7 @@ def cmd_barrier(parser, args) -> int:
 
 
 def cmd_step(parser, args) -> int:
-    constants, mass, precision, _ = _resolve(parser, args)
+    _, mass, precision, _ = _resolve(parser, args)
     if args.v0 <= 0:
         parser.error("--v0 must be positive")
     if args.steps < 1:
@@ -220,7 +220,7 @@ def cmd_step(parser, args) -> int:
     rows = []
     for ratio in map(float, np.linspace(args.emin, args.emax, args.steps)):
         try:
-            coeffs = scattering.solve_step(ratio * args.v0, args.v0, mass, args.spin, constants)
+            coeffs = scattering.solve_step(ratio * args.v0, args.v0, mass, args.spin)
             row = scattering.SweepRow(ratio, coeffs, None, None)
         except (ValueError, scattering.DegenerateConfigurationError) as exc:
             row = scattering.SweepRow(ratio, None, None, f"{type(exc).__name__}: {exc}")
@@ -383,22 +383,12 @@ def _run_check(seed: int, fault: str | None):
         m = float(rng.uniform(0.5, 5.0))
         if abs(e_energy - v) < 1e-3 or abs(abs(e_energy - v) - m) < 1e-3 * m:
             continue
-        if e_energy > v:
-            modes = [
-                spinors.basis_propagating(e_energy, v, m, s, d)
-                for s in (spinors.UP, spinors.DOWN)
-                for d in (spinors.FORWARD, spinors.BACKWARD)
-            ]
-        else:
-            modes = [
-                spinors.basis_evanescent(e_energy, v, m, s, d)
-                for s in (spinors.UP, spinors.DOWN)
-                for d in (spinors.DECAYING, spinors.GROWING)
-            ]
         op = waveop.momentum_operator(e_energy, v, m, clifford.build_eta(g))
-        for s in modes:
-            dev = spinors.eigen_consistency(op, s, eta_ref) / max(e_energy, m)
-            worst = max(worst, dev)
+        for spin in (spinors.UP, spinors.DOWN):
+            for branch in (True, False):
+                u = spinors.mode_column(e_energy, v, m, spin, branch)
+                dev = spinors.eigen_consistency(op, u, branch, eta_ref) / max(e_energy, m)
+                worst = max(worst, dev)
     record("spinors.eigen_consistency", worst, 1e-10)
 
     worst_sum = 0.0
@@ -481,7 +471,7 @@ def build_parser() -> _Parser:
     p_step.add_argument("--emax", type=_finite_float, default=3.0)
     p_step.add_argument("--steps", type=int, default=200)
     p_step.add_argument("--spin", choices=(spinors.UP, spinors.DOWN), default=spinors.UP)
-    _add_common(p_step)
+    _add_common(p_step, hbar_c=False)
 
     p_well = sub.add_parser("well", help="periodic well levels")
     p_well.add_argument("--length", type=_finite_float, required=True, help="half-width L, nm")
@@ -494,11 +484,11 @@ def build_parser() -> _Parser:
     p_pauli.add_argument("--levels", type=int, default=3)
     p_pauli.add_argument("--extent", type=_finite_float, default=8.0)
     p_pauli.add_argument("--bz", type=_finite_float, default=0.3)
-    _add_common(p_pauli, constants=False)
+    _add_common(p_pauli, hbar_c=False, mass=False)
 
     p_check = sub.add_parser("check", help="identity and property suite")
     p_check.add_argument("--fault", choices=("eta-sign",), default=None, help=argparse.SUPPRESS)
-    _add_common(p_check, table=False, constants=False, seed=True)
+    _add_common(p_check, table=False, hbar_c=False, mass=False, seed=True)
 
     p_point = sub.add_parser("point", help="both solvers at one energy")
     p_point.add_argument("--v0", type=_finite_float, required=True)

@@ -77,8 +77,6 @@ class Coefficients:
     t2: float  # transmission, spin-down channel
     r1: float  # reflection, spin-up channel
     r2: float  # reflection, spin-down channel
-    t_qm: float
-    r_qm: float
 
     def __post_init__(self):
         t1, t2, r1, r2 = self.t1, self.t2, self.r1, self.r2
@@ -91,16 +89,18 @@ class Coefficients:
         total = t1 + t2 + r1 + r2
         if abs(total - 1.0) > CONSERVATION_TOL:
             raise ConservationError(f"coefficient sum {total!r} deviates from 1")
-        if abs(self.t_qm - (t1 + t2)) > 1e-12 or abs(self.r_qm - (r1 + r2)) > 1e-12:
-            raise ConservationError("channel sums inconsistent with t_qm/r_qm")
+
+    @property
+    def t_qm(self) -> float:
+        return self.t1 + self.t2
+
+    @property
+    def r_qm(self) -> float:
+        return self.r1 + self.r2
 
     @property
     def total(self) -> float:
         return self.t1 + self.t2 + self.r1 + self.r2
-
-
-def _coeffs(t1, t2, r1, r2) -> Coefficients:
-    return Coefficients(t1, t2, r1, r2, t1 + t2, r1 + r2)
 
 
 def _channel_coeffs(x, flux, incident_spin) -> Coefficients:
@@ -113,7 +113,7 @@ def _channel_coeffs(x, flux, incident_spin) -> Coefficients:
     same = (0.25 * abs(t_p + t_m) ** 2 * flux, 0.25 * abs(r_p + r_m) ** 2)
     flip = (0.25 * abs(t_p - t_m) ** 2 * flux, 0.25 * abs(r_p - r_m) ** 2)
     up, down = (same, flip) if incident_spin == UP else (flip, same)
-    return _coeffs(up[0], down[0], up[1], down[1])
+    return Coefficients(up[0], down[0], up[1], down[1])
 
 
 def _channel_systems(flat, n):
@@ -125,11 +125,11 @@ def _channel_systems(flat, n):
 
 
 def _interface_scalars(e_energy, v0, m):
-    """(p1, p2, d1, d2, dc): p and d before and beyond an interface from
-    zero potential to v0, and the shift dc = c2 - c1 of c across it."""
-    p1, _, d1 = _mode_scalars(e_energy, 0.0, m)
+    """(p2, d1, d2, dc): p beyond an interface from zero potential to v0, d
+    before and beyond it, and the shift dc = c2 - c1 of c across it."""
+    _, _, d1 = _mode_scalars(e_energy, 0.0, m)
     p2, _, d2 = _mode_scalars(e_energy, v0, m)
-    return p1, p2, d1, d2, _c_shift(e_energy, v0, m)
+    return p2, d1, d2, _c_shift(e_energy, v0, m)
 
 
 def _assemble_barrier(p: BarrierProblem):
@@ -144,7 +144,7 @@ def _assemble_barrier(p: BarrierProblem):
     coincide, they are their sum and difference, written through
     e = ph2 - 1 = expm1(i p2 L / hbar_c) without cancelling.
     """
-    _, p2, d1, d2, dc = _interface_scalars(p.e_energy, p.v0, p.m)
+    p2, d1, d2, dc = _interface_scalars(p.e_energy, p.v0, p.m)
     ik = 1j * (p2 / p.constants.hbar_c) * p.length
     if abs(ik) > 1.0:
         ph2 = cmath.exp(ik)
@@ -279,43 +279,45 @@ def closed_form(p: BarrierProblem) -> Coefficients:
     if p.incident_spin == DOWN:
         # the barrier flips no spin in transmission and the problem is
         # symmetric under exchanging up and down
-        return _coeffs(0.0, float(t1), float(r2), float(r1))
-    return _coeffs(float(t1), 0.0, float(r1), float(r2))
+        return Coefficients(0.0, float(t1), float(r2), float(r1))
+    return Coefficients(float(t1), 0.0, float(r1), float(r2))
 
 
 def _assemble_step(e_energy, v0, m):
-    """(M, rhs, p1, p2) of the step's two channel systems: rows u and v at
+    """(M, rhs, d1, d2) of the step's two channel systems: rows u and v at
     z = 0 for the reflected and transmitted amplitudes."""
-    p1, p2, d1, d2, dc = _interface_scalars(e_energy, v0, m)
+    _, d1, d2, dc = _interface_scalars(e_energy, v0, m)
     rows = [1 + 0j, -1 + 0j, -d1, -(dc + d2), 1 + 0j, -1 + 0j, d1, -(dc - d2)]
-    return (*_channel_systems(rows + [-1 + 0j, -d1, -1 + 0j, d1], 2), p1, p2)
+    return (*_channel_systems(rows + [-1 + 0j, -d1, -1 + 0j, d1], 2), d1, d2)
 
 
-def solve_step(e_energy, v0, m, incident_spin=UP, constants: PhysicalConstants | None = None):
+def solve_step(e_energy, v0, m, incident_spin=UP):
     """Single interface at z = 0: region I at zero potential, region II at V0.
 
-    Transmission carries the exact mode-flux ratio p2 (E+m) / (p1 (E-V0+m)),
-    which reduces to p2/p1 in the nonrelativistic regime and is what makes
-    R + T = 1 hold to rounding at any energy.  There is no critical band:
-    at E = V0 the channel systems stay regular, and T = 0 with p2 = 0.
+    Transmission carries the exact mode-flux ratio Re d2 / Re d1, the ratio
+    of the spin-up +p columns' mode_current, equal to
+    p2 (E+m) / (p1 (E-V0+m)); it reduces to p2/p1 in the nonrelativistic
+    regime and is what makes R + T = 1 hold to rounding at any energy.
+    There is no critical band: at E = V0 the channel systems stay regular,
+    and T = 0 with p2 = 0.
     """
     if not 0 < e_energy < np.inf:
         raise ValueError("E must be finite and positive")
     if not 0 < m < np.inf:
         raise ValueError("mass must be finite and positive")
-    if not 2.0 * m * e_energy > 0:  # the flux ratio divides by p1 = sqrt(2 m E)
+    if not 2.0 * m * e_energy > 0:  # the flux ratio divides by d1 = sqrt2 p1 / (E + m)
         raise ValueError("2 m E underflows to 0: the incident wave carries no flux")
     if not math.isfinite(v0):
         raise ValueError("V0 must be finite")
     if incident_spin not in (UP, DOWN):
         raise ValueError(f"incident_spin must be up or down, got {incident_spin!r}")
-    m2, rhs, p1, p2 = _assemble_step(e_energy, v0, m)
+    m2, rhs, d1, d2 = _assemble_step(e_energy, v0, m)
     try:
         x = solve_linear(m2, rhs)
     except SingularSystemError as exc:
         raise DegenerateConfigurationError(f"step matching singular: {exc}") from exc
-    # p1, p2 are real above the step; below it nothing is transmitted
-    flux = (p2.real * (e_energy + m)) / (p1.real * (e_energy - v0 + m)) if e_energy > v0 else 0.0
+    # d1, d2 are real above the step; below it nothing is transmitted
+    flux = d2.real / d1.real if e_energy > v0 else 0.0
     return _channel_coeffs(x, flux, incident_spin)
 
 

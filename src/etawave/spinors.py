@@ -1,41 +1,38 @@
-"""Explicit 4-component basis spinors for piecewise-constant 1D problems.
+"""Component columns of the 1D eigenmodes for piecewise-constant problems.
 
 One continuation formula produces all eight modes.  With the principal branch
 p = sqrt(2m(E-V)) (real above the potential, +i*kappa below it) and
 
-    b = 1/(E - V + m),   c = i b (E - V - m),   d = sqrt(2) b p
+    den = E - V + m,   c = i (E - V - m) / den,   d = sqrt(2) p / den
 
-the columns are
+mode_column gives the columns
 
     spin up,   momentum +p: (1, 0, c, -d)        spin up,   -p: (1, 0, c, d)
     spin down, momentum +p: (0, 1, d, -c)        spin down, -p: (0, 1, -d, -c)
 
-Above the potential the +p/-p modes travel forward/backward; below it the
-same two branches decay/grow, and b = -1/(V0 - E - m) reproduces the
-evanescent component pattern exactly.  Each mode is an eigenvector of
-(E-V) eta + m eta^+ in the 1D representation with eigenvalue +-p, which is
-what reconstruct_eta_1d exploits to machine-check the normalization
-convention instead of trusting it.
+The +p branch (positive_branch=True) travels forward above the potential
+and decays below it; the -p branch travels backward or grows, and
+den = -(V0 - E - m) reproduces the evanescent component pattern exactly.
+Each mode is an eigenvector of (E-V) eta + m eta^+ in the 1D representation
+with eigenvalue +-p (mode_eigenvalue), which is what reconstruct_eta_1d
+exploits to machine-check the normalization convention instead of trusting
+it.  The conserved flux of a mode is u^+ G u (mode_current), which is
+2 Re d for the spin-up +p column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import least_squares
-from .waveop import EVANESCENT, PROPAGATING, RegionOperator, complex_momentum
+from .waveop import RegionOperator, complex_momentum
 
 SQRT2 = math.sqrt(2.0)
 
 UP = "up"
 DOWN = "down"
-FORWARD = "forward"
-BACKWARD = "backward"
-DECAYING = "decaying"
-GROWING = "growing"
 
 # |V0 - E - m| below this fraction of m puts the component denominator on top
 # of its pole; outside the nonrelativistic regime anyway
@@ -46,10 +43,6 @@ DENOMINATOR_RTOL = 1e-6
 RECONSTRUCTION_TOL = 1e-8
 
 
-class WrongRegimeError(ValueError):
-    pass
-
-
 class ConventionSingularityError(ValueError):
     pass
 
@@ -58,50 +51,19 @@ class ConventionInconsistencyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Spinor:
-    components: np.ndarray
-    spin: str
-    direction: str
-    regime: str
-
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=complex)
-        object.__setattr__(self, "components", comps)
-        if comps.shape != (4,):
-            raise ValueError("spinor needs exactly 4 components")
-        if not np.all(np.isfinite(comps)):
-            raise ValueError("spinor components must be finite")
-        if np.all(comps == 0):
-            raise ValueError("zero spinor")
-        head = (1, 0) if self.spin == UP else (0, 1)
-        if comps[0] != head[0] or comps[1] != head[1]:
-            raise ValueError(
-                f"normalization convention violated: first two components must be "
-                f"{head} for spin {self.spin}"
-            )
-
-
-def _check_denominator(e_energy: float, v: float, m: float):
-    if abs(e_energy - v + m) <= DENOMINATOR_RTOL * m:
-        raise ConventionSingularityError(
-            "E - V + m too close to zero; component denominators diverge"
-        )
-
-
 def _mode_scalars(e_energy, v, m, variant="adopted"):
     """(p, c, d) of one region: the momentum and the two scalars that fill
-    every mode column there (see the module docstring)."""
+    every mode column there (see the module docstring).  c and d divide by
+    den, whose reciprocal overflows where den is subnormal; the alpha_em
+    hypothesis puts E - V - m in den instead."""
     p = complex_momentum(e_energy, v, m)
-    if variant == "alpha_em":
-        den = e_energy - v - m
-        if abs(den) <= DENOMINATOR_RTOL * m:
-            raise ConventionSingularityError("E - V - m too close to zero")
-        b = 1.0 / den
-    else:
-        _check_denominator(e_energy, v, m)
-        b = 1.0 / (e_energy - v + m)
-    return p, 1j * b * (e_energy - v - m), SQRT2 * b * p
+    gap = e_energy - v
+    den = gap - m if variant == "alpha_em" else gap + m
+    if abs(den) <= DENOMINATOR_RTOL * m:
+        raise ConventionSingularityError(
+            f"component denominator {den!r} too close to zero; the columns diverge"
+        )
+    return p, complex(0.0, (gap - m) / den), SQRT2 * p / den
 
 
 def _c_shift(e_energy, v, m):
@@ -135,32 +97,10 @@ def mode_column(e_energy, v, m, spin, positive_branch, variant="adopted"):
     return np.array(comps, dtype=complex)
 
 
-def basis_propagating(e_energy, v, m, spin, direction, variant="adopted") -> Spinor:
-    if m <= 0:
-        raise ValueError("mass must be positive")
-    if e_energy <= v:
-        raise WrongRegimeError(f"E={e_energy} <= V={v}: not a propagating region")
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"direction must be forward or backward, got {direction!r}")
-    comps = mode_column(e_energy, v, m, spin, direction == FORWARD, variant)
-    return Spinor(comps, spin, direction, PROPAGATING)
-
-
-def basis_evanescent(e_energy, v0, m, spin, growth, variant="adopted") -> Spinor:
-    if m <= 0:
-        raise ValueError("mass must be positive")
-    if e_energy >= v0:
-        raise WrongRegimeError(f"E={e_energy} >= V0={v0}: not an evanescent region")
-    if growth not in (DECAYING, GROWING):
-        raise ValueError(f"growth must be decaying or growing, got {growth!r}")
-    comps = mode_column(e_energy, v0, m, spin, growth == DECAYING, variant)
-    return Spinor(comps, spin, growth, EVANESCENT)
-
-
-def mode_eigenvalue(s: Spinor, e_energy: float, v: float, m: float) -> complex:
-    """+p for forward/decaying modes, -p for backward/growing ones."""
+def mode_eigenvalue(e_energy, v, m, positive_branch) -> complex:
+    """+p for the positive_branch modes (forward or decaying), -p otherwise."""
     p = complex_momentum(e_energy, v, m)
-    return p if s.direction in (FORWARD, DECAYING) else -p
+    return p if positive_branch else -p
 
 
 def eta_1d_reference() -> np.ndarray:
@@ -193,58 +133,51 @@ def mode_current(components) -> float:
 
 
 def convention_samples(energies, m, variant="adopted"):
-    """Propagating zero-potential sample sets for the reconstruction fit."""
+    """Propagating zero-potential sample sets for the reconstruction fit:
+    (E, m, [(column, eigenvalue), ...]) with all four modes per energy."""
+    if m <= 0:
+        raise ValueError("mass must be positive")
     samples = []
     for e_energy in energies:
+        if e_energy <= 0:
+            raise ValueError("reconstruction samples must be propagating (E > 0)")
         modes = [
-            basis_propagating(e_energy, 0.0, m, spin, direction, variant)
+            (
+                mode_column(e_energy, 0.0, m, spin, branch, variant),
+                mode_eigenvalue(e_energy, 0.0, m, branch),
+            )
             for spin in (UP, DOWN)
-            for direction in (FORWARD, BACKWARD)
+            for branch in (True, False)
         ]
         samples.append((e_energy, m, modes))
     return samples
 
 
 def _fit_eta(samples):
-    rows = []
-    rhs = []
+    """Least-squares eta from (E eta + m eta^+) u = lambda u, as a real
+    system in [Re vec eta; Im vec eta]: with a = E kron(I4, u) acting on
+    vec eta and b = m kron(u, I4) on its conjugate, each mode gives the rows
+    [[Re a + Re b, Im b - Im a], [Im a + Im b, Re a - Re b]], scaled by
+    1 / max(|E|, |m|)."""
+    eye = np.eye(4)
+    rows, rhs = [], []
     for e_energy, m, modes in samples:
-        if e_energy <= 0:
-            raise WrongRegimeError("reconstruction samples must be propagating (E > 0)")
         scale = 1.0 / max(abs(e_energy), abs(m))
-        for s in modes:
-            lam = mode_eigenvalue(s, e_energy, 0.0, m)
-            u = s.components
-            for j in range(4):
-                arow = np.zeros(32)
-                crow = np.zeros(32)
-                for k in range(4):
-                    z = e_energy * u[k]
-                    t = 2 * (4 * j + k)
-                    arow[t] += z.real
-                    arow[t + 1] += -z.imag
-                    crow[t] += z.imag
-                    crow[t + 1] += z.real
-                    w = m * u[k]
-                    t2 = 2 * (4 * k + j)
-                    arow[t2] += w.real
-                    arow[t2 + 1] += w.imag
-                    crow[t2] += w.imag
-                    crow[t2 + 1] += -w.real
-                target = lam * u[j]
-                rows.append(arow * scale)
-                rhs.append(target.real * scale)
-                rows.append(crow * scale)
-                rhs.append(target.imag * scale)
-    x = least_squares(np.array(rows), np.array(rhs))
-    eta = (x[0::2] + 1j * x[1::2]).reshape(4, 4)
+        for u, lam in modes:
+            a = e_energy * np.kron(eye, u)
+            b = m * np.kron(u, eye)
+            rows.append(np.block([[a.real + b.real, b.imag - a.imag],
+                                  [a.imag + b.imag, a.real - b.real]]) * scale)
+            target = lam * u
+            rhs.append(np.concatenate([target.real, target.imag]) * scale)
+    x = least_squares(np.concatenate(rows), np.concatenate(rhs))
+    eta = (x[:16] + 1j * x[16:]).reshape(4, 4)
     residual = 0.0
     for e_energy, m, modes in samples:
         scale = 1.0 / max(abs(e_energy), abs(m))
         op = e_energy * eta + m * eta.conj().T
-        for s in modes:
-            lam = mode_eigenvalue(s, e_energy, 0.0, m)
-            dev = np.max(np.abs(op @ s.components - lam * s.components))
+        for u, lam in modes:
+            dev = np.max(np.abs(op @ u - lam * u))
             residual = max(residual, float(dev) * scale)
     return eta, residual
 
@@ -252,8 +185,9 @@ def _fit_eta(samples):
 def reconstruct_eta_1d(samples):
     """Fit the 16 complex entries of eta from eigenmode constraints.
 
-    samples: list of (E, m, [Spinor, ...]) with every mode propagating at zero
-    potential.  Solves the real-linear least-squares system for eta such that
+    samples: list of (E, m, [(column, eigenvalue), ...]) with every mode
+    propagating at zero potential, as convention_samples gives them.  Solves
+    the real-linear least-squares system for eta such that
     (E eta + m eta^+) u = lambda u for every supplied mode, then checks the
     result is nilpotent with eta eta^+ + eta^+ eta = 2I.
 
@@ -295,8 +229,9 @@ def try_conventions(m, energies=(1.3, 2.6, 7.0), variants=("adopted", "alpha_em"
     return out
 
 
-def eigen_consistency(op: RegionOperator, s: Spinor, eta1d: np.ndarray) -> float:
-    """Inf-norm of ((E-V) eta + m eta^+) u - lambda u in the 1D representation."""
-    lam = mode_eigenvalue(s, op.e_energy, op.v, op.m)
+def eigen_consistency(op: RegionOperator, u, positive_branch, eta1d: np.ndarray) -> float:
+    """Inf-norm of ((E-V) eta + m eta^+) u - lambda u in the 1D representation,
+    lambda = +p on the positive branch and -p on the other."""
+    lam = mode_eigenvalue(op.e_energy, op.v, op.m, positive_branch)
     matrix = (op.e_energy - op.v) * eta1d + op.m * eta1d.conj().T
-    return float(np.max(np.abs(matrix @ s.components - lam * s.components)))
+    return float(np.max(np.abs(matrix @ u - lam * u)))

@@ -153,13 +153,14 @@ def test_json_keeps_a_value_whose_text_rounds_past_the_float_range(fmt, capsys):
     "argv",
     [[command, "--seed", "1"] for command in ("barrier", "step", "well", "pauli", "point")]
     + [["pauli", flag, "1"] for flag in ("--hbar-c", "--mass")]
+    + [["step", "--hbar-c", "1"]]
     + [["check", flag, value] for flag, value in
        (("--hbar-c", "1"), ("--mass", "1"), ("--format", "json"), ("--precision", "6"))],
     ids=lambda argv: f"{argv[0]}{argv[1]}",
 )
 def test_a_command_refuses_a_common_flag_it_does_not_read(argv, capsys):
-    # the seed is read only by check; pauli has no constants, and check
-    # writes a report, not a table
+    # the seed is read only by check; pauli has no constants, the step no
+    # length to scale by hbar_c, and check writes a report, not a table
     required = {"barrier": ["--v0", "1", "--length", "1"], "step": ["--v0", "1"],
                 "well": ["--length", "1"], "point": ["--v0", "1", "--length", "1",
                                                      "--e-over-v0", "1.5"]}
@@ -227,6 +228,28 @@ def test_step_through_the_top_exits_0(tmp_path):
         assert run(argv) == 0
         (rec,) = loads(out.read_text())
         assert rec["T1"] == rec["T2"] == 0.0 and abs(rec["R1"] + rec["R2"] - 1.0) <= 1e-10
+
+
+def test_step_transparent_where_its_flux_products_overflow(capsys):
+    # p2 (E + m) and p1 (E - V0 + m) both overflow here, and their quotient
+    # was inf / inf = nan; Re d2 / Re d1 is the same ratio with nothing
+    # formed beyond the float range, and the step is transparent to rounding
+    argv = ["step", "--v0", "7.844899614393561e+133", "--mass", "3.038941010877242e+161",
+            "--emin", "9.6e6", "--emax", "9.6e6", "--steps", "1", "--format", "json",
+            "--precision", "17"]
+    assert run(argv) == 0
+    (rec,) = loads(capsys.readouterr().out)
+    assert "flag" not in rec and abs(rec["T1"] - 1.0) <= 1e-14
+
+
+def test_step_reflects_totally_at_a_subnormal_mass(capsys):
+    # E - V0 + m = m = 1e-320 at E = V0: its reciprocal overflowed and the
+    # mode columns read inf * 0 = nan; c and d now divide by it directly
+    argv = ["step", "--v0", "1e10", "--mass", "1e-320", "--emin", "1", "--emax", "1",
+            "--steps", "1", "--format", "json", "--precision", "17"]
+    assert run(argv) == 0
+    (rec,) = loads(capsys.readouterr().out)
+    assert rec["R1"] == 1.0 and rec["T1"] == rec["T2"] == 0.0
 
 
 def test_closed_form_where_the_phase_underflows(capsys):
@@ -546,7 +569,7 @@ table_commands = st.one_of(
     _command("barrier", ["--v0", "--length", "--emin", "--emax", "--mass", "--hbar-c"],
              spin_flags, st.sampled_from(["numeric", "closed", "both"]).map(
                  lambda method: ["--method", method]), st.just(["--steps", "3"])),
-    _command("step", ["--v0", "--emin", "--emax", "--mass", "--hbar-c"],
+    _command("step", ["--v0", "--emin", "--emax", "--mass"],
              spin_flags, st.just(["--steps", "3"])),
     _command("point", ["--v0", "--length", "--e-over-v0", "--mass", "--hbar-c"], spin_flags),
     _command("well", ["--length", "--mass", "--hbar-c"], st.just(["--nmax", "3", "--numeric"])),

@@ -13,16 +13,11 @@ ETA = build_eta(build_standard_gammas())
 
 
 def four_modes(e_energy, v, m):
-    if e_energy > v:
-        return [
-            sp.basis_propagating(e_energy, v, m, spin, direction)
-            for spin in (sp.UP, sp.DOWN)
-            for direction in (sp.FORWARD, sp.BACKWARD)
-        ]
+    """(column, positive_branch) of the four modes of one region."""
     return [
-        sp.basis_evanescent(e_energy, v, m, spin, growth)
+        (sp.mode_column(e_energy, v, m, spin, branch), branch)
         for spin in (sp.UP, sp.DOWN)
-        for growth in (sp.DECAYING, sp.GROWING)
+        for branch in (True, False)
     ]
 
 
@@ -43,36 +38,18 @@ def test_evanescent_component_pattern():
     e_energy, v0, m = 2.0, 5.0, 1.3
     rho = 1.0 / (v0 - e_energy - m)
     p_prime = np.sqrt(2 * m * (v0 - e_energy))
-    decaying_up = sp.basis_evanescent(e_energy, v0, m, sp.UP, sp.DECAYING)
+    decaying_up = sp.mode_column(e_energy, v0, m, sp.UP, True)
     np.testing.assert_allclose(
-        decaying_up.components,
+        decaying_up,
         [1.0, 0.0, 1j * rho * (v0 - e_energy + m), np.sqrt(2) * 1j * rho * p_prime],
         atol=1e-14,
     )
-    growing_down = sp.basis_evanescent(e_energy, v0, m, sp.DOWN, sp.GROWING)
+    growing_down = sp.mode_column(e_energy, v0, m, sp.DOWN, False)
     np.testing.assert_allclose(
-        growing_down.components,
+        growing_down,
         [0.0, 1.0, np.sqrt(2) * 1j * rho * p_prime, -1j * rho * (v0 - e_energy + m)],
         atol=1e-14,
     )
-
-
-def test_head_normalization_enforced():
-    with pytest.raises(ValueError):
-        sp.Spinor(np.array([2.0, 0, 0, 0]), sp.UP, sp.FORWARD, "propagating")
-    with pytest.raises(ValueError):
-        sp.Spinor(np.zeros(4), sp.UP, sp.FORWARD, "propagating")
-    with pytest.raises(ValueError):
-        sp.Spinor(np.array([1.0, 0, 0]), sp.UP, sp.FORWARD, "propagating")
-
-
-def test_wrong_regime_errors():
-    with pytest.raises(sp.WrongRegimeError):
-        sp.basis_propagating(1.0, 2.0, 1.0, sp.UP, sp.FORWARD)
-    with pytest.raises(sp.WrongRegimeError):
-        sp.basis_evanescent(2.0, 1.0, 1.0, sp.UP, sp.DECAYING)
-    with pytest.raises(ValueError):
-        sp.basis_propagating(2.0, 1.0, 1.0, sp.UP, "sideways")
 
 
 def test_convention_singularity_guard():
@@ -84,10 +61,10 @@ def test_convention_singularity_guard():
 def test_mode_eigenvalue_signs():
     e_energy, v, m = 3.0, 0.0, 1.5
     p = complex_momentum(e_energy, v, m)
-    fwd = sp.basis_propagating(e_energy, v, m, sp.UP, sp.FORWARD)
-    bwd = sp.basis_propagating(e_energy, v, m, sp.UP, sp.BACKWARD)
-    assert sp.mode_eigenvalue(fwd, e_energy, v, m) == p
-    assert sp.mode_eigenvalue(bwd, e_energy, v, m) == -p
+    assert sp.mode_eigenvalue(e_energy, v, m, True) == p
+    assert sp.mode_eigenvalue(e_energy, v, m, False) == -p
+    # below the potential the +p branch decays: p = +i kappa
+    assert sp.mode_eigenvalue(2.0, 5.0, m, True).imag > 0
 
 
 def test_reference_matrix_algebra():
@@ -103,8 +80,8 @@ def test_modes_are_eigenvectors(e_energy, v, m):
     assume(abs(abs(e_energy - v) - m) > 1e-3 * m)
     op = momentum_operator(e_energy, v, m, ETA)
     eta1d = sp.eta_1d_reference()
-    for s in four_modes(e_energy, v, m):
-        dev = sp.eigen_consistency(op, s, eta1d)
+    for u, branch in four_modes(e_energy, v, m):
+        dev = sp.eigen_consistency(op, u, branch, eta1d)
         assert dev <= 1e-10 * max(e_energy, m)
 
 
@@ -113,20 +90,18 @@ def test_modes_are_eigenvectors(e_energy, v, m):
 def test_four_modes_independent(e_energy, v, m):
     assume(abs(e_energy - v) > 1e-2 * max(e_energy, v, 1.0))
     assume(abs(abs(e_energy - v) - m) > 1e-3 * m)
-    columns = np.column_stack([s.components for s in four_modes(e_energy, v, m)])
+    columns = np.column_stack([u for u, _ in four_modes(e_energy, v, m)])
     assert abs(np.linalg.det(columns)) > 1e-10
 
 
 def test_currents():
-    fwd = sp.basis_propagating(3.0, 0.0, 1.3, sp.UP, sp.FORWARD)
-    bwd = sp.basis_propagating(3.0, 0.0, 1.3, sp.UP, sp.BACKWARD)
-    assert sp.mode_current(fwd.components) > 0
-    assert sp.mode_current(bwd.components) == pytest.approx(
-        -sp.mode_current(fwd.components), rel=1e-13
-    )
-    for growth in (sp.DECAYING, sp.GROWING):
-        ev = sp.basis_evanescent(2.0, 5.0, 1.3, sp.UP, growth)
-        assert sp.mode_current(ev.components) == pytest.approx(0.0, abs=1e-14)
+    fwd = sp.mode_column(3.0, 0.0, 1.3, sp.UP, True)
+    bwd = sp.mode_column(3.0, 0.0, 1.3, sp.UP, False)
+    assert sp.mode_current(fwd) > 0
+    assert sp.mode_current(bwd) == pytest.approx(-sp.mode_current(fwd), rel=1e-13)
+    for branch in (True, False):
+        ev = sp.mode_column(2.0, 5.0, 1.3, sp.UP, branch)
+        assert sp.mode_current(ev) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_current_metric_intertwines():
