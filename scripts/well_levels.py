@@ -22,7 +22,7 @@ def main():
          "--nmax", str(args.nmax), "--numeric", "--output", "well_levels.csv"]
     )
     print(f"L = {args.length} nm, m = {args.mass:.3e} eV, "
-          f"{bs.LevelSet.multiplicity}-fold degenerate levels, exit code {code}")
+          f"{bs.DEGENERACY}-fold degenerate levels, exit code {code}")
     with open("well_levels.csv", encoding="utf-8") as fh:
         print(fh.read(), end="")
 

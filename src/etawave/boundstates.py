@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -18,6 +17,9 @@ from .waveop import PhysicalConstants
 
 NORMALIZATION_RTOL = 1e-10
 BISECTION_RTOL = 1e-12
+
+# forward/backward x up/down modes share each E_n; level listings give it once
+DEGENERACY = 4
 
 
 @dataclass(frozen=True)
@@ -43,24 +45,6 @@ class WellProblem:
             )
 
 
-@dataclass(frozen=True)
-class LevelSet:
-    levels: tuple  # ((n, E_n_eV), ...), strictly increasing
-
-    # forward/backward x up/down modes share each E_n; listed once
-    multiplicity: ClassVar[int] = 4
-
-    def __post_init__(self):
-        previous = 0.0
-        for n, e_n in self.levels:
-            if n < 1 or e_n <= previous:
-                raise ValueError("levels must be strictly increasing with positive energies")
-            previous = e_n
-
-    def energies(self):
-        return np.array([e_n for _, e_n in self.levels])
-
-
 def level_energy(n: int, length: float, m: float, constants: PhysicalConstants) -> float:
     # products, not float powers, and inf where a product falls below the
     # normal range, to 0 or with its precision lost: such a level is rejected
@@ -72,17 +56,16 @@ def level_energy(n: int, length: float, m: float, constants: PhysicalConstants) 
     return n**2 * np.pi**2 * hbar_c_sq / denominator
 
 
-def energy_levels(w: WellProblem) -> LevelSet:
-    """E_n = n^2 pi^2 hbar_c^2 / (2 m L^2) for n = 1 .. n_max.
+def energy_levels(w: WellProblem) -> tuple:
+    """((n, E_n), ...) with E_n = n^2 pi^2 hbar_c^2 / (2 m L^2) for
+    n = 1 .. n_max, strictly increasing.
 
-    Each level carries a 4-fold degeneracy (forward/backward x up/down); the
-    listing reports each once.
+    Each level carries a DEGENERACY-fold degeneracy (forward/backward x
+    up/down); the listing reports each once.
     """
-    return LevelSet(
-        tuple(
-            (n, level_energy(n, w.length, w.m, w.constants))
-            for n in range(1, w.n_max + 1)
-        )
+    return tuple(
+        (n, level_energy(n, w.length, w.m, w.constants))
+        for n in range(1, w.n_max + 1)
     )
 
 
@@ -105,8 +88,9 @@ def _phase_sin(e_energy: float, w: WellProblem) -> float:
     return float(np.sin(_phase(e_energy, w)))
 
 
-def find_levels_numerically(w: WellProblem, e_hi: float) -> LevelSet:
-    """Bracket and bisect the zeros of the periodic residual in (0, e_hi].
+def find_levels_numerically(w: WellProblem, e_hi: float) -> tuple:
+    """((n, E_n), ...): bracket and bisect the zeros of the periodic residual
+    in (0, e_hi], numbered upward from n = 1.
 
     The residual itself is nonnegative, so bracketing runs on the
     sign-changing sin(p L / hbar_c).  Grid step is a quarter of the analytic
@@ -151,7 +135,7 @@ def find_levels_numerically(w: WellProblem, e_hi: float) -> LevelSet:
                     a, fa = mid, fm
             found.append(0.5 * a + 0.5 * b)
         e, f_lo = e_next, f_next
-    return LevelSet(tuple((i + 1, e_n) for i, e_n in enumerate(found)))
+    return tuple((i + 1, e_n) for i, e_n in enumerate(found))
 
 
 def normalization_constraint(amplitudes, length: float):

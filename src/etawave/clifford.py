@@ -10,7 +10,7 @@ Dirac form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,64 +82,32 @@ def footnote_equivalence_check(g: GammaSet) -> float:
     return max(devs)
 
 
-@dataclass
-class IdentityReport:
-    """Per-identity deviations from the algebra the gamma and eta sets must satisfy."""
-
-    entries: list = field(default_factory=list)  # (name, deviation, ok)
-
-    def add(self, name: str, deviation: float, tol: float = IDENTITY_TOL):
-        self.entries.append((name, float(deviation), float(deviation) <= tol))
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, _, ok in self.entries)
-
-    @property
-    def max_deviation(self) -> float:
-        return max(d for _, d, _ in self.entries)
-
-    def first_failure(self):
-        for name, dev, ok in self.entries:
-            if not ok:
-                return name, dev
-        return None
-
-    def lines(self):
-        out = []
-        for name, dev, ok in self.entries:
-            tag = "PASS" if ok else "FAIL"
-            out.append(f"{tag} {name} max_dev={dev:.3e}")
-        return out
-
-
-def identity_suite(g: GammaSet, e: EtaSet) -> IdentityReport:
-    """Run every invariant of the gamma and eta sets; all must hold to 1e-14."""
-    rep = IdentityReport()
+def identity_suite(g: GammaSet, e: EtaSet) -> dict:
+    """{name: max elementwise deviation} of every invariant of the gamma and
+    eta sets; all must hold to IDENTITY_TOL."""
+    rep = {}
     eye = np.eye(4, dtype=complex)
     gams = g.vector()
     for mu in range(4):
         for nu in range(mu, 4):
             anti = gams[mu] @ gams[nu] + gams[nu] @ gams[mu]
             target = 2.0 * _METRIC[mu, nu] * eye
-            rep.add(f"anticommutator_g{mu}_g{nu}", max_abs(anti - target))
+            rep[f"anticommutator_g{mu}_g{nu}"] = max_abs(anti - target)
     prod = 1j * gams[0] @ gams[1] @ gams[2] @ gams[3]
-    rep.add("gamma5_product", max_abs(prod - g.gamma5))
-    rep.add("gamma0_hermitian", max_abs(g.gamma0 - adjoint(g.gamma0)))
-    rep.add("gamma5_hermitian", max_abs(g.gamma5 - adjoint(g.gamma5)))
+    rep["gamma5_product"] = max_abs(prod - g.gamma5)
+    rep["gamma0_hermitian"] = max_abs(g.gamma0 - adjoint(g.gamma0))
+    rep["gamma5_hermitian"] = max_abs(g.gamma5 - adjoint(g.gamma5))
     for mu in range(4):
-        rep.add(
-            f"gamma5_anticommutes_g{mu}",
-            max_abs(g.gamma5 @ gams[mu] + gams[mu] @ g.gamma5),
+        rep[f"gamma5_anticommutes_g{mu}"] = max_abs(
+            g.gamma5 @ gams[mu] + gams[mu] @ g.gamma5
         )
-    rep.add("eta_nilpotent", max_abs(e.eta @ e.eta))
-    rep.add("eta_dagger_nilpotent", max_abs(e.eta_dagger @ e.eta_dagger))
-    rep.add(
-        "eta_completeness",
-        max_abs(e.eta @ e.eta_dagger + e.eta_dagger @ e.eta - 2 * eye),
+    rep["eta_nilpotent"] = max_abs(e.eta @ e.eta)
+    rep["eta_dagger_nilpotent"] = max_abs(e.eta_dagger @ e.eta_dagger)
+    rep["eta_completeness"] = max_abs(
+        e.eta @ e.eta_dagger + e.eta_dagger @ e.eta - 2 * eye
     )
-    rep.add("gamma0_recovery", max_abs((e.eta + e.eta_dagger) / SQRT2 - g.gamma0))
-    rep.add("igamma5_recovery", max_abs((e.eta - e.eta_dagger) / SQRT2 - 1j * g.gamma5))
+    rep["gamma0_recovery"] = max_abs((e.eta + e.eta_dagger) / SQRT2 - g.gamma0)
+    rep["igamma5_recovery"] = max_abs((e.eta - e.eta_dagger) / SQRT2 - 1j * g.gamma5)
     return rep
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -305,8 +306,10 @@ def solve_step(e_energy, v0, m, incident_spin=UP):
         raise ValueError("E must be finite and positive")
     if not 0 < m < np.inf:
         raise ValueError("mass must be finite and positive")
-    if not 2.0 * m * e_energy > 0:  # the flux ratio divides by d1 = sqrt2 p1 / (E + m)
-        raise ValueError("2 m E underflows to 0: the incident wave carries no flux")
+    # the flux ratio divides by d1 = sqrt2 p1 / (E + m): a subnormal p1 has
+    # lost its digits
+    if not math.sqrt(2.0 * m) * math.sqrt(e_energy) >= sys.float_info.min:
+        raise ValueError("the incident momentum sqrt(2 m E) is below the normal float range")
     if not math.isfinite(v0):
         raise ValueError("V0 must be finite")
     if incident_spin not in (UP, DOWN):

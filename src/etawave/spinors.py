@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .numerics import least_squares
-from .waveop import RegionOperator, complex_momentum
+from .waveop import complex_momentum
 
 SQRT2 = math.sqrt(2.0)
 
@@ -229,9 +229,9 @@ def try_conventions(m, energies=(1.3, 2.6, 7.0), variants=("adopted", "alpha_em"
     return out
 
 
-def eigen_consistency(op: RegionOperator, u, positive_branch, eta1d: np.ndarray) -> float:
+def eigen_consistency(e_energy, v, m, u, positive_branch, eta1d: np.ndarray) -> float:
     """Inf-norm of ((E-V) eta + m eta^+) u - lambda u in the 1D representation,
     lambda = +p on the positive branch and -p on the other."""
-    lam = mode_eigenvalue(op.e_energy, op.v, op.m, positive_branch)
-    matrix = (op.e_energy - op.v) * eta1d + op.m * eta1d.conj().T
+    lam = mode_eigenvalue(e_energy, v, m, positive_branch)
+    matrix = (e_energy - v) * eta1d + m * eta1d.conj().T
     return float(np.max(np.abs(matrix @ u - lam * u)))

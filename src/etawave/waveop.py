@@ -47,28 +47,19 @@ def classify_regime(e_energy: float, v: float) -> str:
     return PROPAGATING if e_energy > v else EVANESCENT
 
 
-@dataclass(frozen=True)
-class RegionOperator:
-    """(E - V) eta + m eta^+ for one constant-potential region."""
-
-    e_energy: float
-    v: float
-    m: float
-    matrix: np.ndarray
-    regime: str
-
-
-def momentum_operator(e_energy: float, v: float, m: float, e: EtaSet) -> RegionOperator:
+def momentum_operator(e_energy: float, v: float, m: float, e: EtaSet) -> np.ndarray:
+    """The 4x4 matrix (E - V) eta + m eta^+ of one constant-potential region."""
     if m <= 0:
         raise ValueError("mass must be positive")
-    matrix = (e_energy - v) * e.eta + m * e.eta_dagger
-    return RegionOperator(e_energy, v, m, matrix, classify_regime(e_energy, v))
+    return (e_energy - v) * e.eta + m * e.eta_dagger
 
 
 def complex_momentum(e_energy: float, v: float, m: float) -> complex:
     """Principal branch sqrt(2m(E-V)): real and positive above the potential,
-    +i*kappa below it."""
-    return cmath.sqrt(2.0 * m * (e_energy - v))
+    +i*kappa below it.  Taken as sqrt(2m) sqrt(E-V): the product 2m(E-V)
+    overflows, or falls to the subnormal range and loses its digits, where
+    the momentum itself is a normal float."""
+    return cmath.sqrt(2.0 * m) * cmath.sqrt(e_energy - v)
 
 
 def general_a_check(a: float, e_energy: float, m: float, e: EtaSet | None = None) -> float:

@@ -282,16 +282,14 @@ def test_criterion_07_algebra_suite():
     start = time.perf_counter()
     g = cf.build_standard_gammas()
     eta_set = cf.build_eta(g)
-    report = cf.identity_suite(g, eta_set)
-    assert report.all_pass
-    worst_identity = report.max_deviation
+    worst_identity = max(cf.identity_suite(g, eta_set).values())
     assert worst_identity <= 1e-14
     assert cf.footnote_equivalence_check(g) <= 1e-14
     # P^2 = 2m(E-V) I, scaled by the largest term entering the square
     squared_devs = []
     for e_energy, v, m in ((3.0, 1.0, 1.5), (2.0e5, 5.0e4, 5.0e5), (1.0, 4.0, 30.0)):
         op = wo.momentum_operator(e_energy, v, m, eta_set)
-        dev = np.max(np.abs(op.matrix @ op.matrix - 2.0 * m * (e_energy - v) * np.eye(4)))
+        dev = np.max(np.abs(op @ op - 2.0 * m * (e_energy - v) * np.eye(4)))
         scale = max(abs(2.0 * m * (e_energy - v)), (e_energy - v) ** 2, m * m)
         squared_devs.append(dev / scale)
     assert max(squared_devs) <= 1e-12
@@ -343,11 +341,11 @@ def test_criterion_08_convention_reconstruction():
 def test_criterion_09_well_levels_and_normalization():
     w = bs.WellProblem(length=10.0, m=0.5e6, n_max=50)
     analytic = bs.energy_levels(w)
-    e_hi = analytic.energies()[-1] * 1.0001
+    e_hi = analytic[-1][1] * 1.0001
     numeric = bs.find_levels_numerically(w, e_hi)
-    assert len(numeric.levels) == 50
+    assert len(numeric) == 50
     worst = 0.0
-    for (_, e_a), (_, e_n) in zip(analytic.levels, numeric.levels):
+    for (_, e_a), (_, e_n) in zip(analytic, numeric):
         worst = max(worst, abs(e_n - e_a) / e_a)
     assert worst <= 1e-10
     length = 10.0

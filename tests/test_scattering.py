@@ -345,9 +345,38 @@ def test_step_solves_through_the_top(spin):
 
 
 def test_step_rejects_an_incident_momentum_that_underflows():
-    # p1 = sqrt(2 m E) = 0 made the flux ratio 0/0, a ZeroDivisionError
-    with pytest.raises(ValueError, match="underflows"):
-        sc.solve_step(1e-170, 1e-171, 1e-170)
+    # 2 m E underflows here, but p1 = sqrt(2 m) sqrt(E) is a normal float:
+    # the step is the one at E = m = 1, V0 = 0.1
+    scaled = sc.solve_step(1e-170, 1e-171, 1e-170)
+    assert sc.coefficient_delta(scaled, sc.solve_step(1.0, 0.1, 1.0)) <= 1e-14
+    # a subnormal p1 has lost its digits, and the flux ratio divides by it
+    with pytest.raises(ValueError, match="normal float range"):
+        sc.solve_step(5e-324, 2.5e-324, 5e-324)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    heights,
+    masses,
+    lengths,
+    st.one_of(ratios_below, ratios_above),
+    st.integers(-900, 999),
+    st.sampled_from((sp.UP, sp.DOWN)),
+)
+def test_coefficients_hold_under_binary_rescaling(v0, m, length, ratio, k, spin):
+    # E, V0 and m times 2^k with L times 2^-k leave p L / hbar_c and every
+    # mode scalar as they were, and each product is exact; 2 m (E - V0)
+    # scales by 2^2k, out of the float range or into its subnormal part,
+    # while p scales by 2^k only
+    kappa = math.sqrt(2.0 * m * max(v0 - ratio * v0, 0.0)) / CONSTANTS.hbar_c
+    length = min(length, 220.0 / kappa) if kappa else length
+    scale = math.ldexp(1.0, k)
+    e_s, v0_s, m_s = ratio * v0 * scale, v0 * scale, m * scale
+    step = sc.solve_step(ratio * v0, v0, m, spin)
+    assert sc.coefficient_delta(sc.solve_step(e_s, v0_s, m_s, spin), step) <= 1e-13
+    prob = sc.BarrierProblem(e_s, v0_s, length / scale, m_s, spin)
+    _, numeric = sc.solve_barrier(prob)
+    assert sc.coefficient_delta(numeric, sc.closed_form(prob)) <= 1e-10
 
 
 def test_step_rejects_unknown_spin():
