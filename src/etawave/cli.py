@@ -222,7 +222,7 @@ def cmd_step(parser, args) -> int:
         try:
             coeffs = scattering.solve_step(ratio * args.v0, args.v0, mass, args.spin)
             row = scattering.SweepRow(ratio, coeffs, None, None)
-        except (ValueError, scattering.DegenerateConfigurationError) as exc:
+        except ValueError as exc:
             row = scattering.SweepRow(ratio, None, None, f"{type(exc).__name__}: {exc}")
         rows.append((ratio, row))
     return _emit_rows("e_over_v0", rows, args, precision, False)

@@ -6,17 +6,17 @@ independent routes to the barrier coefficients are kept side by side: the
 interface-matching solve and the closed form, which must agree to 1e-10
 everywhere including deep tunneling.  The closed form is one expression
 through the barrier top; the barrier's matching solve refuses the critical
-band around E = V0, and sweeps use the closed form there.  The step solves
-through E = V0.
+band around E = V0, and sweeps use the closed form there.
 
 The matching splits into two channels, s = +1 and s = -1.  With c1 the c of
 the zero-potential region (see spinors), an interface's rows are
 u = (psi0 + s psi1)/sqrt2 and v = (psi2 - s psi3)/sqrt2 - c1 u, and each
 unknown is (x_up + s x_down)/sqrt2; a region's +p / -p column is then
-(1, c - c1 +- s d), so a small d is never added to the order-1 c.  One
-stacked solve of both channels, at unit incidence in each, gives both
-incident spins: the same-spin amplitudes are the channels' half sums, the
-spin-flip ones their half differences.
+(1, c - c1 +- s d), so a small d is never added to the order-1 c.  The
+channels, at unit incidence in each, give both incident spins: the
+same-spin amplitudes are the channels' half sums, the spin-flip ones their
+half differences.  The barrier solves its two 4x4 channel systems in one
+stacked call; the step's channels are a closed formula each, through E = V0.
 
 Conventions: E is the kinetic energy in eV, the barrier occupies
 0 <= z <= L with L in nm, and phases are k z with k = sqrt(2m(E-V))/hbar_c.
@@ -110,19 +110,11 @@ def _channel_coeffs(x, flux, incident_spin) -> Coefficients:
     incidence in each channel; flux scales |t|^2 to the transmitted current.
     Same-spin amplitudes are the channels' half sums, spin-flip ones their
     half differences."""
-    (r_p, *_, t_p), (r_m, *_, t_m) = x.tolist()
+    (r_p, *_, t_p), (r_m, *_, t_m) = x
     same = (0.25 * abs(t_p + t_m) ** 2 * flux, 0.25 * abs(r_p + r_m) ** 2)
     flip = (0.25 * abs(t_p - t_m) ** 2 * flux, 0.25 * abs(r_p - r_m) ** 2)
     up, down = (same, flip) if incident_spin == UP else (flip, same)
     return Coefficients(up[0], down[0], up[1], down[1])
-
-
-def _channel_systems(flat, n):
-    """The stacked "+" and "-" n x n matrices and right-hand sides from one
-    flat list of their rows, then the right-hand sides; constant entries are
-    complex numbers (0j, 1 + 0j), which numpy converts faster than ints."""
-    a = np.array(flat, dtype=complex)
-    return a[: 2 * n * n].reshape(2, n, n), a[2 * n * n :].reshape(2, n)
 
 
 def _interface_scalars(e_energy, v0, m):
@@ -166,7 +158,9 @@ def _assemble_barrier(p: BarrierProblem):
             0j, ga0 * dc + de0 * sd2, ga1 * dc + de1 * sd2, -sd1,
         ]  # fmt: skip
         rhs += [-1 + 0j, -sd1, 0j, 0j]
-    return _channel_systems(rows + rhs, 4)
+    # numpy converts the complex constants (0j, 1 + 0j) faster than ints
+    a = np.array(rows + rhs, dtype=complex)
+    return a[:32].reshape(2, 4, 4), a[32:].reshape(2, 4)
 
 
 def _solve_matching(p: BarrierProblem):
@@ -193,7 +187,7 @@ def solve_barrier(p: BarrierProblem):
     degenerates and this refuses; closed_form holds there as everywhere.
     """
     _, _, x = _solve_matching(p)
-    return x, _channel_coeffs(x, 1.0, p.incident_spin)
+    return x, _channel_coeffs(x.tolist(), 1.0, p.incident_spin)
 
 
 def continuity_residual(p: BarrierProblem) -> float:
@@ -284,14 +278,6 @@ def closed_form(p: BarrierProblem) -> Coefficients:
     return Coefficients(float(t1), 0.0, float(r1), float(r2))
 
 
-def _assemble_step(e_energy, v0, m):
-    """(M, rhs, d1, d2) of the step's two channel systems: rows u and v at
-    z = 0 for the reflected and transmitted amplitudes."""
-    _, d1, d2, dc = _interface_scalars(e_energy, v0, m)
-    rows = [1 + 0j, -1 + 0j, -d1, -(dc + d2), 1 + 0j, -1 + 0j, d1, -(dc - d2)]
-    return (*_channel_systems(rows + [-1 + 0j, -d1, -1 + 0j, d1], 2), d1, d2)
-
-
 def solve_step(e_energy, v0, m, incident_spin=UP):
     """Single interface at z = 0: region I at zero potential, region II at V0.
 
@@ -299,13 +285,13 @@ def solve_step(e_energy, v0, m, incident_spin=UP):
     of the spin-up +p columns' mode_current, equal to
     p2 (E+m) / (p1 (E-V0+m)); it reduces to p2/p1 in the nonrelativistic
     regime and is what makes R + T = 1 hold to rounding at any energy.
-    There is no critical band: at E = V0 the channel systems stay regular,
-    and T = 0 with p2 = 0.
+    The channel formulas hold through E = V0, where T = 0 with p2 = 0.
     """
     if not 0 < e_energy < np.inf:
         raise ValueError("E must be finite and positive")
-    if not 0 < m < np.inf:
-        raise ValueError("mass must be finite and positive")
+    # d1 = sqrt2 p1 / (E + m) is 0 where E + m overflows
+    if not (0 < m < np.inf and e_energy + m < np.inf):
+        raise ValueError("mass must be finite and positive, and E + m finite")
     # the flux ratio divides by d1 = sqrt2 p1 / (E + m): a subnormal p1 has
     # lost its digits
     if not math.sqrt(2.0 * m) * math.sqrt(e_energy) >= sys.float_info.min:
@@ -314,11 +300,11 @@ def solve_step(e_energy, v0, m, incident_spin=UP):
         raise ValueError("V0 must be finite")
     if incident_spin not in (UP, DOWN):
         raise ValueError(f"incident_spin must be up or down, got {incident_spin!r}")
-    m2, rhs, d1, d2 = _assemble_step(e_energy, v0, m)
-    try:
-        x = solve_linear(m2, rhs)
-    except SingularSystemError as exc:
-        raise DegenerateConfigurationError(f"step matching singular: {exc}") from exc
+    _, d1, d2, dc = _interface_scalars(e_energy, v0, m)
+    # channel s: the u row gives t = 1 + r, the v row s d1 (1 - r) = g t gives r;
+    # s d1 + g != 0: s d1 is real and nonzero, g = dc + s d2 imaginary or of real part s d2
+    x = [((sd1 - g) / (sd1 + g), 2.0 * sd1 / (sd1 + g))
+         for sd1, g in ((d1, dc + d2), (-d1, dc - d2))]
     # d1, d2 are real above the step; below it nothing is transmitted
     flux = d2.real / d1.real if e_energy > v0 else 0.0
     return _channel_coeffs(x, flux, incident_spin)
