@@ -10,6 +10,7 @@ in eV, and spatial phases downstream divide by hbar_c.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,10 @@ def momentum_operator(e_energy: float, v: float, m: float, e: EtaSet) -> np.ndar
 
 def complex_momentum(e_energy: float, v: float, m: float) -> complex:
     """Principal branch sqrt(2m(E-V)): real and positive above the potential,
-    +i*kappa below it.  Taken as sqrt(2m) sqrt(E-V): the product 2m(E-V)
+    +i*kappa below it.  Taken as sqrt2 sqrt(m) sqrt(E-V): the product 2m(E-V)
     overflows, or falls to the subnormal range and loses its digits, where
-    the momentum itself is a normal float."""
-    return cmath.sqrt(2.0 * m) * cmath.sqrt(e_energy - v)
+    the momentum itself is a normal float, and 2m overflows for m > 8.99e307."""
+    return math.sqrt(2.0) * cmath.sqrt(m) * cmath.sqrt(e_energy - v)
 
 
 def general_a_check(a: float, e_energy: float, m: float, e: EtaSet | None = None) -> float:

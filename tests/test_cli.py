@@ -255,6 +255,19 @@ def test_step_reflects_totally_at_a_subnormal_mass(capsys):
     assert rec["R1"] == 1.0 and rec["T1"] == rec["T2"] == 0.0
 
 
+def test_step_at_a_mass_whose_double_overflows(capsys):
+    # 2m is inf for m > 8.99e307, but p = sqrt2 sqrt(m) sqrt(E - V) is
+    # finite; with E, V0 << m the step is the nonrelativistic one
+    argv = ["step", "--v0", "1", "--mass", "1.7e308", "--emin", "0.5", "--emax", "2",
+            "--steps", "2", "--format", "json", "--precision", "17"]
+    assert run(argv) == 0
+    below, above = loads(capsys.readouterr().out)
+    assert below["R1"] == 1.0 and below["T1"] == below["T2"] == 0.0
+    k1, k2 = math.sqrt(2.0), 1.0
+    assert abs(above["T1"] - 4.0 * k1 * k2 / (k1 + k2) ** 2) <= 1e-14
+    assert abs(above["T1"] + above["R1"] - 1.0) <= 1e-14
+
+
 def test_closed_form_where_the_phase_underflows(capsys):
     # g (E - V0) underflows to 0: S(0) = 1, not a ZeroDivisionError
     flags = ["--v0", "1", "--length", "6.5e-139", "--mass", "6.5e-139", "--hbar-c", "1"]
