@@ -1,11 +1,11 @@
-"""Small dense complex linear algebra used by the matching solvers.
+"""Small dense linear algebra for the barrier matching and the representation fit.
 
 Everything here operates on plain numpy arrays (complex128 for matrices and
-vectors, float64 for the real least-squares path).  Systems are tiny (stacks
-of two 2x2 or 4x4 channel systems for the interface matching, 64x32 for the
-representation fit); numpy's LAPACK routines do the factorizations, and this
-module adds the finite-input checks and the singularity threshold the
-matching solvers rely on.
+vectors, float64 for the real least-squares path).  Systems are tiny (a stack
+of two 4x4 channel systems for the barrier's interface matching, 64x32 for
+the representation fit); numpy's LAPACK routines do the factorizations, and
+this module adds the finite-input checks and the singularity threshold the
+matching solve relies on.
 """
 
 from __future__ import annotations

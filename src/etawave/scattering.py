@@ -289,7 +289,7 @@ def solve_step(e_energy, v0, m, incident_spin=UP):
     """
     if not 0 < e_energy < np.inf:
         raise ValueError("E must be finite and positive")
-    # d1 = sqrt2 p1 / (E + m) is 0 where E + m overflows
+    # d1 = sqrt2 p1 / (E + m) is 0 or nan where E + m overflows
     if not (0 < m < np.inf and e_energy + m < np.inf):
         raise ValueError("mass must be finite and positive, and E + m finite")
     # the flux ratio divides by d1 = sqrt2 p1 / (E + m): a subnormal p1 has

@@ -380,7 +380,8 @@ def test_coefficients_hold_under_binary_rescaling(v0, m, length, ratio, k, spin)
 
 
 def test_step_rejects_an_e_plus_m_beyond_the_float_range():
-    # d1 = sqrt2 p1 / (E + m) is 0 there, and with it both channels' s d1 + g
+    # d1 = sqrt2 p1 / (E + m) is 0 or nan where E + m overflows: a flagged
+    # row, not the ZeroDivisionError of s d1 + g = 0
     for args in ((1e308, 1.0, 1e308), (1.5e308, 1.0, 0.5e308)):
         with pytest.raises(ValueError):
             sc.solve_step(*args)
@@ -621,10 +622,10 @@ def _step_at_50_digits(mpmath, e_energy, v0, m, spin):
     mpmath.mp.dps = 50
     e, v, mm = mpmath.mpf(e_energy), mpmath.mpf(v0), mpmath.mpf(m)
 
-    def columns(v):
-        p = mpmath.sqrt(2 * mm * (e - v))  # +i kappa below the potential
-        den = e - v + mm
-        c, d = 1j * (e - v - mm) / den, mpmath.sqrt(2) * p / den
+    def columns(pot):
+        p = mpmath.sqrt(2 * mm * (e - pot))  # +i kappa below the potential
+        den = e - pot + mm
+        c, d = 1j * (e - pot - mm) / den, mpmath.sqrt(2) * p / den
         # +p up, +p down, -p up, -p down
         return [(1, 0, c, -d), (0, 1, d, -c), (1, 0, c, d), (0, 1, -d, -c)], d
 
@@ -663,7 +664,9 @@ def test_step_against_a_50_digit_matching_solve(e_over_m, height, m, spin):
         assert abs(got - want) <= 1e-10 * abs(want) + 1e-11
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: dc and s d2 cancel near V0 = E + m")
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 9: dc and s d2 cancel near V0 = E + m"
+)
 @pytest.mark.parametrize("spin", [sp.UP, sp.DOWN])
 def test_step_near_the_component_pole_against_50_digits(spin):
     # V0 - E - m = 2e-6 m, outside the refused band of 1e-6 m: the error is
