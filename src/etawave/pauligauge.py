@@ -13,7 +13,7 @@ therefore not periodic across the seam; all checks weight the fields with
 states that decay to ~1e-8 at the boundary, which keeps the seam
 contribution far below the bulk truncation error being measured.
 
-The checks run over slabs of sixteen x-planes (the first spatial axis,
+The checks run over slabs of eight x-planes (the first spatial axis,
 contiguous in the C-ordered (component, x, y, z) arrays) at every N, each
 gathered with a periodic halo, so every work array is slab-sized.  The slabs
 run one after another on the calling thread and their partial sums are added
@@ -80,12 +80,13 @@ import numpy as np
 
 from .clifford import PAULI, build_eta, build_standard_gammas
 
-# x-planes per slab, at every N: at N = 128 a slab has 2^18 sites, whose
-# 4-component temporaries (16 MB each) stream from memory.  Cache-sized slabs
-# ran faster, but with twice the run-to-run spread on a host shared with other
-# tenants; a box checked whole faulted its 40-60 MB of work arrays in again on
-# every call.
-_SLAB_PLANES = 16
+# x-planes per slab, at every N: at N = 128 a slab has 2^17 sites, whose
+# 4-component temporaries (8 MB each) stream from memory.  16-plane slabs ran
+# as fast and raised the peak RSS of convergence_table((32, 64, 128)) from 121
+# to 143 MB; 4-plane ones made its N = 32 row 35-60 % slower (2-vCPU Xeon).
+# Cache-sized slabs doubled the run-to-run spread on a host shared with other
+# tenants; a box checked whole faulted its work arrays in again on every call.
+_SLAB_PLANES = 8
 
 
 @dataclass(frozen=True)
@@ -142,15 +143,16 @@ def uniform_b_field(n: int, extent: float, bz: float) -> GaugeField:
 
 
 def gaussian_bump_state(n: int, extent: float, sigma: float | None = None) -> np.ndarray:
-    """Two-component localized test state; decays to ~1e-8 at the seam."""
+    """Two-component localized test state; decays to ~1e-8 at the seam.
+    Each component is an x column times one (y, z) plane of the Gaussian."""
     (x, y, z), _ = grid_coordinates(n, extent)
     sigma = sigma if sigma is not None else extent / 12.0
     # sigma * sigma: a float ** 2 raises OverflowError where a product is inf
-    bump = np.exp(-(x**2 + y**2 + z**2) / (2.0 * (sigma * sigma)))
+    gx, gy, gz = (np.exp(-(c**2) / (2.0 * (sigma * sigma))) for c in (x, y, z))
+    plane = gy * gz
     state = np.empty((2, n, n, n), dtype=complex)
-    np.multiply(bump, 1.0 + 0.3j, out=state[0])
-    np.multiply(bump, 0.5 - 0.2j, out=state[1])
-    state[1] *= np.cos(2.0 * np.pi * x / extent)
+    np.multiply(gx * (1.0 + 0.3j), plane, out=state[0])
+    np.multiply(gx * np.cos(2.0 * np.pi * x / extent) * (0.5 - 0.2j), plane, out=state[1])
     return state
 
 

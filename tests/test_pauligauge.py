@@ -291,17 +291,22 @@ def test_bump_state_shape_and_decay():
 @pytest.mark.parametrize("n", [8, 17, 32])
 def test_fields_are_the_dense_meshgrid_forms_bitwise(n):
     # the field constructors broadcast 1-D coordinates; full meshgrid arrays give the
-    # same expressions the same bits
+    # same expressions the same bits: the Gaussian is the product of one factor
+    # per axis, the x factor with the coefficient (and the cos) times the (y, z) one
     extent, bz, sigma = 5.5, -1.7, 0.9
     h = extent / n
     axis = (np.arange(n) - n / 2) * h
     x, y, z = np.meshgrid(axis, axis, axis, indexing="ij")
     zero = np.zeros((n, n, n))
-    bump = np.exp(-(x**2 + y**2 + z**2) / (2.0 * sigma**2))
+    gx, gy, gz = (np.exp(-(c**2) / (2.0 * sigma**2)) for c in (x, y, z))
+    plane = gy * gz
     expected = (
         np.stack([-0.5 * bz * y, 0.5 * bz * x, zero]),
         np.stack([zero, zero, np.full((n, n, n), bz)]),
-        np.stack([bump * (1.0 + 0.3j), bump * (0.5 - 0.2j) * np.cos(2.0 * np.pi * x / extent)]),
+        np.stack([
+            gx * (1.0 + 0.3j) * plane,
+            gx * np.cos(2.0 * np.pi * x / extent) * (0.5 - 0.2j) * plane,
+        ]),
         0.4 * np.sin(2.0 * np.pi * x / extent),
     )
     f = pg.uniform_b_field(n, extent, bz)
@@ -590,7 +595,8 @@ def checks_with_potential(n, e_charge):
 @pytest.mark.parametrize("width", [1, 5, 7, 16])
 def test_slab_checks_match_roll_einsum_reference(n, e_charge, width, monkeypatch):
     # slabs of `width` x-planes, most not dividing N, so the last slab is
-    # narrower; 16 is the plane count itself (N = 40: 16 + 16 + 8 planes)
+    # narrower; width 16 makes N = 16 one slab wrapping its own halo (N = 40:
+    # 16 + 16 + 8 planes)
     monkeypatch.setattr(pg, "_SLAB_PLANES", width)
     checks, refs = checks_with_potential(n, e_charge)
     for check, ref in zip(checks, refs):
@@ -601,15 +607,16 @@ def test_slabs_cover_every_plane_once_in_order():
     def slab(lo, hi, halo):
         return lo, hi, halo
 
-    # slabs of 16 planes with a halo at every N: N = 128 makes eight (2^18
-    # sites each), N = 64 four
-    assert pg._over_slabs(slab, 128, 2) == [(lo, lo + 16, 2) for lo in range(0, 128, 16)]
-    assert pg._over_slabs(slab, 64, 2) == [(lo, lo + 16, 2) for lo in range(0, 64, 16)]
+    # slabs of 8 planes with a halo at every N: N = 128 makes sixteen (2^17
+    # sites each), N = 64 eight and N = 16 two
+    assert pg._over_slabs(slab, 128, 2) == [(lo, lo + 8, 2) for lo in range(0, 128, 8)]
+    assert pg._over_slabs(slab, 64, 2) == [(lo, lo + 8, 2) for lo in range(0, 64, 8)]
+    assert pg._over_slabs(slab, 16, 1) == [(0, 8, 1), (8, 16, 1)]
     # a plane count that does not divide N leaves a narrower last slab
-    assert pg._over_slabs(slab, 40, 1) == [(0, 16, 1), (16, 32, 1), (32, 40, 1)]
-    # a box of at most 16 planes is one slab, whose halo wraps around it
-    for n in (8, 9):
-        assert pg._over_slabs(slab, n, 2) == [(0, n, 2)]
+    assert pg._over_slabs(slab, 40, 1) == [(lo, lo + 8, 1) for lo in range(0, 40, 8)]
+    assert pg._over_slabs(slab, 9, 2) == [(0, 8, 2), (8, 9, 2)]
+    # a box of at most 8 planes is one slab, whose halo wraps around it
+    assert pg._over_slabs(slab, 8, 2) == [(0, 8, 2)]
 
 
 def general_field(n, rng):
@@ -627,12 +634,12 @@ def general_field(n, rng):
     return f, psi, rng.standard_normal((n, n, n))
 
 
-@pytest.mark.parametrize("width", [None, 5])
+@pytest.mark.parametrize("width", [None, 5, 16])
 @pytest.mark.parametrize("e_charge", [1.0, 0.7])
 def test_checks_match_reference_on_a_general_field(width, e_charge, monkeypatch):
     # reaches the B_x, B_y and A_z weights, which the uniform field along z
-    # leaves at zero; one slab wrapping its own halo (N = 16 is one slab of
-    # 16 planes) and width-5 slabs
+    # leaves at zero; N = 16 in the two slabs of the default width, in one
+    # slab wrapping its own halo (width 16) and in width-5 slabs
     n = 16
     if width:
         monkeypatch.setattr(pg, "_SLAB_PLANES", width)
@@ -701,25 +708,42 @@ def test_weighted_rows_are_the_per_site_products(along_z):
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected)), axis
 
 
+def traced_peak(call) -> int:
+    """The tracemalloc peak of call(), in bytes; numpy reports its buffers
+    to tracemalloc, so the peak is the same in every run."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_wave_form_value_runs_over_slabs():
     # the gauge check's slab q0: no whole-box copy of the state or the fields
     n = 64
     f = pg.uniform_b_field(n, EXTENT, 0.3)
     psi = pg.gaussian_bump_state(n, EXTENT)
     theta = pg.commensurate_theta(n, EXTENT)
-    peaks = []
-    for call in (
-        lambda: pg.gauge_invariance_check(f, theta, psi, 2.0, 1.5, 0.7),
-        lambda: pg.wave_form_value(f, psi, 2.0, 1.5, 0.7),
-    ):
-        tracemalloc.start()
-        try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    gauge, form = peaks
+    gauge = traced_peak(lambda: pg.gauge_invariance_check(f, theta, psi, 2.0, 1.5, 0.7))
+    form = traced_peak(lambda: pg.wave_form_value(f, psi, 2.0, 1.5, 0.7))
     assert form <= gauge + 2**20
+
+
+def test_identity_check_allocates_at_most_64_x_planes():
+    # one identity check at N = 64 allocates about 55 two-component x-planes
+    # with 8-plane slab pools, 99 with 16-plane ones
+    n = 64
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    psi = pg.gaussian_bump_state(n, EXTENT)
+    assert traced_peak(lambda: pg.pauli_identity_check(f, psi)) <= 64 * psi[:, 0].nbytes
+
+
+def test_bump_state_is_built_with_no_dense_temporary():
+    # one factor per axis: beside the state only numpy's cast buffer of about
+    # 256 KB, where a dense exponent and its exp add 2.2 MB at N = 64
+    state_bytes = 2 * 64**3 * np.dtype(complex).itemsize
+    assert traced_peak(lambda: pg.gaussian_bump_state(64, EXTENT)) <= state_bytes + 2**19
 
 
 @pytest.mark.parametrize(
@@ -835,17 +859,10 @@ def test_checks_copy_no_broadcast_field_whole():
     n = 64
     psi = pg.gaussian_bump_state(n, EXTENT)
     broadcast, dense = broadcast_and_dense_fields(n)
-    peaks = []
-    for calls in (check_calls(*broadcast, psi), check_calls(*dense, psi)):
-        row = []
-        for call in calls:
-            tracemalloc.start()
-            try:
-                call()
-                row.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        peaks.append(row)
+    peaks = [
+        [traced_peak(call) for call in calls]
+        for calls in (check_calls(*broadcast, psi), check_calls(*dense, psi))
+    ]
     for on_broadcast, on_dense in zip(*peaks):
         assert on_broadcast <= on_dense + 2**20
 
@@ -883,13 +900,7 @@ def test_whole_box_functions_take_the_fields_by_rows():
     n = 64
     f = pg.uniform_b_field(n, EXTENT, 0.3)
     psi = pg.gaussian_bump_state(n, EXTENT)
-    tracemalloc.start()
-    try:
-        pg.sigma_pi_apply(f, psi, 0.7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * 2**20
+    assert traced_peak(lambda: pg.sigma_pi_apply(f, psi, 0.7)) <= 24 * 2**20
 
 
 def gathered_weights(fields, lo, hi):

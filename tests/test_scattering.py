@@ -616,21 +616,22 @@ def test_step_channel_formulas_equal_the_mode_column_solve(ratio, v0, m, spin):
         assert abs(got - want) <= 1e-14
 
 
+def _columns_at_50_digits(mpmath, e, pot, mm):
+    """The +p up, +p down, -p up and -p down mode_column columns of a region
+    at potential `pot`, with the region's p and d, from mpmath numbers."""
+    p = mpmath.sqrt(2 * mm * (e - pot))  # +i kappa below the potential
+    den = e - pot + mm
+    c, d = 1j * (e - pot - mm) / den, mpmath.sqrt(2) * p / den
+    return [(1, 0, c, -d), (0, 1, d, -c), (1, 0, c, d), (0, 1, -d, -c)], p, d
+
+
 def _step_at_50_digits(mpmath, e_energy, v0, m, spin):
     """(t1, t2, r1, r2) of the step from the 4x4 matching solve of the
     mode_column columns, the scalars p, c and d taken at 50 digits."""
     mpmath.mp.dps = 50
     e, v, mm = mpmath.mpf(e_energy), mpmath.mpf(v0), mpmath.mpf(m)
-
-    def columns(pot):
-        p = mpmath.sqrt(2 * mm * (e - pot))  # +i kappa below the potential
-        den = e - pot + mm
-        c, d = 1j * (e - pot - mm) / den, mpmath.sqrt(2) * p / den
-        # +p up, +p down, -p up, -p down
-        return [(1, 0, c, -d), (0, 1, d, -c), (1, 0, c, d), (0, 1, -d, -c)], d
-
-    (u_fu, u_fd, u_bu, u_bd), d1 = columns(0)
-    (w_fu, w_fd, _, _), d2 = columns(v)
+    (u_fu, u_fd, u_bu, u_bd), _, d1 = _columns_at_50_digits(mpmath, e, 0, mm)
+    (w_fu, w_fd, _, _), _, d2 = _columns_at_50_digits(mpmath, e, v, mm)
     a = mpmath.matrix([[u_bu[i], u_bd[i], -w_fu[i], -w_fd[i]] for i in range(4)])
     x = mpmath.lu_solve(a, mpmath.matrix([-z for z in (u_fu if spin == sp.UP else u_fd)]))
     flux = mpmath.re(d2) / mpmath.re(d1) if e > v else 0
@@ -641,21 +642,26 @@ def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
 
 
-# V0 / E within 1e-12 to 1e-1 of 1 on either side, or V0 / m of either sign
-# across nine decades
-step_heights = st.one_of(
-    st.tuples(st.just("E"), st.sampled_from([-1.0, 1.0]), _log_uniform(1e-12, 1e-1)),
-    st.tuples(st.just("m"), st.sampled_from([-1.0, 1.0]), _log_uniform(1e-6, 1e3)),
-)
+def _heights(m_sides):
+    """V0 / E within 1e-12 to 1e-1 of 1 on either side, or V0 / m across
+    nine decades with a sign from `m_sides`, as (scale, side, size)."""
+    return st.one_of(
+        st.tuples(st.just("E"), st.sampled_from([-1.0, 1.0]), _log_uniform(1e-12, 1e-1)),
+        st.tuples(st.just("m"), st.sampled_from(m_sides), _log_uniform(1e-6, 1e3)),
+    )
+
+
+def _height(e_energy, m, height):
+    scale, side, size = height
+    return e_energy * (1.0 + side * size) if scale == "E" else side * size * m
 
 
 @settings(max_examples=300, deadline=None)
-@given(_log_uniform(1e-6, 1e3), step_heights, _log_uniform(1e-3, 1e9), spins)
+@given(_log_uniform(1e-6, 1e3), _heights([-1.0, 1.0]), _log_uniform(1e-3, 1e9), spins)
 def test_step_against_a_50_digit_matching_solve(e_over_m, height, m, spin):
     mpmath = pytest.importorskip("mpmath")
     e_energy = e_over_m * m
-    scale, side, size = height
-    v0 = e_energy * (1.0 + side * size) if scale == "E" else side * size * m
+    v0 = _height(e_energy, m, height)
     # within 1e-3 m of V0 = E + m the columns' dc and s d2 cancel unflagged
     # (ROADMAP item 9): that band is shown by the xfail below, not drawn here
     assume(abs(v0 - e_energy - m) > 1e-3 * m)
@@ -675,6 +681,101 @@ def test_step_near_the_component_pole_against_50_digits(spin):
     exact = _step_at_50_digits(mpmath, 0.5, 1.500002, 1.0, spin)
     for got, want in zip(_channels(sc.solve_step(0.5, 1.500002, 1.0, spin)), exact):
         assert abs(got - want) <= 1e-10 * abs(want) + 1e-11
+
+
+def _barrier_at_50_digits(mpmath, e_energy, v0, length, m, spin):
+    """(t1, t2, r1, r2) of the barrier from the 8x8 matching solve of the
+    mode_column columns, assembled as `_barrier_system_from_columns` does,
+    the scalars and the phase taken at 50 digits."""
+    mpmath.mp.dps = 50
+    e, v, mm = mpmath.mpf(e_energy), mpmath.mpf(v0), mpmath.mpf(m)
+    (u_fu, u_fd, u_bu, u_bd), _, _ = _columns_at_50_digits(mpmath, e, 0, mm)
+    (w_fu, w_fd, w_bu, w_bd), p2, _ = _columns_at_50_digits(mpmath, e, v, mm)
+    ph2 = mpmath.exp(1j * p2 * mpmath.mpf(length) / mpmath.mpf(CONSTANTS.hbar_c))
+    # z = 0 rows, then z = L rows; the -p internal mode is anchored at z = L
+    rows = [
+        [u_bu[i], u_bd[i], -w_fu[i], -w_fd[i], -ph2 * w_bu[i], -ph2 * w_bd[i], 0, 0]
+        for i in range(4)
+    ] + [
+        [0, 0, ph2 * w_fu[i], ph2 * w_fd[i], w_bu[i], w_bd[i], -u_fu[i], -u_fd[i]]
+        for i in range(4)
+    ]
+    incident = u_fu if spin == sp.UP else u_fd
+    x = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix([-z for z in incident] + [0] * 4))
+    return tuple(float(abs(x[k]) ** 2) for k in (6, 7, 0, 1))
+
+
+def _assert_barrier_within_criterion_04(p, exact, solvers):
+    for solve in solvers:
+        for got, want in zip(_channels(solve(p)), exact):
+            assert abs(got - want) <= 1e-10 * abs(want) + 1e-11, solve
+
+
+def _matching(p):
+    return sc.solve_barrier(p)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _log_uniform(1e-6, 1e3),
+    _heights([1.0]),
+    _log_uniform(1e-3, 1e9),
+    _log_uniform(1e-6, 220.0),
+    spins,
+)
+def test_barrier_against_a_50_digit_matching_solve(e_over_m, height, m, phase, spin):
+    # both solvers over the dimensionless space: E/m, V0/m and the phase
+    # |p2| L / hbar_c that fixes L, from the thin-barrier limit to kappa L = 220
+    mpmath = pytest.importorskip("mpmath")
+    e_energy = e_over_m * m
+    v0 = _height(e_energy, m, height)
+    # near V0 = E + m the columns' dc and s d2 cancel unflagged (ROADMAP item
+    # 9): 700 times the bound at 2e-6 m, and still up to 3.2 times at 1.01e-3 m
+    # in the near-top basis, against 0.3 times at 1e-2 m; the band is shown by
+    # the xfails below, not drawn here
+    assume(abs(v0 - e_energy - m) > 1e-2 * m)
+    # at E = V0 exactly no phase fixes L; the band around it is drawn
+    assume(v0 != e_energy)
+    length = phase * CONSTANTS.hbar_c / abs(complex_momentum(e_energy, v0, m))
+    p = barrier(e_energy, v0, length, m, spin)
+    exact = _barrier_at_50_digits(mpmath, e_energy, v0, p.length, m, spin)
+    solvers = [sc.closed_form, _matching]
+    if classify_regime(e_energy, v0) == CRITICAL:
+        with pytest.raises(sc.CriticalBandError):
+            sc.solve_barrier(p)
+        solvers = [sc.closed_form]
+    _assert_barrier_within_criterion_04(p, exact, solvers)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 9: dc and s d2 cancel near V0 = E + m"
+)
+@pytest.mark.parametrize("spin", [sp.UP, sp.DOWN])
+def test_barrier_near_the_component_pole_against_50_digits(spin):
+    # V0 - E - m = 2e-6 m, outside the refused band of 1e-6 m: the matching
+    # solve errs by about 700 times the criterion-04 bound, closed_form by
+    # 1e-6 of it
+    mpmath = pytest.importorskip("mpmath")
+    p = barrier(1e-6, 1.000003, 0.028, 1.0, spin)
+    exact = _barrier_at_50_digits(mpmath, 1e-6, 1.000003, 0.028, 1.0, spin)
+    _assert_barrier_within_criterion_04(p, exact, [sc.closed_form])
+    _assert_barrier_within_criterion_04(p, exact, [_matching])
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 9's error beyond its 1e-3 m band"
+)
+def test_barrier_beside_the_item_9_band_against_50_digits():
+    # V0 - E - m = +-1.01e-3 m and phases of 1.4e-4 to 4.3e-4 (the near-top
+    # basis): the matching solve errs by up to 3.2 times the criterion-04
+    # bound, and by more than the bound at 16 of these 34 points; spin down
+    # gives the same channels
+    mpmath = pytest.importorskip("mpmath")
+    for v0 in (1.001011, 0.998991):
+        for length in np.linspace(0.02, 0.06, 17):
+            p = barrier(1e-6, v0, float(length), 1.0)
+            exact = _barrier_at_50_digits(mpmath, 1e-6, v0, p.length, 1.0, sp.UP)
+            _assert_barrier_within_criterion_04(p, exact, [_matching])
 
 
 def _exact_closed_form(mpmath, e_energy, v0, length, m, z_scale=1):
