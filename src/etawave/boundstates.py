@@ -8,6 +8,7 @@ normalization only pins |A|^2 + |B|^2 + |A'|^2 + |B'|^2 = 1/(4L).
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -88,14 +89,16 @@ def _phase_sin(e_energy: float, w: WellProblem) -> float:
     return float(np.sin(_phase(e_energy, w)))
 
 
-def find_levels_numerically(w: WellProblem, e_hi: float) -> tuple:
-    """((n, E_n), ...): bracket and bisect the zeros of the periodic residual
-    in (0, e_hi], numbered upward from n = 1.
+def find_levels_numerically(w: WellProblem) -> tuple:
+    """((n, E_n), ...) for n = 1 .. n_max: bracket and bisect the zeros of
+    the periodic residual in (0, (1 + 1/(2 n_max)) E_nmax], a bracket that
+    ends below E_(n_max + 1).
 
     The residual itself is nonnegative, so bracketing runs on the
-    sign-changing sin(p L / hbar_c).  Grid step is a quarter of the analytic
-    n=1 spacing, which separates consecutive levels for every n; bisection
-    refines to 1e-12 relative.
+    sign-changing sin(p L / hbar_c).  The grid is even in sqrt(E), where the
+    levels n sqrt(E_1) are evenly spaced: its step of sqrt(E_1) / 4 separates
+    consecutive levels for every n, with a few grid points per level, so the
+    search grows linearly in n_max.  Bisection refines to 1e-12 relative.
 
     sin(p L / hbar_c) = 0 is the analytic quantization condition itself, so
     agreement with energy_levels (acceptance criterion 09, the
@@ -103,18 +106,21 @@ def find_levels_numerically(w: WellProblem, e_hi: float) -> tuple:
     and bisection find every level to 1e-10; it is not an independent solve
     of the periodic matching problem.
     """
-    if not 0 < e_hi < np.inf:
-        raise ValueError(f"the search bracket e_hi = {e_hi!r} eV is not finite and positive")
     e_1 = level_energy(1, w.length, w.m, w.constants)
-    step = e_1 / 4.0
+    e_top = level_energy(w.n_max, w.length, w.m, w.constants)
+    e_hi = e_top * (1.0 + 1.0 / (2.0 * w.n_max))
+    if not e_hi < np.inf:
+        raise ValueError(f"the search bracket above E_{w.n_max} = {e_top!r} eV is not finite")
+    step = math.sqrt(e_1) / 4.0
     found = []
-    e_lo = step * 1e-6  # stay off the p = 0 endpoint
+    e_lo = e_1 / 4.0 * 1e-6  # stay off the p = 0 endpoint
     if not e_lo:
         raise ValueError(f"E_1 = {e_1!r} eV is too small for the search grid")
     f_lo = _phase_sin(e_lo, w)
     e = e_lo
     while e < e_hi:
-        e_next = min(e + step, e_hi)
+        root = math.sqrt(e) + step
+        e_next = min(root * root, e_hi)  # inf past the float range; ** 2 would raise
         f_next = _phase_sin(e_next, w)
         if f_lo == 0.0:
             found.append(e)

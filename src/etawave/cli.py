@@ -241,11 +241,8 @@ def cmd_well(parser, args) -> int:
     analytic = boundstates.energy_levels(w)
     numeric = None
     if args.numeric:
-        e_hi = boundstates.level_energy(args.nmax, w.length, w.m, constants) * (
-            1.0 + 1.0 / (2.0 * args.nmax)
-        )
         try:
-            numeric = dict(boundstates.find_levels_numerically(w, e_hi))
+            numeric = dict(boundstates.find_levels_numerically(w))
         except ValueError as exc:  # no search grid within the float range
             parser.error(str(exc))
     header = ["n", "E_n_eV", "residual"]
@@ -308,13 +305,7 @@ def cmd_point(parser, args) -> int:
     return _emit_rows("method", rows, args, precision, False)
 
 
-def _corrupted_eta(e_set):
-    bad = e_set.eta.copy()
-    bad[0, 2] = -bad[0, 2]  # breaks nilpotency
-    return clifford.EtaSet(eta=bad, eta_dagger=bad.conj().T)
-
-
-def _run_check(seed: int, fault: str | None):
+def _run_check(seed: int):
     """(exit code, report text) of the identity and property suite."""
     rng = np.random.default_rng(seed)
     lines = []
@@ -327,10 +318,7 @@ def _run_check(seed: int, fault: str | None):
             failed.append(name)
 
     g = clifford.build_standard_gammas()
-    e_set = clifford.build_eta(g)
-    if fault == "eta-sign":
-        e_set = _corrupted_eta(e_set)
-    rep = clifford.identity_suite(g, e_set)
+    rep = clifford.identity_suite(g, clifford.build_eta(g))
     for name, dev in rep.items():
         record(f"clifford.{name}", dev, clifford.IDENTITY_TOL)
     record("clifford.footnote_equivalence", clifford.footnote_equivalence_check(g), 1e-14)
@@ -422,8 +410,7 @@ def _run_check(seed: int, fault: str | None):
 
     w = boundstates.WellProblem(10.0, 0.5e6, 12)
     analytic = boundstates.energy_levels(w)
-    e_hi = boundstates.level_energy(12, 10.0, 0.5e6, w.constants) * 1.04
-    numeric = dict(boundstates.find_levels_numerically(w, e_hi))
+    numeric = dict(boundstates.find_levels_numerically(w))
     worst = max(
         abs(numeric[n] - e_n) / e_n for n, e_n in analytic
     )
@@ -446,7 +433,7 @@ def _run_check(seed: int, fault: str | None):
 
 def cmd_check(parser, args) -> int:
     _, _, _, seed = _resolve(parser, args)
-    code, text = _run_check(seed, args.fault)
+    code, text = _run_check(seed)
     _emit(text, args.output)
     return code
 
@@ -487,7 +474,6 @@ def build_parser() -> _Parser:
     _add_common(p_pauli, hbar_c=False, mass=False)
 
     p_check = sub.add_parser("check", help="identity and property suite")
-    p_check.add_argument("--fault", choices=("eta-sign",), default=None, help=argparse.SUPPRESS)
     _add_common(p_check, table=False, hbar_c=False, mass=False, seed=True)
 
     p_point = sub.add_parser("point", help="both solvers at one energy")

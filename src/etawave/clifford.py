@@ -42,12 +42,6 @@ class GammaSet:
         return (self.gamma0, self.gamma1, self.gamma2, self.gamma3)
 
 
-@dataclass(frozen=True)
-class EtaSet:
-    eta: np.ndarray
-    eta_dagger: np.ndarray
-
-
 def build_standard_gammas() -> GammaSet:
     """gamma0 diagonal (+1,+1,-1,-1), spatial gammas with Pauli blocks
     off-diagonal, gamma5 with identity blocks off-diagonal."""
@@ -59,9 +53,10 @@ def build_standard_gammas() -> GammaSet:
     return GammaSet(gamma0, spatial[0], spatial[1], spatial[2], gamma5)
 
 
-def build_eta(g: GammaSet) -> EtaSet:
-    eta = (g.gamma0 + 1j * g.gamma5) / SQRT2
-    return EtaSet(eta=eta, eta_dagger=adjoint(eta))
+def build_eta(g: GammaSet) -> np.ndarray:
+    """The nilpotent eta = (gamma0 + i gamma5) / sqrt(2); eta^+ is
+    numerics.adjoint(eta)."""
+    return (g.gamma0 + 1j * g.gamma5) / SQRT2
 
 
 def max_abs(m) -> float:
@@ -82,9 +77,9 @@ def footnote_equivalence_check(g: GammaSet) -> float:
     return max(devs)
 
 
-def identity_suite(g: GammaSet, e: EtaSet) -> dict:
-    """{name: max elementwise deviation} of every invariant of the gamma and
-    eta sets; all must hold to IDENTITY_TOL."""
+def identity_suite(g: GammaSet, eta: np.ndarray) -> dict:
+    """{name: max elementwise deviation} of every invariant of the gamma set
+    and of eta with its adjoint eta^+; all must hold to IDENTITY_TOL."""
     rep = {}
     eye = np.eye(4, dtype=complex)
     gams = g.vector()
@@ -101,13 +96,12 @@ def identity_suite(g: GammaSet, e: EtaSet) -> dict:
         rep[f"gamma5_anticommutes_g{mu}"] = max_abs(
             g.gamma5 @ gams[mu] + gams[mu] @ g.gamma5
         )
-    rep["eta_nilpotent"] = max_abs(e.eta @ e.eta)
-    rep["eta_dagger_nilpotent"] = max_abs(e.eta_dagger @ e.eta_dagger)
-    rep["eta_completeness"] = max_abs(
-        e.eta @ e.eta_dagger + e.eta_dagger @ e.eta - 2 * eye
-    )
-    rep["gamma0_recovery"] = max_abs((e.eta + e.eta_dagger) / SQRT2 - g.gamma0)
-    rep["igamma5_recovery"] = max_abs((e.eta - e.eta_dagger) / SQRT2 - 1j * g.gamma5)
+    eta_dagger = adjoint(eta)
+    rep["eta_nilpotent"] = max_abs(eta @ eta)
+    rep["eta_dagger_nilpotent"] = max_abs(eta_dagger @ eta_dagger)
+    rep["eta_completeness"] = max_abs(eta @ eta_dagger + eta_dagger @ eta - 2 * eye)
+    rep["gamma0_recovery"] = max_abs((eta + eta_dagger) / SQRT2 - g.gamma0)
+    rep["igamma5_recovery"] = max_abs((eta - eta_dagger) / SQRT2 - 1j * g.gamma5)
     return rep
 
 
@@ -118,11 +112,12 @@ def conjugate_gammas(g: GammaSet, u: np.ndarray) -> GammaSet:
     return GammaSet(t(g.gamma0), t(g.gamma1), t(g.gamma2), t(g.gamma3), t(g.gamma5))
 
 
-def random_householder_unitary(rng: np.random.Generator, n: int = 4, reflections: int = 2):
-    """Product of complex Householder reflections; exactly unitary by construction."""
-    u = np.eye(n, dtype=complex)
-    for _ in range(reflections):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+def random_householder_unitary(rng: np.random.Generator):
+    """4x4 product of two complex Householder reflections; exactly unitary
+    by construction."""
+    u = np.eye(4, dtype=complex)
+    for _ in range(2):
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v /= np.linalg.norm(v)
-        u = u @ (np.eye(n, dtype=complex) - 2.0 * np.outer(v, v.conj()))
+        u = u @ (np.eye(4, dtype=complex) - 2.0 * np.outer(v, v.conj()))
     return u

@@ -79,6 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import PAULI, build_eta, build_standard_gammas
+from .numerics import adjoint
 
 # x-planes per slab, at every N: at N = 128 a slab has 2^17 sites, whose
 # 4-component temporaries (8 MB each) stream from memory.  16-plane slabs ran
@@ -639,7 +640,8 @@ def _forms(f: GaugeField, psi: np.ndarray, e_energy, m, e_charge, theta=None):
     slabs in slab order; q1 - q0 is 0 when `theta` is None.  `psi` is a
     C-ordered state of 2 or 4 components."""
     g = build_standard_gammas()
-    e_set = build_eta(g)
+    eta = build_eta(g)
+    eta_dagger = adjoint(eta)
     mass = np.full((1, 1, 1), m, dtype=float)  # a weight constant along z
     get = _buffers()
 
@@ -677,7 +679,7 @@ def _forms(f: GaugeField, psi: np.ndarray, e_energy, m, e_charge, theta=None):
         kinetic = get("kinetic", a0.shape, float)
         np.multiply(a0, e_charge, out=kinetic)
         np.subtract(e_energy, kinetic, out=kinetic)
-        form = weighted(kinetic, e_set.eta) + weighted(mass, e_set.eta_dagger)
+        form = weighted(kinetic, eta) + weighted(mass, eta_dagger)
         potential = _planes(f.a, lo, hi)
         if theta is not None:
             # C-ordered: `_difference` takes each block flat
@@ -778,11 +780,12 @@ def gauge_invariance_check(
     return abs(change) / abs(q0)
 
 
-def commensurate_theta(n: int, extent: float, amplitude: float = 0.4) -> np.ndarray:
-    """Gauge function completing a whole period across the box (smooth seam),
-    as a read-only broadcast view of its (N, 1, 1) profile along x."""
+def commensurate_theta(n: int, extent: float) -> np.ndarray:
+    """Gauge function 0.4 sin(2 pi x / extent), completing a whole period
+    across the box (smooth seam), as a read-only broadcast view of its
+    (N, 1, 1) profile along x."""
     (x, _, _), _ = grid_coordinates(n, extent)
-    return np.broadcast_to(amplitude * np.sin(2.0 * np.pi * x / extent), (n, n, n))
+    return np.broadcast_to(0.4 * np.sin(2.0 * np.pi * x / extent), (n, n, n))
 
 
 def convergence_table(

@@ -322,10 +322,6 @@ class SweepRow:
 class SweepTable:
     rows: list
 
-    @property
-    def flagged(self) -> list:
-        return [r for r in self.rows if r.flag is not None]
-
 
 def coefficient_delta(a: Coefficients, b: Coefficients) -> float:
     return max(
@@ -395,16 +391,15 @@ def r2_envelope(e_energy, v0, m) -> float:
     return (e_s / half_sum) * (m_s / half_sum) * ratio * ratio
 
 
-def l_sensitivity_scan(e_energy, v0, m, lengths, constants: PhysicalConstants | None = None):
+def l_sensitivity_scan(e_energy, v0, m, lengths):
     """closed_form coefficients as a function of the barrier width.
 
     The point values of R1/R2 depend on sin^2 of a phase of order 1e2..1e4,
     so per-mille changes of L sweep them across their full envelope; this
-    scan documents that sensitivity.
+    scan documents that sensitivity (at the default constants).
     """
-    constants = constants or PhysicalConstants()
     out = []
     for length in lengths:
-        prob = BarrierProblem(e_energy, v0, float(length), m, constants=constants)
+        prob = BarrierProblem(e_energy, v0, float(length), m)
         out.append((float(length), closed_form(prob)))
     return out

@@ -88,10 +88,7 @@ def mode_column(e_energy, v, m, spin, positive_branch, variant="adopted"):
     if spin == UP:
         comps = [1.0, 0.0, c, -d] if positive_branch else [1.0, 0.0, c, d]
     elif spin == DOWN:
-        if variant == "down_sign_flip":
-            comps = [0.0, 1.0, -d, -c] if positive_branch else [0.0, 1.0, d, -c]
-        else:
-            comps = [0.0, 1.0, d, -c] if positive_branch else [0.0, 1.0, -d, -c]
+        comps = [0.0, 1.0, d, -c] if positive_branch else [0.0, 1.0, -d, -c]
     else:
         raise ValueError(f"unknown spin {spin!r}")
     return np.array(comps, dtype=complex)

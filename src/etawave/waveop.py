@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import EtaSet, build_eta, build_standard_gammas, max_abs
+from .clifford import build_eta, build_standard_gammas, max_abs
+from .numerics import adjoint
 
 # relative half-width of the band around E = V where the barrier's matching
 # solve refuses: its internal +p and -p columns coincide at p = 0 (the step
@@ -48,11 +49,12 @@ def classify_regime(e_energy: float, v: float) -> str:
     return PROPAGATING if e_energy > v else EVANESCENT
 
 
-def momentum_operator(e_energy: float, v: float, m: float, e: EtaSet) -> np.ndarray:
-    """The 4x4 matrix (E - V) eta + m eta^+ of one constant-potential region."""
+def momentum_operator(e_energy: float, v: float, m: float, eta: np.ndarray) -> np.ndarray:
+    """The 4x4 matrix (E - V) eta + m eta^+ of one constant-potential region,
+    with eta^+ the adjoint of the given eta."""
     if m <= 0:
         raise ValueError("mass must be positive")
-    return (e_energy - v) * e.eta + m * e.eta_dagger
+    return (e_energy - v) * eta + m * adjoint(eta)
 
 
 def complex_momentum(e_energy: float, v: float, m: float) -> complex:
@@ -63,7 +65,7 @@ def complex_momentum(e_energy: float, v: float, m: float) -> complex:
     return math.sqrt(2.0) * cmath.sqrt(m) * cmath.sqrt(e_energy - v)
 
 
-def general_a_check(a: float, e_energy: float, m: float, e: EtaSet | None = None) -> float:
+def general_a_check(a: float, e_energy: float, m: float) -> float:
     """Deviation of ((1/a) eta E + a eta^+ m)^2 from 2mE * I.
 
     The free parameter drops out through the completeness sum, so the
@@ -71,9 +73,8 @@ def general_a_check(a: float, e_energy: float, m: float, e: EtaSet | None = None
     """
     if a == 0:
         raise ValueError("a must be nonzero")
-    if e is None:
-        e = build_eta(build_standard_gammas())
-    op = (e_energy / a) * e.eta + (a * m) * e.eta_dagger
+    eta = build_eta(build_standard_gammas())
+    op = (e_energy / a) * eta + (a * m) * adjoint(eta)
     target = 2.0 * m * e_energy * np.eye(4, dtype=complex)
     return max_abs(op @ op - target)
 

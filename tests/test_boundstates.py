@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from etawave import boundstates as bs
 from etawave import spinors as sp
@@ -67,34 +67,34 @@ def test_residual_rejects_nonpositive_energy():
 def test_numeric_levels_match_analytic():
     w = default_well(n_max=20)
     analytic = bs.energy_levels(w)
-    e_hi = analytic[-1][1] * 1.0001
-    numeric = bs.find_levels_numerically(w, e_hi)
+    numeric = bs.find_levels_numerically(w)
     assert len(numeric) == 20
     for (n_a, e_a), (n_n, e_n) in zip(analytic, numeric):
         assert n_n == n_a
         assert e_n == pytest.approx(e_a, rel=1e-10)
 
 
-def test_numeric_below_first_level_is_empty():
-    w = default_well()
-    found = bs.find_levels_numerically(w, 0.9 * E1_REFERENCE)
-    assert found == ()
-
-
 @settings(max_examples=30, deadline=None)
-@given(st.floats(1.05, 12.0), lengths, masses)
-def test_numeric_level_count(factor, length, m):
-    # e_hi = f^2 E_1 holds floor(f) levels; stay off the exact boundaries
-    assume(abs(factor - round(factor)) > 1e-3)
-    w = bs.WellProblem(length=length, m=m, n_max=1)
-    e1 = bs.level_energy(1, length, m, w.constants)
-    found = bs.find_levels_numerically(w, factor**2 * e1)
-    assert len(found) == int(np.floor(factor))
+@given(st.integers(1, 12), lengths, masses)
+def test_numeric_level_count(n_max, length, m):
+    found = bs.find_levels_numerically(bs.WellProblem(length=length, m=m, n_max=n_max))
+    assert [n for n, _ in found] == list(range(1, n_max + 1))
 
 
-def test_numeric_rejects_nonpositive_ceiling():
-    with pytest.raises(ValueError):
-        bs.find_levels_numerically(default_well(), 0.0)
+def test_numeric_search_is_linear_in_nmax(monkeypatch):
+    # the levels are evenly spaced in sqrt(E): a grid even in E that separates
+    # them all needs about 4 n_max^2 points
+    calls = []
+    phase_sin = bs._phase_sin
+
+    def counted(e_energy, w):
+        calls.append(e_energy)
+        return phase_sin(e_energy, w)
+
+    monkeypatch.setattr(bs, "_phase_sin", counted)
+    w = default_well(n_max=500)
+    assert len(bs.find_levels_numerically(w)) == 500
+    assert len(calls) <= 50 * w.n_max
 
 
 def test_normalization_single_mode():

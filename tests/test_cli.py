@@ -56,6 +56,7 @@ def test_command_error_prints_command_usage(tmp_path, capsys):
     for argv in (
         ["point", "--v0", "1e308", "--length", "1", "--e-over-v0", "10"],
         ["well", "--length", "10", "--config", str(bad)],
+        ["check", "--fault", "eta-sign"],
     ):
         with pytest.raises(SystemExit) as err:
             run(argv)
@@ -368,8 +369,16 @@ def test_check_reports_ok(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
 
 
-def test_check_fault_injection_fails(capsys):
-    assert run(["check", "--fault", "eta-sign"]) == 1
+def test_check_fault_injection_fails(capsys, monkeypatch):
+    build_eta = cli.clifford.build_eta
+
+    def broken_eta(g):
+        eta = build_eta(g)
+        eta[0, 2] = -eta[0, 2]  # breaks nilpotency
+        return eta
+
+    monkeypatch.setattr(cli.clifford, "build_eta", broken_eta)
+    assert run(["check"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "FAILED first=clifford.eta_nilpotent" in out

@@ -69,11 +69,11 @@ def ref_commutator_check(f, psi, e_charge):
 
 def ref_wave_form(f, psi4, e_energy, m, e_charge):
     g = build_standard_gammas()
-    e_set = build_eta(g)
-    applied = (e_energy - e_charge * f.a0) * einsum_apply(e_set.eta, psi4)
+    eta = build_eta(g)
+    applied = (e_energy - e_charge * f.a0) * einsum_apply(eta, psi4)
     for axis, gamma in enumerate((g.gamma1, g.gamma2, g.gamma3)):
         applied += einsum_apply(gamma, ref_momentum(f, psi4, axis, e_charge))
-    applied += m * einsum_apply(e_set.eta_dagger, psi4)
+    applied += m * einsum_apply(eta.conj().T, psi4)
     # a numpy scalar, so a long-double reference keeps its precision
     return np.sum(np.conj(psi4) * applied) * f.h**3
 
@@ -524,8 +524,8 @@ def spin_matrices(rng):
     out = [(s, 2) for s in PAULI]
     g = build_standard_gammas()
     for gammas in (g, conjugate_gammas(g, random_householder_unitary(rng))):
-        e_set = build_eta(gammas)
-        for matrix in (gammas.gamma1, gammas.gamma2, gammas.gamma3, e_set.eta, e_set.eta_dagger):
+        eta = build_eta(gammas)
+        for matrix in (gammas.gamma1, gammas.gamma2, gammas.gamma3, eta, eta.conj().T):
             out.append((matrix, 4))
     return out
 

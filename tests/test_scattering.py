@@ -246,7 +246,7 @@ def test_spin_down_incidence_mirrors_up():
             assert abs(n_val - c_val) <= 1e-10 * abs(c_val) + 1e-11
     # a critical-band row of a spin-down sweep is bridged with the channels exchanged
     table = sc.sweep(barrier(v0, v0, spin=sp.DOWN), [v0], method="numeric")
-    assert table.flagged == []
+    assert table.rows[0].flag is None
     assert _channels(table.rows[0].coeffs) == _swapped(sc.closed_form(barrier(v0, v0)))
 
 
@@ -397,7 +397,7 @@ def test_sweep_bridges_critical_point():
     template = barrier(10.0, 10.0, 2.0)
     grid = np.array([5.0, 10.0, 15.0])
     table = sc.sweep(template, grid, method="both")
-    assert len(table.rows) == 3 and not table.flagged
+    assert len(table.rows) == 3 and all(row.flag is None for row in table.rows)
     mid = table.rows[1]
     assert mid.e_over_v0 == pytest.approx(1.0)
     # bridged point: numeric falls back to the closed form, delta collapses
@@ -409,8 +409,8 @@ def test_sweep_bridges_critical_point():
 def test_sweep_flags_bad_points(capsys):
     template = barrier(10.0, 10.0, 2.0)
     table = sc.sweep(template, np.array([5.0, -1.0]), method="numeric")
-    assert len(table.flagged) == 1
-    assert "ValueError" in table.flagged[0].flag
+    assert table.rows[0].flag is None
+    assert "ValueError" in table.rows[1].flag
     # the CLI writes a flagged row (E - V0 + m = 0 here) as nan in every value column
     argv = ["barrier", "--v0", "5", "--length", "1", "--mass", "1", "--emin", "0.7",
             "--emax", "0.9", "--steps", "3"]

@@ -137,10 +137,17 @@ def test_inconsistent_convention_reported():
 
 
 def test_try_conventions_separates_hypotheses():
-    out = sp.try_conventions(1.0, variants=("adopted", "alpha_em", "down_sign_flip"))
+    out = sp.try_conventions(1.0)
     assert out["adopted"] <= 1e-12
     assert out["alpha_em"] > 1e-2
-    assert out["down_sign_flip"] > 1e-2
+    # the adopted columns with the sign of d flipped in both spin-down modes
+    samples = sp.convention_samples((1.3, 2.6, 7.0), 1.0)
+    for _, _, modes in samples:
+        for u, _ in modes:
+            if u[1] == 1.0:  # spin down: (0, 1, +-d, -c)
+                u[2] = -u[2]
+    with pytest.raises(sp.ConventionInconsistencyError, match="residual"):
+        sp.reconstruct_eta_1d(samples)
 
 
 def test_try_conventions_singularity_is_inf():

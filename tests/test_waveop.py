@@ -55,7 +55,7 @@ def test_squared_operator_is_scalar(e_energy, v, m):
 
 def test_operator_matrix_composition():
     op = momentum_operator(3.0, 1.0, 1.5, ETA)
-    expected = (3.0 - 1.0) * ETA.eta + 1.5 * ETA.eta_dagger
+    expected = (3.0 - 1.0) * ETA + 1.5 * ETA.conj().T
     assert max_abs(op - expected) == 0.0
 
 
