@@ -215,12 +215,14 @@ def reconstruct_eta_1d(samples):
     return eta, residual
 
 
-def try_conventions(m, energies=(1.3, 2.6, 7.0), variants=("adopted", "alpha_em")):
-    """Residual per normalization hypothesis; inconsistent ones report large values."""
+def try_conventions(m):
+    """Residual per normalization hypothesis ("adopted" and "alpha_em") at
+    E = 1.3, 2.6 and 7.0; inconsistent ones report large values, a singular
+    one (alpha_em at E = m) inf."""
     out = {}
-    for variant in variants:
+    for variant in ("adopted", "alpha_em"):
         try:
-            _, out[variant] = _fit_eta(convention_samples(energies, m, variant))
+            _, out[variant] = _fit_eta(convention_samples((1.3, 2.6, 7.0), m, variant))
         except ConventionSingularityError:
             out[variant] = np.inf
     return out

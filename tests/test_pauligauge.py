@@ -740,10 +740,17 @@ def test_identity_check_allocates_at_most_64_x_planes():
 
 
 def test_bump_state_is_built_with_no_dense_temporary():
-    # one factor per axis: beside the state only numpy's cast buffer of about
-    # 256 KB, where a dense exponent and its exp add 2.2 MB at N = 64
+    # the state is the product of its factors: beside it they take about
+    # 70 KB, where a dense exponent and its exp add 2.2 MB at N = 64
     state_bytes = 2 * 64**3 * np.dtype(complex).itemsize
     assert traced_peak(lambda: pg.gaussian_bump_state(64, EXTENT)) <= state_bytes + 2**19
+
+
+def test_convergence_table_makes_no_dense_state():
+    # the dense state alone is 8.4 MB at N = 64, and the identity check's
+    # slab pool adds about 7 MB to it
+    state_bytes = 2 * 64**3 * np.dtype(complex).itemsize
+    assert traced_peak(lambda: pg.convergence_table((64,))) < state_bytes
 
 
 @pytest.mark.parametrize(
@@ -865,6 +872,37 @@ def test_checks_copy_no_broadcast_field_whole():
     ]
     for on_broadcast, on_dense in zip(*peaks):
         assert on_broadcast <= on_dense + 2**20
+
+
+@pytest.mark.parametrize("width", [None, 5])
+def test_checks_on_the_factored_state_equal_its_dense_product_bitwise(width, monkeypatch):
+    # the checks form the planes of the separable state slab by slab as the
+    # product of its column's rows and its plane; 5-plane slabs at N = 16
+    # wrap their halos and end with a slab of one plane
+    if width:
+        monkeypatch.setattr(pg, "_SLAB_PLANES", width)
+    n = 16
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    theta = pg.commensurate_theta(n, EXTENT)
+    factored = pg._bump(n, EXTENT)
+    dense = pg.gaussian_bump_state(n, EXTENT)
+    assert factored.shape == dense.shape
+    for got, expected in zip(check_calls(f, theta, factored), check_calls(f, theta, dense)):
+        assert np.float64(got()).tobytes() == np.float64(expected()).tobytes()
+    got, expected = (pg.wave_form_value(f, psi, 2.0, 1.5, 0.7) for psi in (factored, dense))
+    assert np.complex128(got).tobytes() == np.complex128(expected).tobytes()
+
+
+def test_checks_of_scaled_factors_equal_those_of_the_state():
+    # squares of the state scaled by 2^-600 underflow: the checks rescale the
+    # column by a power of two, which is exact
+    n = 16
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    theta = pg.commensurate_theta(n, EXTENT)
+    bump = pg._bump(n, EXTENT)
+    tiny = pg._Separable(bump.column * 2.0**-600, bump.plane)
+    for got, expected in zip(check_calls(f, theta, tiny), check_calls(f, theta, bump)):
+        assert got() == expected()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,8 @@
 """The component columns, their eigenmode property, and the reconstruction
 check that validates the normalization convention instead of assuming it."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -151,6 +153,8 @@ def test_try_conventions_separates_hypotheses():
 
 
 def test_try_conventions_singularity_is_inf():
-    # E = m puts the alpha_em denominator at zero for V = 0
-    out = sp.try_conventions(1.0, energies=(1.0, 2.5, 7.0), variants=("alpha_em",))
+    # m = 1.3 = E of the first sample puts the alpha_em denominator at zero
+    # for V = 0; the adopted columns have no such point
+    out = sp.try_conventions(1.3)
     assert out["alpha_em"] == np.inf
+    assert math.isfinite(out["adopted"])
