@@ -305,137 +305,112 @@ def cmd_point(parser, args) -> int:
     return _emit_rows("method", rows, args, precision, False)
 
 
-def _run_check(seed: int):
-    """(exit code, report text) of the identity and property suite."""
-    rng = np.random.default_rng(seed)
-    lines = []
-    failed = []
+def _worst(deviations) -> float:
+    """The largest deviation, 0.0 for none; like max(worst, dev), it passes over a nan."""
+    return max([0.0, *deviations])
 
-    def record(name, value, tol):
-        ok = value <= tol
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name} max_dev={value:.3e} tol={tol:.1e}")
-        if not ok:
-            failed.append(name)
 
+def _check_rows(rng):
+    """(name, deviation, tolerance) of each identity and property check, in
+    report order.  A check passes when deviation <= tolerance, so a nan fails."""
     g = clifford.build_standard_gammas()
-    rep = clifford.identity_suite(g, clifford.build_eta(g))
-    for name, dev in rep.items():
-        record(f"clifford.{name}", dev, clifford.IDENTITY_TOL)
-    record("clifford.footnote_equivalence", clifford.footnote_equivalence_check(g), 1e-14)
-
-    u = clifford.random_householder_unitary(rng)
-    g_conj = clifford.conjugate_gammas(g, u)
+    for name, dev in clifford.identity_suite(g, clifford.build_eta(g)).items():
+        yield f"clifford.{name}", dev, clifford.IDENTITY_TOL
+    yield "clifford.footnote_equivalence", clifford.footnote_equivalence_check(g), 1e-14
+    g_conj = clifford.conjugate_gammas(g, clifford.random_householder_unitary(rng))
     rep_conj = clifford.identity_suite(g_conj, clifford.build_eta(g_conj))
-    record("clifford.conjugated_representation", max(rep_conj.values()), 1e-13)
+    yield "clifford.conjugated_representation", max(rep_conj.values()), 1e-13
 
-    worst = 0.0
+    devs = []
     for _ in range(8):
         e_energy = float(rng.uniform(0.5, 2.0e5))
         v = float(rng.uniform(0.0, 3.0e5))
         m = float(rng.uniform(1.0e3, 1.0e6))
         op = waveop.momentum_operator(e_energy, v, m, clifford.build_eta(g))
-        target = 2.0 * m * (e_energy - v) * np.eye(4)
-        dev = float(np.max(np.abs(op @ op - target)))
+        dev = float(np.max(np.abs(op @ op - 2.0 * m * (e_energy - v) * np.eye(4))))
         # scale by the largest term entering the square, as acceptance criterion 07
         # does: near E = V the m^2 term's rounding dominates the deviation
-        scale = max(abs(2.0 * m * (e_energy - v)), (e_energy - v) ** 2, m * m)
-        worst = max(worst, dev / scale)
-    record("waveop.squared_dispersion", worst, 1e-12)
+        devs.append(dev / max(abs(2.0 * m * (e_energy - v)), (e_energy - v) ** 2, m * m))
+    yield "waveop.squared_dispersion", _worst(devs), 1e-12
     worst = max(
         waveop.general_a_check(a, 3.0, 1.5)
         / max((3.0 / a) ** 2, (a * 1.5) ** 2, 2.0 * 1.5 * 3.0)
         for a in np.concatenate([np.logspace(-3, 3, 7), -np.logspace(-3, 3, 7)])
     )
-    record("waveop.a_independence", worst, 1e-12)
-    worst = 0.0
-    for _ in range(6):
-        ek = float(rng.uniform(1e-6, 1.0))
-        m = 1.0
-        res = waveop.nonrel_limit_residual(ek, m)
-        if res > ek / (2.0 * m):
-            worst = max(worst, res - ek / (2.0 * m))
-    record("waveop.nonrel_envelope", worst, 0.0)
+    yield "waveop.a_independence", worst, 1e-12
+    # how far the residual at m = 1 exceeds E_k / 2m; _worst skips what does not
+    energies = map(float, rng.uniform(1e-6, 1.0, 6))
+    excess = [waveop.nonrel_limit_residual(ek, 1.0) - ek / 2.0 for ek in energies]
+    yield "waveop.nonrel_envelope", _worst(excess), 0.0
 
     try:
-        _, res = spinors.reconstruct_eta_1d(
-            spinors.convention_samples((1.0, 2.5, 7.0), 1.0)
-        )
-        record("spinors.reconstruction_residual", res, spinors.RECONSTRUCTION_TOL)
+        _, res = spinors.reconstruct_eta_1d(spinors.convention_samples((1.0, 2.5, 7.0), 1.0))
     except spinors.ConventionInconsistencyError:
-        record("spinors.reconstruction_residual", float("inf"), spinors.RECONSTRUCTION_TOL)
+        res = float("inf")
+    yield "spinors.reconstruction_residual", res, spinors.RECONSTRUCTION_TOL
     eta_ref = spinors.eta_1d_reference()
-    worst = 0.0
+    devs = []
     for _ in range(6):
-        e_energy = float(rng.uniform(0.5, 10.0))
+        e = float(rng.uniform(0.5, 10.0))
         v = float(rng.uniform(0.0, 20.0))
         m = float(rng.uniform(0.5, 5.0))
-        if abs(e_energy - v) < 1e-3 or abs(abs(e_energy - v) - m) < 1e-3 * m:
+        if abs(e - v) < 1e-3 or abs(abs(e - v) - m) < 1e-3 * m:
             continue
         for spin in (spinors.UP, spinors.DOWN):
             for branch in (True, False):
-                u = spinors.mode_column(e_energy, v, m, spin, branch)
-                dev = spinors.eigen_consistency(e_energy, v, m, u, branch, eta_ref)
-                dev /= max(e_energy, m)
-                worst = max(worst, dev)
-    record("spinors.eigen_consistency", worst, 1e-10)
+                u = spinors.mode_column(e, v, m, spin, branch)
+                devs.append(spinors.eigen_consistency(e, v, m, u, branch, eta_ref) / max(e, m))
+    yield "spinors.eigen_consistency", _worst(devs), 1e-10
 
-    worst_sum = 0.0
-    worst_delta = 0.0
-    worst_t2 = 0.0
-    n_points = 400
+    sums, deltas, t2s = [], [], []
     for regime_hi in (True, False):
-        for _ in range(n_points):
+        for _ in range(400):
             v0 = float(rng.uniform(0.5, 50.0))
             ratio = float(rng.uniform(1.001, 4.0)) if regime_hi else float(rng.uniform(0.05, 0.999))
             length = float(rng.uniform(0.05, 12.0))
             m = float(rng.uniform(1e4, 1e6))
             prob = scattering.BarrierProblem(ratio * v0, v0, length, m)
-            _, numeric = scattering.solve_barrier(prob)
-            closed = scattering.closed_form(prob)
-            worst_sum = max(worst_sum, abs(numeric.total - 1.0), abs(closed.total - 1.0))
-            worst_delta = max(worst_delta, scattering.coefficient_delta(numeric, closed))
-            worst_t2 = max(worst_t2, numeric.t2, closed.t2)
-    record("scattering.conservation", worst_sum, 1e-10)
-    record("scattering.numeric_vs_closed", worst_delta, 1e-10)
-    record("scattering.spin_down_transmission", worst_t2, 1e-10)
-    worst = 0.0
+            numeric, closed = scattering.solve_barrier(prob)[1], scattering.closed_form(prob)
+            sums += (abs(numeric.total - 1.0), abs(closed.total - 1.0))
+            deltas.append(scattering.coefficient_delta(numeric, closed))
+            t2s += (numeric.t2, closed.t2)
+    yield "scattering.conservation", _worst(sums), 1e-10
+    yield "scattering.numeric_vs_closed", _worst(deltas), 1e-10
+    yield "scattering.spin_down_transmission", _worst(t2s), 1e-10
+    devs = []
     for _ in range(50):
         v0 = float(rng.uniform(0.5, 50.0))
         ratio = float(rng.uniform(0.05, 3.0))
         if abs(ratio - 1.0) < 1e-6:
             continue
-        coeffs = scattering.solve_step(ratio * v0, v0, float(rng.uniform(1e4, 1e6)))
-        worst = max(worst, abs(coeffs.total - 1.0))
-    record("scattering.step_conservation", worst, 1e-10)
+        step = scattering.solve_step(ratio * v0, v0, float(rng.uniform(1e4, 1e6)))
+        devs.append(abs(step.total - 1.0))
+    yield "scattering.step_conservation", _worst(devs), 1e-10
 
     w = boundstates.WellProblem(10.0, 0.5e6, 12)
-    analytic = boundstates.energy_levels(w)
     numeric = dict(boundstates.find_levels_numerically(w))
-    worst = max(
-        abs(numeric[n] - e_n) / e_n for n, e_n in analytic
-    )
-    record("boundstates.levels", worst, 1e-10)
-
+    worst = max(abs(numeric[n] - e_n) / e_n for n, e_n in boundstates.energy_levels(w))
+    yield "boundstates.levels", worst, 1e-10
     rows = pauligauge.convergence_table((32, 64))
-    identity_order = pauligauge.convergence_orders([r[1] for r in rows])[0]
-    gauge_order = pauligauge.convergence_orders([r[2] for r in rows])[0]
-    commutator_order = pauligauge.convergence_orders([r[3] for r in rows])[0]
-    record("pauligauge.identity_order", max(0.0, 1.9 - identity_order), 0.0)
-    record("pauligauge.gauge_order", max(0.0, 1.9 - gauge_order), 0.0)
-    record("pauligauge.commutator_order", max(0.0, 1.9 - commutator_order), 0.0)
-
-    if failed:
-        lines.append(f"FAILED first={failed[0]} total={len(failed)}")
-    else:
-        lines.append("OK all identities and properties hold")
-    return (1 if failed else 0), "\n".join(lines) + "\n"
+    for column, name in enumerate(("identity", "gauge", "commutator"), 1):
+        order = pauligauge.convergence_orders([r[column] for r in rows])[0]
+        yield f"pauligauge.{name}_order", max(0.0, 1.9 - order), 0.0
 
 
 def cmd_check(parser, args) -> int:
     _, _, _, seed = _resolve(parser, args)
-    code, text = _run_check(seed)
-    _emit(text, args.output)
-    return code
+    lines, failed = [], []
+    for name, value, tol in _check_rows(np.random.default_rng(seed)):
+        ok = value <= tol
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name} max_dev={value:.3e} tol={tol:.1e}")
+        if not ok:
+            failed.append(name)
+    if failed:
+        lines.append(f"FAILED first={failed[0]} total={len(failed)}")
+    else:
+        lines.append("OK all identities and properties hold")
+    _emit("\n".join(lines) + "\n", args.output)
+    return 1 if failed else 0
 
 
 def build_parser() -> _Parser:

@@ -174,12 +174,12 @@ class _Separable:
         return len(self.column)
 
 
-def _bump(n: int, extent: float, sigma: float | None = None) -> _Separable:
+def _bump(n: int, extent: float) -> _Separable:
     """The factors of `gaussian_bump_state`: its x columns, the Gaussian
     with the coefficient (and the cos) of each component, and the one (y, z)
     plane of the Gaussian they share."""
     axis, _ = _axis(n, extent)
-    sigma = sigma if sigma is not None else extent / 12.0
+    sigma = extent / 12.0
     # sigma * sigma: a float ** 2 raises OverflowError where a product is inf
     g = np.exp(-(axis**2) / (2.0 * (sigma * sigma)))
     x, gx = axis[:, None, None], g[:, None, None]
@@ -189,12 +189,12 @@ def _bump(n: int, extent: float, sigma: float | None = None) -> _Separable:
     return _Separable(column, (g[:, None] * g).astype(complex))
 
 
-def gaussian_bump_state(n: int, extent: float, sigma: float | None = None) -> np.ndarray:
+def gaussian_bump_state(n: int, extent: float) -> np.ndarray:
     """Two-component localized test state; decays to ~1e-8 at the seam.
     Each component is an x column times one (y, z) plane of the Gaussian,
     multiplied out into the dense (2, N, N, N) state with no dense
     temporary; `convergence_table` checks the factors themselves."""
-    bump = _bump(n, extent, sigma)
+    bump = _bump(n, extent)
     return np.multiply(bump.column, bump.plane)
 
 
@@ -707,12 +707,9 @@ def _forms(f: GaugeField, psi: np.ndarray, e_energy, m, e_charge, theta=None):
 
         def product(a, b):
             """The rows G_ab = sum_z conj psi_a psi_b, each formed once per
-            slab; G_ba = conj G_ab."""
+            slab."""
             if (a, b) not in products:
-                if (b, a) in products:
-                    products[a, b] = np.conjugate(products[b, a])
-                else:
-                    products[a, b] = _hop_rows((conj[a],), psi4[b], None, halo)
+                products[a, b] = _hop_rows((conj[a],), psi4[b], None, halo)
             return products[a, b]
 
         def weighted(weight, coeffs):

@@ -369,6 +369,56 @@ def test_check_reports_ok(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
 
 
+# every row `etawave check` reports, in order, with its tolerance
+CHECK_ROWS = """\
+clifford.anticommutator_g0_g0 tol=1.0e-14
+clifford.anticommutator_g0_g1 tol=1.0e-14
+clifford.anticommutator_g0_g2 tol=1.0e-14
+clifford.anticommutator_g0_g3 tol=1.0e-14
+clifford.anticommutator_g1_g1 tol=1.0e-14
+clifford.anticommutator_g1_g2 tol=1.0e-14
+clifford.anticommutator_g1_g3 tol=1.0e-14
+clifford.anticommutator_g2_g2 tol=1.0e-14
+clifford.anticommutator_g2_g3 tol=1.0e-14
+clifford.anticommutator_g3_g3 tol=1.0e-14
+clifford.gamma5_product tol=1.0e-14
+clifford.gamma0_hermitian tol=1.0e-14
+clifford.gamma5_hermitian tol=1.0e-14
+clifford.gamma5_anticommutes_g0 tol=1.0e-14
+clifford.gamma5_anticommutes_g1 tol=1.0e-14
+clifford.gamma5_anticommutes_g2 tol=1.0e-14
+clifford.gamma5_anticommutes_g3 tol=1.0e-14
+clifford.eta_nilpotent tol=1.0e-14
+clifford.eta_dagger_nilpotent tol=1.0e-14
+clifford.eta_completeness tol=1.0e-14
+clifford.gamma0_recovery tol=1.0e-14
+clifford.igamma5_recovery tol=1.0e-14
+clifford.footnote_equivalence tol=1.0e-14
+clifford.conjugated_representation tol=1.0e-13
+waveop.squared_dispersion tol=1.0e-12
+waveop.a_independence tol=1.0e-12
+waveop.nonrel_envelope tol=0.0e+00
+spinors.reconstruction_residual tol=1.0e-08
+spinors.eigen_consistency tol=1.0e-10
+scattering.conservation tol=1.0e-10
+scattering.numeric_vs_closed tol=1.0e-10
+scattering.spin_down_transmission tol=1.0e-10
+scattering.step_conservation tol=1.0e-10
+boundstates.levels tol=1.0e-10
+pauligauge.identity_order tol=0.0e+00
+pauligauge.gauge_order tol=0.0e+00
+pauligauge.commutator_order tol=0.0e+00
+"""
+
+
+def test_check_reports_every_row_in_order(capsys):
+    assert run(["check", "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [f"{w[1]} {w[3]}" for w in map(str.split, lines[:-1])] == CHECK_ROWS.splitlines()
+    assert all(line.startswith("PASS ") for line in lines[:-1])
+    assert lines[-1] == "OK all identities and properties hold"
+
+
 def test_check_fault_injection_fails(capsys, monkeypatch):
     build_eta = cli.clifford.build_eta
 

@@ -293,7 +293,8 @@ def test_fields_are_the_dense_meshgrid_forms_bitwise(n):
     # the field constructors broadcast 1-D coordinates; full meshgrid arrays give the
     # same expressions the same bits: the Gaussian is the product of one factor
     # per axis, the x factor with the coefficient (and the cos) times the (y, z) one
-    extent, bz, sigma = 5.5, -1.7, 0.9
+    extent, bz = 5.5, -1.7
+    sigma = extent / 12.0
     h = extent / n
     axis = (np.arange(n) - n / 2) * h
     x, y, z = np.meshgrid(axis, axis, axis, indexing="ij")
@@ -310,7 +311,7 @@ def test_fields_are_the_dense_meshgrid_forms_bitwise(n):
         0.4 * np.sin(2.0 * np.pi * x / extent),
     )
     f = pg.uniform_b_field(n, extent, bz)
-    got = (f.a, f.b, pg.gaussian_bump_state(n, extent, sigma), pg.commensurate_theta(n, extent))
+    got = (f.a, f.b, pg.gaussian_bump_state(n, extent), pg.commensurate_theta(n, extent))
     assert f.h == h and f.a0.tobytes() == zero.tobytes()
     for g, e in zip(got, expected):
         assert g.shape == e.shape and g.dtype == e.dtype
