@@ -381,8 +381,6 @@ def _check_rows(rng):
     for _ in range(50):
         v0 = float(rng.uniform(0.5, 50.0))
         ratio = float(rng.uniform(0.05, 3.0))
-        if abs(ratio - 1.0) < 1e-6:
-            continue
         step = scattering.solve_step(ratio * v0, v0, float(rng.uniform(1e4, 1e6)))
         devs.append(abs(step.total - 1.0))
     yield "scattering.step_conservation", _worst(devs), 1e-10

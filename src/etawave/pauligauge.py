@@ -13,17 +13,21 @@ therefore not periodic across the seam; all checks weight the fields with
 states that decay to ~1e-8 at the boundary, which keeps the seam
 contribution far below the bulk truncation error being measured.
 
-The checks run over slabs of eight x-planes (the first spatial axis,
-contiguous in the C-ordered (component, x, y, z) arrays) at every N, each
-gathered with a periodic halo, so every work array is slab-sized.  The slabs
-run one after another on the calling thread and their partial sums are added
-in slab order.  A check allocates its slab-sized work arrays at its first
-(widest) slab and every later slab writes into them, so the slab loop
-allocates nothing larger than one value per (x, y) row; stages reuse the
-arrays an earlier stage has finished with.  Slabs stream
-from memory, so their time goes with the number of passes over slab-sized
-arrays: the Pauli and gamma matrices act through their nonzero entries
-only, factors of +-i as swaps of real and imaginary parts.
+The checks run over slabs of x-planes (the first spatial axis, contiguous
+in the C-ordered (component, x, y, z) arrays), each gathered with a periodic
+halo, so every work array is slab-sized.  The slab width depends on N alone
+(see `_over_slabs`): eight planes below N = 128, where the slabs run one
+after another on the calling thread, and three from N = 128 on, where the
+calling thread runs the first half of the slabs and one worker thread the
+second half when the process may use two CPUs.  Either way every slab's
+partial sums are computed alike and added in slab order, so a check gives
+the same bits on one thread and on two.  Each thread allocates its
+slab-sized work arrays at its first (widest) slab and every later slab
+writes into them, so the slab loop allocates nothing larger than one value
+per (x, y) row; stages reuse the arrays an earlier stage has finished with.
+Slabs stream from memory, so their time goes with the number of passes over
+slab-sized arrays: the Pauli and gamma matrices act through their nonzero
+entries only, factors of +-i as swaps of real and imaginary parts.
 
 The identity and commutator checks apply their stencils in the unscaled
 form P_a = D_a - 2ih e A_a, with Pi_a = -i/(2h) P_a, and divide each
@@ -78,6 +82,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,13 +91,26 @@ import numpy as np
 from .clifford import PAULI, build_eta, build_standard_gammas
 from .numerics import adjoint
 
-# x-planes per slab, at every N: at N = 128 a slab has 2^17 sites, whose
-# 4-component temporaries (8 MB each) stream from memory.  16-plane slabs ran
-# as fast and raised the peak RSS of convergence_table((32, 64, 128)) from 121
-# to 143 MB; 4-plane ones made its N = 32 row 35-60 % slower (2-vCPU Xeon).
-# Cache-sized slabs doubled the run-to-run spread on a host shared with other
-# tenants; a box checked whole faulted its work arrays in again on every call.
+# x-planes per slab below _THREADED_N: at N = 64 a slab has 2^15 sites.
+# 16-plane slabs ran as fast and raised the peak RSS of
+# convergence_table((32, 64, 128)) from 121 to 143 MB; 4-plane ones made its
+# N = 32 row 35-60 % slower (2-vCPU Xeon).  Cache-sized slabs doubled the
+# run-to-run spread on a host shared with other tenants; a box checked whole
+# faulted its work arrays in again on every call.
 _SLAB_PLANES = 8
+# From N = _THREADED_N on, slabs of _THREADED_SLAB_PLANES planes (3 x 2^14 sites
+# at N = 128) run on up to _THREADS threads, each with its own work arrays:
+# two 3-plane pools take less memory than one 8-plane pool, and numpy
+# releases the GIL in passes this large.  convergence_table((32, 64, 128))
+# fell from 0.62 to 0.46 s (medians of 10 runs) against 8-plane slabs on one
+# thread, and 3-plane slabs cost a one-CPU host 10-20 % (2-vCPU Xeon).  The
+# partition depends on N alone, never on the CPU count.
+_THREADED_N = 128
+_THREADED_SLAB_PLANES = 3
+if hasattr(os, "sched_getaffinity"):
+    _THREADS = min(2, len(os.sched_getaffinity(0)))
+else:  # not every platform has it
+    _THREADS = min(2, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -242,10 +261,12 @@ def _buffers():
     """get(name, shape, dtype=complex): a work array that is allocated at the
     first request for `name` and reused by every later one, so slabs after
     the first allocate nothing.  A smaller request (the narrower last slab,
-    or a stage on fewer planes) gets the leading part of it."""
-    flat = {}
+    or a stage on fewer planes) gets the leading part of it.  Each thread
+    has its own arrays, so the slabs of one check may run on two threads."""
+    local = threading.local()
 
     def get(name, shape, dtype=complex):
+        flat = local.__dict__
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         if name not in flat or flat[name].nbytes < nbytes:
             flat[name] = np.empty(nbytes, np.uint8)
@@ -369,11 +390,14 @@ def _sigma_pi(psi: np.ndarray, w, out, momentum, scratch=None) -> np.ndarray:
     """out = sigma.P psi (unscaled, as `_momentum`) on the x-planes that the
     weights `w` (one per axis) cover, halo as in `_momentum`.  P is
     spin-diagonal, so sigma_x P_x psi is P_x of psi with its components
-    swapped, written straight to `out`; `momentum` holds P_y psi and P_z psi
-    in turn."""
+    swapped, written straight to `out`, and sigma_a P_a psi is column b of
+    sigma_a times P_a psi_b for each b: `momentum`, one component's sites,
+    holds P_y psi_b and P_z psi_b in turn."""
     _momentum(psi[::-1], w[0], 0, out, scratch)
     for axis in (1, 2):
-        _spin_apply(PAULI[axis], _momentum(psi, w[axis], axis, momentum, scratch), out)
+        for b in range(len(psi)):
+            term = _momentum(psi[b], w[axis], axis, momentum, scratch)
+            _spin_apply(PAULI[axis][:, [b]], term[None], out)
     return out
 
 
@@ -382,7 +406,7 @@ def sigma_pi_apply(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> np.
     centered differences."""
     psi = _checked_state(f, psi, (2,))
     w = _weights(f.a, 0, f.n, 2j * f.h * e_charge)
-    out = _sigma_pi(psi, w, np.empty_like(psi), np.empty_like(psi))
+    out = _sigma_pi(psi, w, np.empty_like(psi), np.empty_like(psi[0]))
     out *= -0.5j / f.h
     return out
 
@@ -395,10 +419,47 @@ def _sq_norm(psi: np.ndarray, work: np.ndarray) -> float:
 
 
 def _over_slabs(slab, n: int, halo: int) -> list:
-    """[slab(lo, hi, halo) for each slab of `_SLAB_PLANES` x-planes lo..hi-1],
-    in slab order.  The last slab may be narrower; a box of at most that many
-    planes is one slab, whose halo wraps around it."""
-    return [slab(lo, min(lo + _SLAB_PLANES, n), halo) for lo in range(0, n, _SLAB_PLANES)]
+    """[slab(lo, hi, halo) for each slab of x-planes lo..hi-1], in slab
+    order: `_SLAB_PLANES` planes each below N = `_THREADED_N`, run on the
+    calling thread, and `_THREADED_SLAB_PLANES` from there on, the second
+    half of them run on a worker thread when `_THREADS` is 2.  The last slab
+    may be narrower; a box of at most that many planes is one slab, whose
+    halo wraps around it.  `slab` must call no public function: the
+    benchmark's span tracer keeps one call stack for all threads."""
+    threaded = n >= _THREADED_N
+    width = _THREADED_SLAB_PLANES if threaded else _SLAB_PLANES
+    bounds = [(lo, min(lo + width, n)) for lo in range(0, n, width)]
+
+    def run(part):
+        return [slab(lo, hi, halo) for lo, hi in part]
+
+    if not threaded or _THREADS < 2:
+        return run(bounds)
+    half = (len(bounds) + 1) // 2
+    tail = _worker().submit(run, bounds[half:])
+    try:
+        head = run(bounds[:half])
+    except BaseException:
+        tail.exception()  # the worker's slabs end before the error propagates
+        raise
+    return head + tail.result()
+
+
+# process id -> the executor of that process's one worker thread
+_WORKERS = {}
+
+
+def _worker():
+    """The executor of this process's worker thread, whose thread starts at
+    the first threaded check.  A forked child makes its own: an executor
+    inherited across a fork has no thread and would never run its tasks.  A
+    thread kept across checks keeps its malloc arena; a thread per check
+    raised the peak RSS of some runs by 10-12 MB."""
+    # imported here: concurrent.futures adds 5-7 ms to every import of etawave
+    from concurrent.futures import ThreadPoolExecutor
+
+    # setdefault is atomic, so concurrent first checks share one worker
+    return _WORKERS.setdefault(os.getpid(), ThreadPoolExecutor(max_workers=1))
 
 
 def _checked_state(f: GaugeField, psi, components=None):
@@ -494,11 +555,11 @@ def pauli_identity_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) 
     || (sigma.P)^2 psi - sum_a P_a^2 psi - 4h^2 e sigma.B psi ||
     / (4h^2 ||psi||), so the factor -i/(2h) is applied once, to the finished ratio, not to
     every stencil, and the ratio is the same at every scale of the box.
-    P_a psi is formed once per axis and feeds both sigma.P psi and
-    P_a P_a psi: nine stencil applications in all, each with its weight
-    2ih e A_a on the (x, y) rows where A_a is constant along z and none
-    where A_a is zero (A_z of a field along z), as the e sigma.B term skips
-    B_x and B_y when they are zero.  sigma_x P_x psi is P_x of psi with its
+    P_a psi is formed once per axis, one component at a time, and feeds
+    both sigma.P psi and P_a P_a psi: nine stencil applications in all, each
+    with its weight 2ih e A_a on the (x, y) rows where A_a is constant along
+    z and none where A_a is zero (A_z of a field along z), as the e sigma.B
+    term skips B_x and B_y when they are zero.  sigma_x P_x psi is P_x of psi with its
     components swapped, written straight to sigma.P psi, and P_x of it,
     swapped back, is P_x P_x psi.  P_x is applied twice, so slabs carry a
     halo of two planes."""
@@ -515,17 +576,23 @@ def pauli_identity_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) 
         w = [_trim(x, inner) for x in w_in]
         wide = (hi - lo + 2 * inner,) + psi.shape[-2:]
         sites = (hi - lo,) + psi.shape[-2:]
-        pi = get("pi", (len(psi),) + wide)
-        sigma_pi = get("sigma_pi", pi.shape)
-        rhs = get("rhs", (len(psi),) + sites)
-        pi_pi = get("pi_pi", rhs.shape)
+        # "pi" holds P_a psi_b, one component on the wide planes, and later
+        # sigma.P (sigma.P psi): requested at the larger size first, it is
+        # allocated once
+        lhs = get("pi", (len(psi),) + sites)
+        pi = get("pi", wide)
+        sigma_pi = get("sigma_pi", (len(psi),) + wide)
+        rhs = get("rhs", lhs.shape)
+        pi_pi = get("pi_pi", sites)
         # P_x P_x psi goes straight to rhs, the others are added to it
         _momentum(psi_s[::-1], w_in[0], 0, sigma_pi, get("scratch", wide))
         _momentum(sigma_pi[::-1], w[0], 0, rhs, get("scratch", sites))
         for axis in (1, 2):
-            _momentum(psi_s, w_in[axis], axis, pi, get("scratch", wide))
-            _spin_apply(PAULI[axis], pi, sigma_pi)
-            rhs += _momentum(pi, w[axis], axis, pi_pi, get("scratch", sites))
+            for b in range(len(psi)):
+                _momentum(psi_s[b], w_in[axis], axis, pi, get("scratch", wide))
+                # column b of sigma_axis times P_axis psi_b
+                _spin_apply(PAULI[axis][:, [b]], pi[None], sigma_pi)
+                rhs[b] += _momentum(pi, w[axis], axis, pi_pi, get("scratch", sites))
         # rhs += 4h^2 e sigma.B psi, as coefficient rows: 4h^2 e B_z on the
         # diagonal, 4h^2 e (B_x - i B_y) above it and its conjugate below
         core = _trim(psi_s, halo)
@@ -539,8 +606,8 @@ def pauli_identity_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) 
             bxy += bx
             rhs[0] += np.multiply(core[1], bxy, out=term)
             rhs[1] += np.multiply(core[0], np.conjugate(bxy, out=bxy), out=term)
-        # sigma.P (sigma.P psi) goes into the free P psi buffer
-        lhs = _sigma_pi(sigma_pi, w, get("pi", rhs.shape), pi_pi, term)
+        # lhs = sigma.P (sigma.P psi)
+        _sigma_pi(sigma_pi, w, lhs, pi_pi, term)
         lhs -= rhs
         return _sq_norm(lhs, lhs), _sq_norm(core, rhs)
 

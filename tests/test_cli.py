@@ -64,6 +64,38 @@ def test_command_error_prints_command_usage(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"usage: etawave {argv[0]} "), argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["barrier", "--v0", "0", "--length", "1"],
+        ["barrier", "--v0", "10", "--length", "-1"],
+        ["barrier", "--v0", "10", "--length", "1", "--steps", "0"],
+        ["barrier", "--v0", "10", "--length", "1", "--mass", "0"],
+        ["barrier", "--v0", "10", "--length", "1", "--hbar-c", "-1"],
+        ["step", "--v0", "-10"],
+        ["step", "--v0", "10", "--steps", "0"],
+        ["step", "--v0", "10", "--mass", "-1"],
+        ["well", "--length", "0"],
+        ["well", "--length", "10", "--nmax", "0"],
+        ["well", "--length", "10", "--hbar-c", "0"],
+        ["point", "--v0", "0", "--length", "1", "--e-over-v0", "1.5"],
+        ["point", "--v0", "10", "--length", "0", "--e-over-v0", "1.5"],
+        ["point", "--v0", "10", "--length", "1", "--e-over-v0", "-1.5"],
+        ["point", "--v0", "10", "--length", "1", "--e-over-v0", "1.5", "--mass", "0"],
+        ["point", "--v0", "10", "--length", "1", "--e-over-v0", "1.5", "--hbar-c", "0"],
+        ["pauli", "--levels", "0"],
+        ["pauli", "--base-size", "7"],
+    ],
+    ids="_".join,
+)
+def test_a_value_out_of_range_is_a_usage_error(argv, capsys):
+    # non-positive physical values, and fewer than one step or level
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 64
+    assert capsys.readouterr().err.startswith(f"usage: etawave {argv[0]} ")
+
+
 def test_barrier_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run(

@@ -1,6 +1,11 @@
 import contextlib
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -604,13 +609,12 @@ def test_slab_checks_match_roll_einsum_reference(n, e_charge, width, monkeypatch
         assert check() == pytest.approx(ref(), rel=1e-12)
 
 
-def test_slabs_cover_every_plane_once_in_order():
+def test_slabs_cover_every_plane_once_in_order(monkeypatch):
     def slab(lo, hi, halo):
         return lo, hi, halo
 
-    # slabs of 8 planes with a halo at every N: N = 128 makes sixteen (2^17
-    # sites each), N = 64 eight and N = 16 two
-    assert pg._over_slabs(slab, 128, 2) == [(lo, lo + 8, 2) for lo in range(0, 128, 8)]
+    # slabs of 8 planes with a halo below N = 128: N = 64 makes eight (2^15
+    # sites each) and N = 16 two
     assert pg._over_slabs(slab, 64, 2) == [(lo, lo + 8, 2) for lo in range(0, 64, 8)]
     assert pg._over_slabs(slab, 16, 1) == [(0, 8, 1), (8, 16, 1)]
     # a plane count that does not divide N leaves a narrower last slab
@@ -618,6 +622,33 @@ def test_slabs_cover_every_plane_once_in_order():
     assert pg._over_slabs(slab, 9, 2) == [(0, 8, 2), (8, 9, 2)]
     # a box of at most 8 planes is one slab, whose halo wraps around it
     assert pg._over_slabs(slab, 8, 2) == [(0, 8, 2)]
+    # from N = 128 on, slabs of 3 planes whatever the thread count: N = 128
+    # makes 43, the last of 2 planes; on two threads the calling thread runs
+    # the first 22 and a worker the other 21
+    caller = threading.get_ident()
+    for threads in (1, 2):
+        monkeypatch.setattr(pg, "_THREADS", threads)
+        for n in (128, 256):
+            ran = pg._over_slabs(lambda lo, hi, halo: (lo, hi, halo, threading.get_ident()), n, 2)
+            assert [r[:3] for r in ran] == [(lo, min(lo + 3, n), 2) for lo in range(0, n, 3)]
+            half = (len(ran) + 1) // 2 if threads == 2 else len(ran)
+            assert {r[3] for r in ran[:half]} == {caller}
+            assert caller not in {r[3] for r in ran[half:]}
+        assert len(pg._over_slabs(slab, 128, 2)) == 43
+
+
+@pytest.mark.parametrize("failing", [0, 127])
+def test_an_error_in_a_threaded_slab_reaches_the_caller(failing, monkeypatch):
+    # a slab of the calling thread's half or of the worker's half
+    monkeypatch.setattr(pg, "_THREADS", 2)
+
+    def slab(lo, hi, halo):
+        if lo <= failing < hi:
+            raise MemoryError(lo)
+        return lo
+
+    with pytest.raises(MemoryError):
+        pg._over_slabs(slab, 128, 1)
 
 
 def general_field(n, rng):
@@ -732,8 +763,8 @@ def test_wave_form_value_runs_over_slabs():
 
 
 def test_identity_check_allocates_at_most_64_x_planes():
-    # one identity check at N = 64 allocates about 55 two-component x-planes
-    # with 8-plane slab pools, 99 with 16-plane ones
+    # one identity check at N = 64 allocates about 49 two-component x-planes
+    # with 8-plane slab pools
     n = 64
     f = pg.uniform_b_field(n, EXTENT, 0.3)
     psi = pg.gaussian_bump_state(n, EXTENT)
@@ -892,6 +923,88 @@ def test_checks_on_the_factored_state_equal_its_dense_product_bitwise(width, mon
         assert np.float64(got()).tobytes() == np.float64(expected()).tobytes()
     got, expected = (pg.wave_form_value(f, psi, 2.0, 1.5, 0.7) for psi in (factored, dense))
     assert np.complex128(got).tobytes() == np.complex128(expected).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_threaded_checks_equal_the_serial_ones_bitwise(n, monkeypatch):
+    # N = 16 and 24 take the path of N >= 128: 3-plane slabs, whose first and
+    # last wrap their halos, the second half of them on a worker thread; on
+    # the factored state and on the dense one, against one thread and
+    # against the reference
+    monkeypatch.setattr(pg, "_THREADED_N", 16)
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    theta = pg.commensurate_theta(n, EXTENT)
+    for psi in (pg._bump(n, EXTENT), pg.gaussian_bump_state(n, EXTENT)):
+        calls = check_calls(f, theta, psi) + (lambda: pg.wave_form_value(f, psi, 2.0, 1.5, 0.7),)
+        values = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(pg, "_THREADS", threads)
+            values[threads] = [np.complex128(call()).tobytes() for call in calls]
+        assert values[1] == values[2]
+    dense = pg.gaussian_bump_state(n, EXTENT)
+    pairs = (
+        (pg.pauli_identity_check(f, dense, 0.7), ref_identity_check(f, dense, 0.7)),
+        (pg.commutator_check(f, dense, 0.7), ref_commutator_check(f, dense, 0.7)),
+        (
+            pg.gauge_invariance_check(f, theta, dense, 2.0, 1.5, 0.7),
+            ref_gauge_check(f, theta, dense, 2.0, 1.5, 0.7),
+        ),
+    )
+    for got, expected in pairs:
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_concurrent_threaded_checks_repeat_bitwise(monkeypatch):
+    # three callers at once, sharing the one worker thread, with a short
+    # switch interval: no slab reads or writes another thread's work arrays
+    monkeypatch.setattr(pg, "_THREADED_N", 16)
+    monkeypatch.setattr(pg, "_THREADS", 2)
+    n = 24
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    calls = check_calls(f, pg.commensurate_theta(n, EXTENT), pg._bump(n, EXTENT))
+
+    def values():
+        return [np.float64(call()).tobytes() for call in calls]
+
+    expected = values()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as callers:
+            futures = [callers.submit(values) for _ in range(3)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_runs_threaded_checks(monkeypatch):
+    # the parent's worker thread is not copied into the child, which starts
+    # its own instead of queueing slabs that no thread runs
+    monkeypatch.setattr(pg, "_THREADED_N", 16)
+    monkeypatch.setattr(pg, "_THREADS", 2)
+    n = 16
+    f, psi = pg.uniform_b_field(n, EXTENT, 0.3), pg._bump(n, EXTENT)
+    expected = pg.commutator_check(f, psi)
+    with multiprocessing.get_context("fork").Pool(1) as child:
+        assert child.apply_async(pg.commutator_check, (f, psi)).get(timeout=60) == expected
+
+
+def test_two_threads_allocate_less_than_one_8_plane_pool(monkeypatch):
+    # each thread has a pool of 3-plane slab arrays; at N = 64 the two take
+    # 93, 79 and 68 one-component x-planes in the identity, commutator and
+    # gauge checks, against 97, 85 and 75 for 8-plane slabs on one thread
+    n = 64
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    theta = pg.commensurate_theta(n, EXTENT)
+    psi = pg._bump(n, EXTENT)
+    serial = [traced_peak(call) for call in check_calls(f, theta, psi)]
+    monkeypatch.setattr(pg, "_THREADED_N", n)
+    monkeypatch.setattr(pg, "_THREADS", 2)
+    threaded = [traced_peak(call) for call in check_calls(f, theta, psi)]
+    for two, one in zip(threaded, serial):
+        assert two <= one
 
 
 def test_checks_of_scaled_factors_equal_those_of_the_state():

@@ -126,6 +126,17 @@ def test_reconstruction_scale_invariant(scale):
     assert max_abs(eta - sp.eta_1d_reference()) <= 1e-8
 
 
+@pytest.mark.parametrize("broken", ["nilpotency", "completeness"])
+def test_reconstruction_refuses_a_fit_that_breaks_the_algebra(broken, monkeypatch):
+    # a fit within the residual tolerance whose matrix is not nilpotent, or is
+    # nilpotent with eta eta^+ + eta^+ eta = 8I instead of 2I
+    eta = sp.eta_1d_reference()
+    fit = eta + 1e-6 * np.eye(4) if broken == "nilpotency" else 2.0 * eta
+    monkeypatch.setattr(sp, "_fit_eta", lambda samples: (fit, 0.0))
+    with pytest.raises(sp.ConventionInconsistencyError, match="violates the algebra"):
+        sp.reconstruct_eta_1d(sp.convention_samples((1.0, 2.5, 7.0), 1.0))
+
+
 def test_single_sample_rejected():
     samples = sp.convention_samples((2.0,), 1.0)
     with pytest.raises(ValueError, match="single sample"):
