@@ -422,7 +422,8 @@ def _over_slabs(slab, n: int, halo: int) -> list:
     """[slab(lo, hi, halo) for each slab of x-planes lo..hi-1], in slab
     order: `_SLAB_PLANES` planes each below N = `_THREADED_N`, run on the
     calling thread, and `_THREADED_SLAB_PLANES` from there on, the second
-    half of them run on a worker thread when `_THREADS` is 2.  The last slab
+    half of them run on a worker thread when `_THREADS` is 2, under the
+    caller's numpy error state (numpy keeps it per thread).  The last slab
     may be narrower; a box of at most that many planes is one slab, whose
     halo wraps around it.  `slab` must call no public function: the
     benchmark's span tracer keeps one call stack for all threads."""
@@ -433,10 +434,15 @@ def _over_slabs(slab, n: int, halo: int) -> list:
     def run(part):
         return [slab(lo, hi, halo) for lo, hi in part]
 
+    def run_under(errstate, part):
+        with np.errstate(**errstate):
+            return run(part)
+
     if not threaded or _THREADS < 2:
         return run(bounds)
     half = (len(bounds) + 1) // 2
-    tail = _worker().submit(run, bounds[half:])
+    errstate = dict(np.geterr(), call=np.geterrcall())
+    tail = _worker().submit(run_under, errstate, bounds[half:])
     try:
         head = run(bounds[:half])
     except BaseException:
@@ -445,21 +451,35 @@ def _over_slabs(slab, n: int, halo: int) -> list:
     return head + tail.result()
 
 
-# process id -> the executor of that process's one worker thread
-_WORKERS = {}
+# the executor of this process's one worker thread, made at its first
+# threaded check; the thread then stays for the life of the process
+_WORKER = None
+_WORKER_LOCK = threading.Lock()
+
+
+def _forget_worker():
+    """In a forked child: the parent's executor has no thread there and
+    would never run its tasks, and the lock may have been held at the fork."""
+    global _WORKER, _WORKER_LOCK
+    _WORKER, _WORKER_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _worker():
-    """The executor of this process's worker thread, whose thread starts at
-    the first threaded check.  A forked child makes its own: an executor
-    inherited across a fork has no thread and would never run its tasks.  A
-    thread kept across checks keeps its malloc arena; a thread per check
-    raised the peak RSS of some runs by 10-12 MB."""
-    # imported here: concurrent.futures adds 5-7 ms to every import of etawave
-    from concurrent.futures import ThreadPoolExecutor
+    """The executor of this process's worker thread.  A thread kept across
+    checks keeps its malloc arena; a thread per check raised the peak RSS of
+    some runs by 10-12 MB."""
+    global _WORKER
+    with _WORKER_LOCK:
+        if _WORKER is None:
+            # imported here: concurrent.futures adds 5-7 ms to every import of etawave
+            from concurrent.futures import ThreadPoolExecutor
 
-    # setdefault is atomic, so concurrent first checks share one worker
-    return _WORKERS.setdefault(os.getpid(), ThreadPoolExecutor(max_workers=1))
+            _WORKER = ThreadPoolExecutor(max_workers=1)
+        return _WORKER
 
 
 def _checked_state(f: GaugeField, psi, components=None):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from etawave import boundstates as bs
 from etawave import cli
+from etawave import pauligauge
 from etawave.waveop import PhysicalConstants
 
 SWEEP_HEADER = "e_over_v0,T1,T2,R1,R2,T_qm,R_qm,sum"
@@ -602,15 +603,21 @@ def test_pauli_rejects_nonpositive_extent(extent, capsys):
 
 
 @pytest.mark.parametrize("bz", ["1e150", "1e300"])
-def test_pauli_rejects_a_field_too_strong_to_square(bz, capsys):
-    # the residuals would be inf or nan rows; a usage error instead
-    with pytest.raises(SystemExit) as err:
-        run(["pauli", "--bz", bz, "--base-size", "16", "--levels", "2"])
-    assert err.value.code == 64
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage: etawave pauli ")
-    assert "not finite" in captured.err
+def test_pauli_rejects_a_field_too_strong_to_square(bz, capsys, monkeypatch):
+    # the residuals would be inf or nan rows; a usage error instead.  The
+    # second run takes the path of N >= 128, whose worker thread squares
+    # under the caller's numpy error state, so it neither warns nor raises
+    # RuntimeWarning
+    for threaded_n, threads in ((128, 1), (16, 2)):
+        monkeypatch.setattr(pauligauge, "_THREADED_N", threaded_n)
+        monkeypatch.setattr(pauligauge, "_THREADS", threads)
+        with pytest.raises(SystemExit) as err:
+            run(["pauli", "--bz", bz, "--base-size", "16", "--levels", "2"])
+        assert err.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: etawave pauli ")
+        assert "not finite" in captured.err
 
 
 def test_precision_controls_mantissa(tmp_path):

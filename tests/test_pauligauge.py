@@ -978,10 +978,23 @@ def test_concurrent_threaded_checks_repeat_bitwise(monkeypatch):
     assert results == [expected] * 3
 
 
+def test_threaded_checks_share_one_worker_thread(monkeypatch):
+    # the worker is made once per process and kept, with its malloc arena
+    monkeypatch.setattr(pg, "_THREADED_N", 16)
+    monkeypatch.setattr(pg, "_THREADS", 2)
+    f, psi = pg.uniform_b_field(16, EXTENT, 0.3), pg._bump(16, EXTENT)
+    pg.commutator_check(f, psi)
+    worker = pg._worker()
+    pg.pauli_identity_check(f, psi)
+    assert pg._worker() is worker
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_a_forked_child_runs_threaded_checks(monkeypatch):
     # the parent's worker thread is not copied into the child, which starts
-    # its own instead of queueing slabs that no thread runs
+    # its own instead of queueing slabs that no thread runs.  The parent keeps
+    # its worker thread, so Python 3.12 and later warn (DeprecationWarning)
+    # that forking a multi-threaded process may deadlock; that is expected
     monkeypatch.setattr(pg, "_THREADED_N", 16)
     monkeypatch.setattr(pg, "_THREADS", 2)
     n = 16
