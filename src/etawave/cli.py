@@ -64,12 +64,17 @@ def _load_config(path):
     return values
 
 
-def _emit(text: str, output_path):
-    if output_path:
-        with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, args):
+    """Write `text` to --output, or to stdout without it; an --output that
+    cannot be written is a usage error, as an unreadable --config is."""
+    if not args.output:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        args.command_parser.error(f"cannot write --output: {exc}")
 
 
 def _render(header, records, fmt: str, precision: int, comment=None) -> str:
@@ -128,7 +133,7 @@ def _emit_rows(first_column: str, rows, args, precision: int, both: bool) -> int
             rec["incident_spin"] = spinors.DOWN
         records.append(rec)
     comment = f"incident_spin={spinors.DOWN}" if down else None
-    _emit(_render(header, records, args.format, precision, comment), args.output)
+    _emit(_render(header, records, args.format, precision, comment), args)
     return 2 if any(r.flag is not None for _, r in rows) else 0
 
 
@@ -256,7 +261,7 @@ def cmd_well(parser, args) -> int:
             rec["E_n_numeric"] = e_num
             rec["rel_deviation"] = abs(e_num - e_n) / e_n
         records.append(rec)
-    _emit(_render(header, records, args.format, precision), args.output)
+    _emit(_render(header, records, args.format, precision), args)
     return 0
 
 
@@ -278,7 +283,7 @@ def cmd_pauli(parser, args) -> int:
         parser.error(str(exc))
     header = ["h_nm", "identity_residual", "gauge_residual", "commutator_residual"]
     records = [dict(zip(header, row)) for row in rows]
-    _emit(_render(header, records, args.format, precision), args.output)
+    _emit(_render(header, records, args.format, precision), args)
     return 0
 
 
@@ -407,7 +412,7 @@ def cmd_check(parser, args) -> int:
         lines.append(f"FAILED first={failed[0]} total={len(failed)}")
     else:
         lines.append("OK all identities and properties hold")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("\n".join(lines) + "\n", args)
     return 1 if failed else 0
 
 

@@ -26,8 +26,9 @@ slab-sized work arrays at its first (widest) slab and every later slab
 writes into them, so the slab loop allocates nothing larger than one value
 per (x, y) row; stages reuse the arrays an earlier stage has finished with.
 Slabs stream from memory, so their time goes with the number of passes over
-slab-sized arrays: the Pauli and gamma matrices act through their nonzero
-entries only, factors of +-i as swaps of real and imaginary parts.
+slab-sized arrays: every spin matrix acts through its nonzero xor
+diagonals, matrix[a, a ^ k] = c[a] (`_xor_diagonals`), a coefficient of +-i
+as a swap of real and imaginary parts.
 
 The identity and commutator checks apply their stencils in the unscaled
 form P_a = D_a - 2ih e A_a, with Pi_a = -i/(2h) P_a, and divide each
@@ -41,9 +42,10 @@ spin-diagonal, so sigma_x P_x psi is P_x of psi with its components
 swapped, written straight to the sigma.P buffer.
 
 The quadratic forms of the gauge check write no operator image at all.
-Each product of two components, or of one with its neighbour along an axis
-(the difference stencil), is summed along z once per slab, to rows over
-(x, y).  The weights of the terms (E - eA0 of eta, m of eta^+, A, and
+The products conj psi_a psi_{a ^ k} of each xor diagonal k, or those with
+the neighbour along an axis (the difference stencil), are summed along z
+once per slab, to component rows over (x, y) (`_row_forms`).  The weights
+of the terms (E - eA0 of eta, m of eta^+, A, and
 the links and potential shift of the gauge change) are applied to those
 rows wherever they are constant along z, as every field of
 `convergence_table` is, and enter the row sums as a third factor
@@ -134,6 +136,11 @@ class GaugeField:
             raise ValueError("grid must have at least 8 points per axis")
         if self.h <= 0:
             raise ValueError("grid spacing must be positive")
+        box = (self.n,) * 3  # shapes only: a field of another N would be read wrapped
+        for name, shape in (("a0", box), ("a", (3,) + box), ("b", (3,) + box)):
+            got = np.shape(getattr(self, name))
+            if len(got) != len(shape) or any(g not in (1, s) for g, s in zip(got, shape)):
+                raise ValueError(f"{name} must broadcast to {shape}; got {got}")
 
 
 def _axis(n: int, extent: float):
@@ -375,29 +382,38 @@ def _add_term(out: np.ndarray, coeff: complex, term: np.ndarray) -> None:
         out += term * coeff
 
 
-def _spin_apply(matrix: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
-    """out[a] += matrix[a, b] * psi[b] over the nonzero entries of the spin
-    matrix only, each through `_add_term`.
+def _xor_diagonals(matrix: np.ndarray) -> list:
+    """[(k, c)] for each nonzero xor diagonal of a spin matrix,
+    matrix[a, a ^ k] = c[a], k ascending: one for each Pauli matrix and
+    standard spatial gamma, k = 0 and 2 for eta and eta^+."""
+    index = np.arange(len(matrix))
+    diagonals = [(k, matrix[index, index ^ k]) for k in range(len(matrix))]
+    return [(k, c) for k, c in diagonals if c.any()]
 
-    Pauli matrices have 2 nonzero entries of 4 and the spatial gammas 4 of
-    16, all of them +-1 or +-i; a conjugated (dense) set takes every entry.
-    """
-    for a, b in zip(*np.nonzero(matrix)):
-        _add_term(out[a], matrix[a, b], psi[b])
+
+# (k, c) of sigma_x, sigma_y and sigma_z, one xor diagonal each
+_PAULI_DIAGONALS = tuple(_xor_diagonals(sigma)[0] for sigma in PAULI)
+
+
+def _flip(pairs: np.ndarray, k: int) -> np.ndarray:
+    """psi_{a ^ k} for each a, as a view of the pairs[a1, a0] = psi_{2 a1 + a0}
+    of a 4-component state, reversed along each bit that k sets."""
+    return pairs[:: -1 if k & 2 else 1, :: -1 if k & 1 else 1]
 
 
 def _sigma_pi(psi: np.ndarray, w, out, momentum, scratch=None) -> np.ndarray:
     """out = sigma.P psi (unscaled, as `_momentum`) on the x-planes that the
     weights `w` (one per axis) cover, halo as in `_momentum`.  P is
     spin-diagonal, so sigma_x P_x psi is P_x of psi with its components
-    swapped, written straight to `out`, and sigma_a P_a psi is column b of
-    sigma_a times P_a psi_b for each b: `momentum`, one component's sites,
-    holds P_y psi_b and P_z psi_b in turn."""
+    swapped, written straight to `out`, and c[b ^ k] P_a psi_b is added to
+    component b ^ k of it, (k, c) the xor diagonal of sigma_a: `momentum`,
+    one component's sites, holds P_y psi_b and P_z psi_b in turn."""
     _momentum(psi[::-1], w[0], 0, out, scratch)
     for axis in (1, 2):
+        k, c = _PAULI_DIAGONALS[axis]
         for b in range(len(psi)):
             term = _momentum(psi[b], w[axis], axis, momentum, scratch)
-            _spin_apply(PAULI[axis][:, [b]], term[None], out)
+            _add_term(out[b ^ k], c[b ^ k], term)
     return out
 
 
@@ -608,24 +624,20 @@ def pauli_identity_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) 
         _momentum(psi_s[::-1], w_in[0], 0, sigma_pi, get("scratch", wide))
         _momentum(sigma_pi[::-1], w[0], 0, rhs, get("scratch", sites))
         for axis in (1, 2):
+            k, c = _PAULI_DIAGONALS[axis]
             for b in range(len(psi)):
                 _momentum(psi_s[b], w_in[axis], axis, pi, get("scratch", wide))
-                # column b of sigma_axis times P_axis psi_b
-                _spin_apply(PAULI[axis][:, [b]], pi[None], sigma_pi)
+                _add_term(sigma_pi[b ^ k], c[b ^ k], pi)
                 rhs[b] += _momentum(pi, w[axis], axis, pi_pi, get("scratch", sites))
-        # rhs += 4h^2 e sigma.B psi, as coefficient rows: 4h^2 e B_z on the
-        # diagonal, 4h^2 e (B_x - i B_y) above it and its conjugate below
+        # rhs += 4h^2 e sigma.B psi: each component of 4h^2 e B as rows times
+        # its Pauli diagonal, skipped where it is zero
         core = _trim(psi_s, halo)
-        bx, by, bz = _weights(f.b, lo, hi, scale * e_charge, get, "b")
         term = get("scratch", sites)
-        if bz.any():
-            rhs[0] += np.multiply(core[0], bz, out=term)
-            rhs[1] -= np.multiply(core[1], bz, out=term)
-        if bx.any() or by.any():
-            bxy = np.multiply(by, -1j, out=get("bxy", np.broadcast_shapes(bx.shape, by.shape)))
-            bxy += bx
-            rhs[0] += np.multiply(core[1], bxy, out=term)
-            rhs[1] += np.multiply(core[0], np.conjugate(bxy, out=bxy), out=term)
+        weights = _weights(f.b, lo, hi, scale * e_charge, get, "b")
+        for weight, (k, c) in zip(weights, _PAULI_DIAGONALS):
+            if weight.any():
+                for a in range(len(psi)):
+                    _add_term(rhs[a], c[a], np.multiply(core[a ^ k], weight, out=term))
         # lhs = sigma.P (sigma.P psi)
         _sigma_pi(sigma_pi, w, lhs, pi_pi, term)
         lhs -= rhs
@@ -717,43 +729,51 @@ def _rows(*factors: np.ndarray) -> np.ndarray:
 
 def _hop_rows(here, there: np.ndarray, axis, halo: int) -> np.ndarray:
     """Rows of sum_z prod(here)(x) * there(x + e_axis) (there(x) when axis is
-    None) over the sites of the arrays in `here`; `there` holds those sites
-    and `halo` (at least one) planes at each end of its first axis, and is
-    periodic along y and z: the y hop writes its wrap row, the z hop adds its
-    seam column."""
+    None) over the sites of the arrays in `here`, leading (component) axes
+    kept; `there` holds those sites and `halo` (at least one) planes at each
+    end of its x axis, and is periodic along y and z: the y hop writes its
+    wrap row, the z hop adds its seam column."""
     if axis is None:
         return _rows(*here, _trim(there, halo))
     if axis == 0:
-        return _rows(*here, there[halo + 1 : halo + 1 + len(here[0])])
+        return _rows(*here, there[..., halo + 1 : halo + 1 + here[0].shape[-3], :, :])
     there = _trim(there, halo)
     if axis == 1:
         out = np.empty(there.shape[:-1], there.dtype)
-        out[:, :-1] = _rows(*(v[:, :-1] for v in here), there[:, 1:])
-        out[:, -1] = _rows(*(v[:, -1] for v in here), there[:, 0])
+        out[..., :-1] = _rows(*(v[..., :-1, :] for v in here), there[..., 1:, :])
+        out[..., -1] = _rows(*(v[..., -1, :] for v in here), there[..., 0, :])
         return out
     out = _rows(*(v[..., :-1] for v in here), there[..., 1:])
     out += math.prod(v[..., -1] for v in here) * there[..., 0]
     return out
 
 
-def _weighted_rows(weight, rows, here, there, axis, halo: int) -> np.ndarray:
-    """Rows of sum_z weight(x) here(x) there(x + e_axis), as `_hop_rows`,
-    for a weight from `_z_rows`: the weight's rows times `rows()`, the z-row
-    sums of here * there, when it is constant along z; else the weight
-    enters the row reduction as a third factor."""
-    if weight.shape[-1] == 1:
-        return weight[..., 0] * rows()
-    return _hop_rows((here, weight), there, axis, halo)
+def _row_forms(pairs: np.ndarray, halo: int, get):
+    """rows(diagonals, weight=None, axis=None): the rows of sum_z weight(x)
+    sum_ab M_ab conj psi_a(x) psi_b(x + e_axis) (psi_b(x) when axis is None)
+    for the matrix M of the xor `diagonals`, on a slab of `pairs` (see
+    `_flip`) with `halo` planes at each end.  One reduction sums each
+    diagonal's four components.  No weight, or one from `_z_rows` constant
+    along z, takes component rows formed once per (k, axis) and slab; any
+    other weight enters their reduction as a third factor."""
+    core = _trim(pairs, halo)
+    conj = np.conjugate(core, out=get("conj", core.shape))
+    sums = {}
 
+    def rows(diagonals, weight=None, axis=None):
+        along_z = weight is not None and weight.shape[-1] > 1
+        total = 0
+        for k, c in diagonals:
+            if along_z:
+                component_rows = _hop_rows((conj, weight), _flip(pairs, k), axis, halo)
+            else:
+                if (k, axis) not in sums:
+                    sums[k, axis] = _hop_rows((conj,), _flip(pairs, k), axis, halo)
+                component_rows = sums[k, axis]
+            total = total + np.einsum("ab,ab...->...", c.reshape(2, 2), component_rows)
+        return total if weight is None or along_z else weight[..., 0] * total
 
-def _hop_difference(gamma: np.ndarray, hops) -> np.ndarray:
-    """Rows of sum_ab gamma_ab (K_ab - conj K_ba) from the hop rows `hops`
-    (K_ab of `_hop_rows`, for every pair that gamma or its transpose needs):
-    the forward hop less the backward one, whose sum over the box is the
-    conjugate of the transposed forward hop."""
-    return sum(
-        gamma[a, b] * (hops[a, b] - np.conjugate(hops[b, a])) for a, b in zip(*np.nonzero(gamma))
-    )
+    return rows
 
 
 def _link_and_shift(theta_s: np.ndarray, axis: int, halo: int, e_charge: float, get):
@@ -782,62 +802,37 @@ def _forms(f: GaugeField, psi: np.ndarray, e_energy, m, e_charge, theta=None):
     C-ordered state of 2 or 4 components."""
     g = build_standard_gammas()
     eta = build_eta(g)
-    eta_dagger = adjoint(eta)
+    eta_dagger = _xor_diagonals(adjoint(eta))
+    eta = _xor_diagonals(eta)
+    gammas = [_xor_diagonals(gamma) for gamma in (g.gamma1, g.gamma2, g.gamma3)]
     mass = np.full((1, 1, 1), m, dtype=float)  # a weight constant along z
     get = _buffers()
 
     def slab(lo, hi, halo):
         psi4 = _four_component_planes(psi, lo - halo, hi + halo, get)
-        core = _trim(psi4, halo)
-        conj = np.conjugate(core, out=get("conj", core.shape))
-        products = {}
-
-        def product(a, b):
-            """The rows G_ab = sum_z conj psi_a psi_b, each formed once per
-            slab."""
-            if (a, b) not in products:
-                products[a, b] = _hop_rows((conj[a],), psi4[b], None, halo)
-            return products[a, b]
-
-        def weighted(weight, coeffs):
-            """Rows of sum_z weight * sum_ab coeffs_ab conj psi_a psi_b for a
-            real `weight` from `_z_rows`; the transposed product's rows are
-            the conjugate."""
-            sums = {}
-            for a, b in zip(*np.nonzero(coeffs)):
-                if (b, a) in sums:
-                    sums[a, b] = np.conjugate(sums[b, a])
-                else:
-                    sums[a, b] = _weighted_rows(
-                        weight, lambda: product(a, b), conj[a], psi4[b], None, halo
-                    )
-            return sum(coeffs[pair] * value for pair, value in sums.items())
-
+        pairs = psi4.reshape((2, 2) + psi4.shape[1:])  # see `_flip`
+        rows = _row_forms(pairs, halo, get)
         a0 = _z_rows(_planes(f.a0, lo, hi))
         kinetic = get("kinetic", a0.shape, float)
         np.multiply(a0, e_charge, out=kinetic)
         np.subtract(e_energy, kinetic, out=kinetic)
-        form = weighted(kinetic, eta) + weighted(mass, eta_dagger)
+        form = rows(eta, kinetic) + rows(eta_dagger, mass)
         potential = _planes(f.a, lo, hi)
         if theta is not None:
             # C-ordered: `_difference` takes each block flat
             theta_s = _planes(theta, lo - halo, hi + halo, get, "theta")
             theta_s = np.ascontiguousarray(_z_rows(theta_s))
         change = 0
-        for axis, gamma in enumerate((g.gamma1, g.gamma2, g.gamma3)):
-            needed = zip(*np.nonzero((gamma != 0) | (gamma.T != 0)))
-            hops = {(a, b): _hop_rows((conj[a],), psi4[b], axis, halo) for a, b in needed}
-            form = form + (-0.5j / f.h) * _hop_difference(gamma, hops)
-            form = form - e_charge * weighted(_z_rows(potential[axis]), gamma)
+        for axis, gamma in enumerate(gammas):
+            # gamma is anti-Hermitian, so the forward hop less the backward one,
+            # sum_ab gamma_ab (H_ab - conj H_ba), is 2 Re sum_ab gamma_ab H_ab
+            form = form + (-1j / f.h) * rows(gamma, None, axis).real
+            form = form - e_charge * rows(gamma, _z_rows(potential[axis]))
             # a theta constant along z has no z links: u_z = s_z = 0
             if theta is None or axis == 2 and theta_s.shape[-1] == 1:
                 continue
             link, shift = _link_and_shift(theta_s, axis, halo, e_charge, get)
-            hops = {
-                (a, b): _weighted_rows(link, lambda: value, conj[a], psi4[b], axis, halo)
-                for (a, b), value in hops.items()
-            }
-            change = change - 1j * _hop_difference(gamma, hops) + e_charge * weighted(shift, gamma)
+            change = change - 2j * rows(gamma, link, axis).real + e_charge * rows(gamma, shift)
         return complex(np.sum(form)), complex(np.sum(change)) / (2.0 * f.h)
 
     parts = _over_slabs(slab, f.n, 1)
@@ -883,16 +878,19 @@ def gauge_invariance_check(
     F^i_ab = sum_x conj psi_a(x) u_i(x) psi_b(x + e_i) and
     P^i_ab = sum_x (theta(x + e_i) - theta(x - e_i)) conj psi_a psi_b,
     q1 - q0 = h^3 sum_i sum_ab gamma^i_ab [-i (F^i_ab - conj F^i_ba)
-    + e P^i_ab] / (2h).
+    + e P^i_ab] / (2h).  The gammas are anti-Hermitian, so the bracket's
+    first term is 2 Re sum_ab gamma_ab F_ab row by row, as in the hop term
+    of q0, and no backward hop is formed.
 
-    Both forms come from z-row sums.  On each slab (one-plane halo) every
-    product is reduced along z once, to rows over (x, y):
-    G_ab = sum_z conj psi_a psi_b for the pairs the eta terms and the gammas
-    need (G_ba = conj G_ab), and H^i_ab = sum_z conj psi_a(x) psi_b(x + e_i)
-    for the pairs of each gamma^i, which q0 and q1 - q0 share.  Each weight
-    is applied to the rows, as sum_xy w(x, y) R(x, y): E - eA0 (of eta),
-    m (of eta^+), A_i, the shift s_i and the link u_i, the last two formed
-    on the rows.  A weight is used on the rows when its slab is
+    Both forms come from z-row sums.  Each matrix acts through its xor
+    diagonals M[a, a ^ k] = c[a] (eta and eta^+ on k = 0 and 2, the gammas
+    on 3, 3 and 2).  On each slab (one-plane halo) conj psi_a psi_{a ^ k},
+    and conj psi_a(x) psi_{a ^ k}(x + e_i) for each gamma^i, are reduced
+    along z once, to component rows over (x, y) that q0 and q1 - q0 share,
+    and c sums a diagonal's four components in one reduction.  Each
+    weight is applied to the rows, as sum_xy w(x, y) R(x, y): E - eA0 (of
+    eta), m (of eta^+), A_i, the shift s_i and the link u_i, the last two
+    formed on the rows.  A weight is used on the rows when its slab is
     constant along z, a test by value (`_z_rows`); otherwise it enters the
     row reduction as a third factor.  A theta constant along z has no z
     links.  Each form's terms are combined row by row before one pairwise

@@ -484,6 +484,19 @@ def test_check_deterministic_per_seed(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [["well", "--length", "10"], ["check"]])
+def test_an_output_that_cannot_be_written_is_a_usage_error(argv, tmp_path, capsys):
+    # exit 64 with the command's usage line, as for an unreadable --config,
+    # not a traceback; for check, exit 1 would read as a property failure
+    with pytest.raises(SystemExit) as err:
+        run(argv + ["--output", str(tmp_path / "missing" / "out.txt")])
+    assert err.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: etawave {argv[0]} ")
+    assert "cannot write --output" in captured.err
+
+
 def test_config_file_sets_constants(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("hbar_c = 200.0\nmass_c2 = 1.0e5\n")
