@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -75,6 +76,19 @@ def _emit(text: str, args):
             fh.write(text)
     except OSError as exc:
         args.command_parser.error(f"cannot write --output: {exc}")
+
+
+def _check_output(args):
+    """Refuse, before any work, an --output that is a directory or whose
+    directory is missing or not writable; this creates nothing, and _emit
+    still reports a write that fails."""
+    path = os.path.abspath(args.output)
+    directory = os.path.dirname(path)
+    target = path if os.path.exists(path) else directory
+    if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(target, os.W_OK):
+        args.command_parser.error(
+            f"cannot write --output {args.output!r}: not a writable file in an existing directory"
+        )
 
 
 def _render(header, records, fmt: str, precision: int, comment=None) -> str:
@@ -481,6 +495,8 @@ def main(argv=None) -> int:
     args, extra = build_parser().parse_known_args(argv)
     if extra:
         args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if args.output:
+        _check_output(args)
     return _DISPATCH[args.command](args.command_parser, args)
 
 

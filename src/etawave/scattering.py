@@ -6,7 +6,9 @@ independent routes to the barrier coefficients are kept side by side: the
 interface-matching solve and the closed form, which must agree to 1e-10
 everywhere including deep tunneling.  The closed form is one expression
 through the barrier top; the barrier's matching solve refuses the critical
-band around E = V0, and sweeps use the closed form there.
+band around E = V0, and sweeps use the closed form there.  It also refuses
+a propagating phase p2 L / hbar_c beyond MAX_PHASE = 2^20, whose sine has
+no digits left at that tolerance.
 
 The matching splits into two channels, s = +1 and s = -1.  With c1 the c of
 the zero-potential region (see spinors), an interface's rows are
@@ -15,8 +17,11 @@ unknown is (x_up + s x_down)/sqrt2; a region's +p / -p column is then
 (1, c - c1 +- s d), so a small d is never added to the order-1 c.  The
 channels, at unit incidence in each, give both incident spins: the
 same-spin amplitudes are the channels' half sums, the spin-flip ones their
-half differences.  The barrier solves its two 4x4 channel systems in one
-stacked call; the step's channels are a closed formula each, through E = V0.
+half differences.  In each barrier channel the u rows give the reflected
+and transmitted amplitudes r and t through the internal ones, and the v
+rows leave a 2x2 system in those, solved for both channels in one stacked
+Cramer solve; the step's channels are a closed formula each, through
+E = V0.
 
 Conventions: E is the kinetic energy in eV, the barrier occupies
 0 <= z <= L with L in nm, and phases are k z with k = sqrt(2m(E-V))/hbar_c.
@@ -125,21 +130,31 @@ def _interface_scalars(e_energy, v0, m):
     return p2, d1, d2, _c_shift(e_energy, v0, m)
 
 
-def _assemble_barrier(p: BarrierProblem):
-    """(M, rhs) of the barrier's two channel systems: the unknowns are the
-    reflected, two internal and the transmitted amplitudes, the rows u and v
-    at z = 0, then at z = L.
+# the largest propagating phase |p2 L / hbar_c| the matching solve takes:
+# beyond 2^20 the phase's own rounding, up to 2^-33 ~ 1.2e-10, moves the
+# coefficients by as much as the criterion-04 tolerance of 1e-10
+MAX_PHASE = 2.0**20
 
-    An internal column (al, be, ga, de) has entries -al, -(al dc + be s d2)
-    at z = 0 and ga, ga dc + de s d2 at z = L.  Where |p2 L / hbar_c| > 1 the
-    two are the +p mode and the -p mode anchored at z = L, so that |ph2| <= 1
-    up to kappa L of several hundred.  Nearer the top, where those two nearly
-    coincide, they are their sum and difference, written through
-    e = ph2 - 1 = expm1(i p2 L / hbar_c) without cancelling.
+
+def _barrier_columns(p: BarrierProblem):
+    """(d1, d2, dc, cols): the interface scalars and the two internal
+    columns (al, be, ga, de) of the barrier, whose entries are -al,
+    -(al dc + be s d2) at z = 0 and ga, ga dc + de s d2 at z = L.
+
+    Where |p2 L / hbar_c| > 1 the two are the +p mode and the -p mode
+    anchored at z = L, so that |ph2| <= 1 up to kappa L of several hundred.
+    Nearer the top, where those two nearly coincide, they are their sum and
+    difference, written through e = ph2 - 1 = expm1(i p2 L / hbar_c)
+    without cancelling.  A propagating phase beyond MAX_PHASE is refused.
     """
     p2, d1, d2, dc = _interface_scalars(p.e_energy, p.v0, p.m)
     ik = 1j * (p2 / p.constants.hbar_c) * p.length
     if abs(ik) > 1.0:
+        if abs(ik.imag) > MAX_PHASE:
+            raise DegenerateConfigurationError(
+                f"the phase p2 L / hbar_c = {ik.imag:.3e} is beyond 2^20: its sine "
+                "has no digits left at the criterion-04 tolerance"
+            )
         ph2 = cmath.exp(ik)
         cols = (1 + 0j, 1 + 0j, ph2, ph2), (ph2, -ph2, 1 + 0j, -1 + 0j)
     else:
@@ -148,55 +163,81 @@ def _assemble_barrier(p: BarrierProblem):
                     math.exp(x) * math.sin(y))
         w = 2.0 + e
         cols = (w, -e, w, e), (-e, w, e, w)
+    return d1, d2, dc, cols
+
+
+def _assemble_barrier(d1, d2, dc, cols):
+    """(M, rhs): the (2, 2, 2) systems of the two channels, s = +1 first, in
+    the internal amplitudes (a, b), and their (2, 2) right-hand sides, from
+    the _barrier_columns (d1, d2, dc, cols).
+
+    The u rows give r = al0 a + al1 b - 1 at z = 0 and t = ga0 a + ga1 b at
+    z = L; substituted into the v rows they leave, per channel, the row
+    -(al (s d1 + dc) + be s d2) with right-hand side -2 s d1 at z = 0, and
+    the row ga (dc - s d1) + de s d2 with right-hand side 0 at z = L.
+    """
     (al0, be0, ga0, de0), (al1, be1, ga1, de1) = cols
     rows, rhs = [], []
     for sd1, sd2 in ((d1, d2), (-d1, -d2)):
+        g0, g1 = sd1 + dc, dc - sd1
         rows += [
-            1 + 0j, -al0, -al1, 0j,
-            -sd1, -(al0 * dc + be0 * sd2), -(al1 * dc + be1 * sd2), 0j,
-            0j, ga0, ga1, -1 + 0j,
-            0j, ga0 * dc + de0 * sd2, ga1 * dc + de1 * sd2, -sd1,
+            -(al0 * g0 + be0 * sd2), -(al1 * g0 + be1 * sd2),
+            ga0 * g1 + de0 * sd2, ga1 * g1 + de1 * sd2,
         ]  # fmt: skip
-        rhs += [-1 + 0j, -sd1, 0j, 0j]
-    # numpy converts the complex constants (0j, 1 + 0j) faster than ints
+        rhs += [-2.0 * sd1, 0j]
     a = np.array(rows + rhs, dtype=complex)
-    return a[:32].reshape(2, 4, 4), a[32:].reshape(2, 4)
+    return a[:8].reshape(2, 2, 2), a[8:].reshape(2, 2)
 
 
 def _solve_matching(p: BarrierProblem):
-    """(M, rhs, x) of the solved barrier channels; refuses the critical band
-    and turns a singular system into DegenerateConfigurationError."""
+    """(columns, x) of the solved barrier channels, x the (2, 4) amplitudes
+    (r, a, b, t) of the "+" and "-" channels; refuses the critical band and
+    turns a singular system into DegenerateConfigurationError."""
     if classify_regime(p.e_energy, p.v0) == CRITICAL:
         raise CriticalBandError(
             f"|E - V0| = {abs(p.e_energy - p.v0):.3e} eV is inside the critical "
             "band; evaluate closed_form instead"
         )
-    m, rhs = _assemble_barrier(p)
+    columns = _barrier_columns(p)
     try:
-        x = solve_linear(m, rhs)
+        ab = solve_linear(*_assemble_barrier(*columns))
     except SingularSystemError as exc:
         raise DegenerateConfigurationError(f"matching system singular: {exc}") from exc
-    return m, rhs, x
+    (al0, _, ga0, _), (al1, _, ga1, _) = columns[3]
+    x = [[al0 * a + al1 * b - 1.0, a, b, ga0 * a + ga1 * b] for a, b in ab.tolist()]
+    return columns, x
 
 
 def solve_barrier(p: BarrierProblem):
     """Interface matching for the rectangular barrier.
 
-    Returns (x, Coefficients), x the (2, 4) solution of the "+" and "-"
-    channels.  Inside the critical band around E = V0 the internal basis
-    degenerates and this refuses; closed_form holds there as everywhere.
+    Returns (x, Coefficients), x the (2, 4) solution (r, a, b, t) of the
+    "+" and "-" channels.  Inside the critical band around E = V0 the
+    internal basis degenerates and this refuses, and so it does beyond the
+    propagating phase MAX_PHASE; closed_form holds there as everywhere.
     """
-    _, _, x = _solve_matching(p)
-    return x, _channel_coeffs(x.tolist(), 1.0, p.incident_spin)
+    _, x = _solve_matching(p)
+    return np.array(x, dtype=complex), _channel_coeffs(x, 1.0, p.incident_spin)
 
 
 def continuity_residual(p: BarrierProblem) -> float:
-    """Scaled residual of the channel matching equations at the solved
-    amplitudes.
+    """Scaled residual of the four channel rows, u and v at z = 0 and at
+    z = L, at the solved amplitudes (r, a, b, t).
 
     Raises what solve_barrier raises: CriticalBandError inside the band,
     DegenerateConfigurationError for a singular system."""
-    m, rhs, x = _solve_matching(p)
+    (d1, d2, dc, cols), x = _solve_matching(p)
+    (al0, be0, ga0, de0), (al1, be1, ga1, de1) = cols
+    m, rhs = [], []
+    for sd1, sd2 in ((d1, d2), (-d1, -d2)):
+        m.append([
+            [1.0, -al0, -al1, 0.0],
+            [-sd1, -(al0 * dc + be0 * sd2), -(al1 * dc + be1 * sd2), 0.0],
+            [0.0, ga0, ga1, -1.0],
+            [0.0, ga0 * dc + de0 * sd2, ga1 * dc + de1 * sd2, -sd1],
+        ])  # fmt: skip
+        rhs.append([-1.0, -sd1, 0.0, 0.0])
+    m, rhs, x = (np.array(a, dtype=complex) for a in (m, rhs, x))
     num = float(np.abs((m @ x[..., None])[..., 0] - rhs).max())
     return num / (norm_inf(m) * float(np.abs(x).max()) + float(np.abs(rhs).max()))
 
@@ -358,7 +399,9 @@ def sweep(template: BarrierProblem, e_grid, method: str = "numeric") -> SweepTab
                     _, numeric = solve_barrier(prob)
                 except CriticalBandError:
                     numeric = closed_form(prob)
-            if method in ("closed", "both"):
+                    # with method both, the fallback is the closed row too
+                    closed = numeric if method == "both" else None
+            if method in ("closed", "both") and closed is None:
                 closed = closed_form(prob)
             coeffs = numeric if numeric is not None else closed
             delta = (

@@ -208,15 +208,46 @@ def test_a_command_refuses_a_common_flag_it_does_not_read(argv, capsys):
 
 
 def test_point_flags_the_solver_that_fails(capsys):
-    # the matching system is singular at this scale: its row is flagged and
-    # the closed row kept, with exit 2 as a sweep with flagged rows
+    # the phase p2 L / hbar_c is 3.6e100 here, beyond the matching solve's
+    # 2^20: its row is flagged and the closed row kept, with exit 2 as a
+    # sweep with flagged rows
     argv = ["point", "--v0", "1e200", "--length", "1", "--e-over-v0", "1.5", "--format", "json"]
     assert run(argv) == 2
     numeric, closed = loads(capsys.readouterr().out)
     assert numeric["method"] == "numeric" and numeric["T1"] is None
     assert numeric["flag"].startswith("DegenerateConfigurationError")
+    assert "phase" in numeric["flag"]
     assert closed["method"] == "closed" and "flag" not in closed
     assert abs(closed["sum"] - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("v0, flagged", [(1e13, True), (3.9e10, False)])
+def test_barrier_flags_a_phase_whose_sine_has_no_digits(v0, flagged, capsys):
+    # E = 2 V0, L = 1: the phase p2 L / hbar_c is 1.6e7 at V0 = 1e13, beyond
+    # 2^20, where its rounding alone moves the coefficients by more than
+    # the criterion-04 bound; at V0 = 3.9e10 it is 1.0e6, below 2^20
+    argv = ["barrier", "--v0", repr(v0), "--length", "1", "--emin", "2", "--emax", "2",
+            "--steps", "1", "--method", "both", "--format", "json"]
+    assert run(argv) == (2 if flagged else 0)
+    (row,) = loads(capsys.readouterr().out)
+    if flagged:
+        assert row["T1"] is None and "phase" in row["flag"]
+    else:
+        assert "flag" not in row
+        assert row["delta_numeric_closed"] <= 1e-11
+
+
+def test_point_at_a_mass_near_the_top_of_the_float_range(capsys):
+    # m = 1.7e308 and L = 1e-300: the matching solve's rows are scaled by a
+    # power of two, so its numeric row is a table row, within the
+    # criterion-04 bound of the closed row
+    argv = ["point", "--v0", "1", "--length", "1e-300", "--mass", "1.7e308",
+            "--e-over-v0", "0.5", "--format", "json", "--precision", "17"]
+    assert run(argv) == 0
+    numeric, closed = loads(capsys.readouterr().out)
+    assert "flag" not in numeric and "flag" not in closed
+    for key in ("T1", "T2", "R1", "R2"):
+        assert abs(numeric[key] - closed[key]) <= 1e-10 * abs(closed[key]) + 1e-11
 
 
 def test_well_rejects_levels_beyond_the_float_range(capsys):
@@ -495,6 +526,28 @@ def test_an_output_that_cannot_be_written_is_a_usage_error(argv, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith(f"usage: etawave {argv[0]} ")
     assert "cannot write --output" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["barrier", "--v0", "10", "--length", "1"], "etawave.scattering.sweep"),
+        (["well", "--length", "10"], "etawave.boundstates.energy_levels"),
+        (["check"], "etawave.cli._check_rows"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_an_unwritable_output_is_refused_before_the_work(argv, work, where, tmp_path, monkeypatch, capsys):
+    def work_called(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(work, work_called)
+    target = tmp_path / "missing" / "out.txt" if where == "missing directory" else tmp_path
+    with pytest.raises(SystemExit) as err:
+        run(argv + ["--output", str(target)])
+    assert err.value.code == 64
+    assert "cannot write --output" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_sets_constants(tmp_path):

@@ -406,6 +406,24 @@ def test_sweep_bridges_critical_point():
         assert abs(row.coeffs.total - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("method, points", [("both", [5.0, 10.0, 15.0]), ("numeric", [10.0]),
+                                            ("closed", [5.0, 10.0, 15.0])])
+def test_sweep_evaluates_the_closed_form_once_per_point(method, points, monkeypatch):
+    # the critical point's fallback is its closed row as well: method both
+    # evaluates closed_form once there, not twice
+    calls = []
+    closed_form = sc.closed_form
+
+    def counted(p):
+        calls.append(p.e_energy)
+        return closed_form(p)
+
+    monkeypatch.setattr(sc, "closed_form", counted)
+    table = sc.sweep(barrier(10.0, 10.0, 2.0), np.array([5.0, 10.0, 15.0]), method=method)
+    assert calls == points
+    assert all(row.flag is None for row in table.rows)
+
+
 def test_sweep_flags_bad_points(capsys):
     template = barrier(10.0, 10.0, 2.0)
     table = sc.sweep(template, np.array([5.0, -1.0]), method="numeric")
@@ -552,14 +570,28 @@ def _channel_form(m, rhs, c1, spin, mix):
     return blocks, off, (rows @ rhs).reshape(2, k) * signs[:, None]
 
 
+def _eliminated(blocks, rhs):
+    """The (2, 2, 2) systems in the internal amplitudes left by solving each
+    4x4 channel block's u rows (0 and 2) for r and t (unknowns 0 and 3) and
+    substituting them into its v rows (1 and 3), with their right-hand
+    sides."""
+    u, v, e, k = [0, 2], [1, 3], [0, 3], [1, 2]
+    systems, sides = [], []
+    for block, side in zip(blocks, rhs):
+        ue = np.linalg.solve(block[np.ix_(u, e)], np.column_stack([block[np.ix_(u, k)], side[u]]))
+        systems.append(block[np.ix_(v, k)] - block[np.ix_(v, e)] @ ue[:, :2])
+        sides.append(side[v] - block[np.ix_(v, e)] @ ue[:, 2])
+    return np.array(systems), np.array(sides)
+
+
 def _assert_channel_blocks(got, m, rhs, c1, spin, mix):
     # a combined unknown's column sums columns of m: its entries' scale too
     scale = np.abs(m).max() * np.abs(mix).sum(axis=0).max()
     blocks, off, channel_rhs = _channel_form(m, rhs, c1, spin, mix)
-    for g, r in zip(got, (blocks, channel_rhs)):
+    assert np.abs(off).max() <= 1e-15 * scale
+    for g, r in zip(got, _eliminated(blocks, channel_rhs)):
         assert g.shape == r.shape
         assert np.abs(g - r).max() <= 1e-15 * scale
-    assert np.abs(off).max() <= 1e-15 * scale
 
 
 def _clamp_kappa_l(ratio, v0, length, m, limit=220.0):
@@ -584,7 +616,7 @@ def test_barrier_system_equals_mode_column_assembly(ratio, v0, length, m, spin):
     mix = np.eye(4)
     if near_top:
         mix[1:3, 1:3] = [[1.0, 1.0], [1.0, -1.0]]
-    _assert_channel_blocks(sc._assemble_barrier(p), m8, rhs, c1, spin, mix)
+    _assert_channel_blocks(sc._assemble_barrier(*sc._barrier_columns(p)), m8, rhs, c1, spin, mix)
     x = np.linalg.solve(m8, rhs)
     _, coeffs = sc.solve_barrier(p)
     ref = [abs(x[k]) ** 2 for k in (6, 7, 0, 1)]
@@ -856,14 +888,38 @@ def test_matching_beside_the_top_against_50_digits(ratio, v0, length, m):
 
 def test_no_spin_flip_transmission_where_d_is_tiny():
     # E / m = 6e22: d1 ~ 8e-12 next to c1 ~ -i, so c1 +- d1 would keep only a
-    # few bits of d1; the spin-flip T2 and R2 (exactly 0 and 1.9e-34) stay at
-    # rounding level and the coefficients sum to 1
+    # few bits of d1.  At L = 1.5 the phase p2 L / hbar_c is 3.4e25, whose
+    # sine has no digits left: the matching solve refuses it.  At L = 1.5e-20
+    # the phase is 3.4e5, and the spin-flip T2 and R2 (0 and 3.4e-34 in
+    # closed form) stay at rounding level while the coefficients sum to 1
     v0 = 1.298074214633707e33
-    p = sc.BarrierProblem(200000.0 * v0, v0, 1.5, 4195815672910693.0,
+    far, near = (
+        sc.BarrierProblem(200000.0 * v0, v0, length, 4195815672910693.0,
                           constants=PhysicalConstants(65.0))
-    _, numeric = sc.solve_barrier(p)
+        for length in (1.5, 1.5e-20)
+    )  # fmt: skip
+    with pytest.raises(sc.DegenerateConfigurationError, match="phase"):
+        sc.solve_barrier(far)
+    phase = complex_momentum(near.e_energy, v0, near.m).real * near.length / 65.0
+    assert 3e5 < phase < sc.MAX_PHASE
+    _, numeric = sc.solve_barrier(near)
     assert numeric.t2 <= 1e-20 and numeric.r2 <= 1e-20
     assert abs(numeric.total - 1.0) <= 1e-14
+
+
+def test_a_propagating_phase_beyond_2_20_is_refused():
+    # E = 2 V0, m = 0.5e6: the phase p2 L / hbar_c is 2^20 (1 +- 1e-3)
+    e_energy, v0, m = 20.0, 10.0, 0.5e6
+    unit = complex_momentum(e_energy, v0, m).real / CONSTANTS.hbar_c
+    below, above = (barrier(e_energy, v0, sc.MAX_PHASE * f / unit, m) for f in (1 - 1e-3, 1 + 1e-3))
+    _, numeric = sc.solve_barrier(below)
+    closed = sc.closed_form(below)
+    for got, want in zip(_channels(numeric), _channels(closed)):
+        assert abs(got - want) <= 1e-10 * abs(want) + 1e-11
+    with pytest.raises(sc.DegenerateConfigurationError, match="phase"):
+        sc.solve_barrier(above)
+    (row,) = sc.sweep(above, [e_energy], "both").rows
+    assert row.coeffs is None and "phase" in row.flag
 
 
 def _s_form_t1(e_energy, v0, length, m):
