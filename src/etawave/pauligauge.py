@@ -16,15 +16,16 @@ contribution far below the bulk truncation error being measured.
 The checks run over slabs of x-planes (the first spatial axis, contiguous
 in the C-ordered (component, x, y, z) arrays), each gathered with a periodic
 halo, so every work array is slab-sized.  The slab width depends on N alone
-(see `_over_slabs`): eight planes below N = 128, where the slabs run one
-after another on the calling thread, and three from N = 128 on, where the
-calling thread runs the first half of the slabs and one worker thread the
-second half when the process may use two CPUs.  Either way every slab's
-partial sums are computed alike and added in slab order, so a check gives
-the same bits on one thread and on two.  Each thread allocates its
-slab-sized work arrays at its first (widest) slab and every later slab
-writes into them, so the slab loop allocates nothing larger than one value
-per (x, y) row; stages reuse the arrays an earlier stage has finished with.
+(see `_over_slabs`): eight planes below N = 64, where the slabs run one
+after another on the calling thread, four from N = 64 and three from N =
+128 on, where the calling thread runs the first half of the slabs and one
+worker thread the second half when the process may use two CPUs.  Either
+way every slab's partial sums are computed alike and added in slab order,
+so a check gives the same bits on one thread and on two.  Each thread
+allocates its slab-sized work arrays at its first (widest) slab and every
+later slab writes into them, so the slab loop allocates nothing larger than
+one value per (x, y) row; stages reuse the arrays an earlier stage has
+finished with.
 Slabs stream from memory, so their time goes with the number of passes over
 slab-sized arrays: every spin matrix acts through its nonzero xor
 diagonals, matrix[a, a ^ k] = c[a] (`_xor_diagonals`), a coefficient of +-i
@@ -93,22 +94,30 @@ import numpy as np
 from .clifford import PAULI, build_eta, build_standard_gammas
 from .numerics import adjoint
 
-# x-planes per slab below _THREADED_N: at N = 64 a slab has 2^15 sites.
-# 16-plane slabs ran as fast and raised the peak RSS of
-# convergence_table((32, 64, 128)) from 121 to 143 MB; 4-plane ones made its
-# N = 32 row 35-60 % slower (2-vCPU Xeon).  Cache-sized slabs doubled the
-# run-to-run spread on a host shared with other tenants; a box checked whole
-# faulted its work arrays in again on every call.
+# x-planes per slab below _THREADED_N, run on the calling thread: at N = 32
+# a slab has 2^13 sites.  16-plane slabs ran as fast and raised the peak RSS
+# of convergence_table((32, 64, 128)) from 121 to 143 MB; 4-plane ones made
+# its N = 32 row 35-60 % slower, and two threads made it slower still (22
+# against 16.5 ms).  Cache-sized slabs doubled the run-to-run spread on a
+# host shared with other tenants; a box checked whole faulted its work
+# arrays in again on every call (2-vCPU Xeon).
 _SLAB_PLANES = 8
-# From N = _THREADED_N on, slabs of _THREADED_SLAB_PLANES planes (3 x 2^14 sites
-# at N = 128) run on up to _THREADS threads, each with its own work arrays:
-# two 3-plane pools take less memory than one 8-plane pool, and numpy
-# releases the GIL in passes this large.  convergence_table((32, 64, 128))
-# fell from 0.62 to 0.46 s (medians of 10 runs) against 8-plane slabs on one
-# thread, and 3-plane slabs cost a one-CPU host 10-20 % (2-vCPU Xeon).  The
-# partition depends on N alone, never on the CPU count.
-_THREADED_N = 128
-_THREADED_SLAB_PLANES = 3
+# From N = _THREADED_N on, the slabs run on up to _THREADS threads, each with
+# its own work arrays, and numpy releases the GIL in passes this large:
+# _THREADED_SLAB_PLANES planes (2^14 sites at N = 64) below _LARGE_N, and
+# _LARGE_SLAB_PLANES (3 x 2^14 sites at N = 128) from there on.  At N = 64
+# two 4-plane pools take at most 1.2 times the memory of one 8-plane pool,
+# and the row fell from 59.5 to 46.3 ms against 8-plane slabs on one thread;
+# 3-plane slabs, whose halo is 2 planes on 3, gained 8 %, and two 8-plane
+# pools added 6.5 MB of peak RSS.  At N = 128 two 3-plane pools take less
+# memory than one 8-plane pool, and convergence_table((32, 64, 128)) fell
+# from 0.62 to 0.46 s; 3-plane slabs cost a one-CPU host 10-20 % there,
+# 4-plane ones nothing measurable at N = 64 (2-vCPU Xeon).  The partition
+# depends on N alone, never on the CPU count.
+_THREADED_N = 64
+_THREADED_SLAB_PLANES = 4
+_LARGE_N = 128
+_LARGE_SLAB_PLANES = 3
 if hasattr(os, "sched_getaffinity"):
     _THREADS = min(2, len(os.sched_getaffinity(0)))
 else:  # not every platform has it
@@ -437,14 +446,20 @@ def _sq_norm(psi: np.ndarray, work: np.ndarray) -> float:
 def _over_slabs(slab, n: int, halo: int) -> list:
     """[slab(lo, hi, halo) for each slab of x-planes lo..hi-1], in slab
     order: `_SLAB_PLANES` planes each below N = `_THREADED_N`, run on the
-    calling thread, and `_THREADED_SLAB_PLANES` from there on, the second
-    half of them run on a worker thread when `_THREADS` is 2, under the
-    caller's numpy error state (numpy keeps it per thread).  The last slab
-    may be narrower; a box of at most that many planes is one slab, whose
-    halo wraps around it.  `slab` must call no public function: the
+    calling thread, and from there on `_THREADED_SLAB_PLANES` below N =
+    `_LARGE_N` and `_LARGE_SLAB_PLANES` from it, the second half of them run
+    on a worker thread when `_THREADS` is 2, under the caller's numpy error
+    state (numpy keeps it per thread).  The last slab may be narrower; a
+    box of at most that many planes is one slab, whose halo wraps around
+    it.  `slab` must call no public function: the
     benchmark's span tracer keeps one call stack for all threads."""
     threaded = n >= _THREADED_N
-    width = _THREADED_SLAB_PLANES if threaded else _SLAB_PLANES
+    if n >= _LARGE_N:
+        width = _LARGE_SLAB_PLANES
+    elif threaded:
+        width = _THREADED_SLAB_PLANES
+    else:
+        width = _SLAB_PLANES
     bounds = [(lo, min(lo + width, n)) for lo in range(0, n, width)]
 
     def run(part):

@@ -6,9 +6,9 @@ independent routes to the barrier coefficients are kept side by side: the
 interface-matching solve and the closed form, which must agree to 1e-10
 everywhere including deep tunneling.  The closed form is one expression
 through the barrier top; the barrier's matching solve refuses the critical
-band around E = V0, and sweeps use the closed form there.  It also refuses
-a propagating phase p2 L / hbar_c beyond MAX_PHASE = 2^20, whose sine has
-no digits left at that tolerance.
+band around E = V0, and sweeps use the closed form there.  Both refuse a
+propagating phase p2 L / hbar_c beyond MAX_PHASE = 2^20, whose sine has no
+digits left at that tolerance.
 
 The matching splits into two channels, s = +1 and s = -1.  With c1 the c of
 the zero-potential region (see spinors), an interface's rows are
@@ -21,7 +21,7 @@ half differences.  In each barrier channel the u rows give the reflected
 and transmitted amplitudes r and t through the internal ones, and the v
 rows leave a 2x2 system in those, solved for both channels in one stacked
 Cramer solve; the step's channels are a closed formula each, through
-E = V0.
+E = V0 and through the pole of d and c at E - V0 + m = 0 (see solve_step).
 
 Conventions: E is the kinetic energy in eV, the barrier occupies
 0 <= z <= L with L in nm, and phases are k z with k = sqrt(2m(E-V))/hbar_c.
@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import SingularSystemError, norm_inf, solve_linear
-from .spinors import DOWN, UP, _c_shift, _mode_scalars
-from .waveop import CRITICAL, PhysicalConstants, classify_regime
+from .spinors import DOWN, SQRT2, UP, _c_shift, _mode_scalars
+from .waveop import CRITICAL, PhysicalConstants, classify_regime, complex_momentum
 
 CONSERVATION_TOL = 1e-10
 
@@ -213,8 +213,8 @@ def solve_barrier(p: BarrierProblem):
 
     Returns (x, Coefficients), x the (2, 4) solution (r, a, b, t) of the
     "+" and "-" channels.  Inside the critical band around E = V0 the
-    internal basis degenerates and this refuses, and so it does beyond the
-    propagating phase MAX_PHASE; closed_form holds there as everywhere.
+    internal basis degenerates and this refuses, and closed_form holds
+    there; both refuse a propagating phase beyond MAX_PHASE.
     """
     _, x = _solve_matching(p)
     return np.array(x, dtype=complex), _channel_coeffs(x, 1.0, p.incident_spin)
@@ -275,7 +275,8 @@ def closed_form(p: BarrierProblem) -> Coefficients:
     their binary exponents at the end, so no partial product overflows or
     underflows, and the rounding is that of the plain products: only a q
     beyond the float range is infinite, and it gives T1 = 0, R = 1.  Above
-    the top a phase sqrt(z) beyond the float range has no sine: ValueError.
+    the top a phase sqrt(z) beyond MAX_PHASE is refused with ValueError, as
+    the matching solve refuses it: its sine has no digits left.
     The expressions are those of spin-up incidence; spin-down incidence
     exchanges the channels.
     """
@@ -291,8 +292,11 @@ def closed_form(p: BarrierProblem) -> Coefficients:
     c, c_exp = half_g * mv * mv / (2.0 * me), half_g_exp + 2 * ev - ee
     # T1 = a / (a + b) and R = b / (a + b) with b / a = q
     if gap >= 0:
-        if r == math.inf:
-            raise ValueError("the barrier phase k L is beyond the float range")
+        if r > MAX_PHASE:
+            raise ValueError(
+                f"the barrier phase k L = {r:.3e} is beyond 2^20: its sine has no "
+                "digits left at the criterion-04 tolerance"
+            )
         # b = c (sin r / r)^2
         (ms, es), (mr, er) = map(math.frexp, (abs(math.sin(r)), r) if r else (1.0, 1.0))
         a, b = 1.0, _ldexp(c * ms * ms / (mr * mr), c_exp + 2 * es - 2 * er)
@@ -319,6 +323,14 @@ def closed_form(p: BarrierProblem) -> Coefficients:
     return Coefficients(float(t1), 0.0, float(r1), float(r2))
 
 
+def _ratio_product(x, y, z):
+    """x y / z of finite floats, z nonzero, through their mantissas and
+    binary exponents (math.frexp): no partial product overflows or
+    underflows, and only a result beyond the float range is rounded off it."""
+    (mx, ex), (my, ey), (mz, ez) = map(math.frexp, (x, y, z))
+    return _ldexp(mx * my / mz, ex + ey - ez)
+
+
 def solve_step(e_energy, v0, m, incident_spin=UP):
     """Single interface at z = 0: region I at zero potential, region II at V0.
 
@@ -326,7 +338,16 @@ def solve_step(e_energy, v0, m, incident_spin=UP):
     of the spin-up +p columns' mode_current, equal to
     p2 (E+m) / (p1 (E-V0+m)); it reduces to p2/p1 in the nonrelativistic
     regime and is what makes R + T = 1 hold to rounding at any energy.
-    The channel formulas hold through E = V0, where T = 0 with p2 = 0.
+
+    Channel s solves s d1 (1 - r) = g t with t = 1 + r and g = dc + s d2.
+    Beyond the step dc and d2 have a pole at den = E - V0 + m = 0, so g is
+    taken as G / den with G = k + s q, k = den dc = -2i m V0 / (E + m) and
+    q = den d2 = sqrt2 p2, which have none: r = (s d1 den - G) / (s d1 den
+    + G).  Below the step k and s q cancel in one channel near den = 0 (and
+    where E (E + m) = m V0); that channel takes g = (k^2 - q^2) / (den
+    (k - s q)) = -4 m (E (E + m) - m V0) / ((E + m)^2 (k - s q)), with
+    nothing divided by den.  The formulas hold through E = V0, where T = 0
+    with p2 = 0, and through the pole.
     """
     if not 0 < e_energy < np.inf:
         raise ValueError("E must be finite and positive")
@@ -341,13 +362,29 @@ def solve_step(e_energy, v0, m, incident_spin=UP):
         raise ValueError("V0 must be finite")
     if incident_spin not in (UP, DOWN):
         raise ValueError(f"incident_spin must be up or down, got {incident_spin!r}")
-    _, d1, d2, dc = _interface_scalars(e_energy, v0, m)
-    # channel s: the u row gives t = 1 + r, the v row s d1 (1 - r) = g t gives r;
-    # s d1 + g != 0: s d1 is real and nonzero, g = dc + s d2 imaginary or of real part s d2
-    x = [((sd1 - g) / (sd1 + g), 2.0 * sd1 / (sd1 + g))
-         for sd1, g in ((d1, dc + d2), (-d1, dc - d2))]
-    # d1, d2 are real above the step; below it nothing is transmitted
-    flux = d2.real / d1.real if e_energy > v0 else 0.0
+    _, _, d1 = _mode_scalars(e_energy, 0.0, m)
+    den = e_energy - v0 + m
+    # w = m V0 / (E + m), so k = -2i w: m / (E + m) underflows for a small
+    # enough m, and V0 / (E + m) overflows for a small enough E + m
+    w = _ratio_product(m, v0, e_energy + m)
+    k, q = complex(0.0, -2.0 * w), SQRT2 * complex_momentum(e_energy, v0, m)
+    x = []
+    for s in (1.0, -1.0):
+        scaled, other = k + s * q, k - s * q
+        if abs(scaled) < 0.5 * abs(other):
+            # k and s q cancel (below the step, in one channel): g itself,
+            # with E (E + m) - m V0 = (E + m) (E - w).  Elsewhere G loses at
+            # most a factor 3 to cancellation, and this form would lose
+            # digits where m / (E + m) is subnormal
+            sd1, g = s * d1, -4.0 * (m / (e_energy + m)) * (e_energy - w) / other
+        else:
+            sd1, g = s * d1 * den, scaled
+        # s d1 + g != 0: s d1 is real and nonzero (or 0 with den, where G is
+        # not: |G|^2 >= 0.4 (|k|^2 + |q|^2)), g imaginary or of real part
+        # s q / den or s q
+        x.append(((sd1 - g) / (sd1 + g), 2.0 * sd1 / (sd1 + g)))
+    # d1 and d2 = q / den are real above the step; below it nothing is transmitted
+    flux = (q.real / den) / d1.real if e_energy > v0 else 0.0
     return _channel_coeffs(x, flux, incident_spin)
 
 

@@ -134,8 +134,9 @@ def test_barrier_bridges_critical_point(tmp_path):
 
 
 def test_barrier_closed_form_beyond_the_float_range(capsys):
-    # V0^2 = 1e400 overflows a float; the closed form's q does not
-    argv = ["barrier", "--v0", "1e200", "--length", "1", "--steps", "3", "--method", "closed"]
+    # V0^2 = 1e400 overflows a float; the closed form's q does not.  L =
+    # 1e-95 keeps the phase k L below MAX_PHASE (7.2e5 at E = 3 V0)
+    argv = ["barrier", "--v0", "1e200", "--length", "1e-95", "--steps", "3", "--method", "closed"]
     assert run(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == SWEEP_HEADER and len(lines) == 4
@@ -208,17 +209,30 @@ def test_a_command_refuses_a_common_flag_it_does_not_read(argv, capsys):
 
 
 def test_point_flags_the_solver_that_fails(capsys):
-    # the phase p2 L / hbar_c is 3.6e100 here, beyond the matching solve's
-    # 2^20: its row is flagged and the closed row kept, with exit 2 as a
-    # sweep with flagged rows
+    # E - V0 + m = 0 here, the pole of the barrier region's mode columns,
+    # which the matching solve refuses: its row is flagged and the closed row
+    # kept, with exit 2 as a sweep with flagged rows
+    argv = ["point", "--v0", "5", "--mass", "1", "--length", "0.1", "--e-over-v0", "0.8",
+            "--format", "json"]
+    assert run(argv) == 2
+    numeric, closed = loads(capsys.readouterr().out)
+    assert numeric["method"] == "numeric" and numeric["T1"] is None
+    assert numeric["flag"].startswith("ConventionSingularityError")
+    assert closed["method"] == "closed" and "flag" not in closed
+    assert abs(closed["sum"] - 1.0) <= 1e-10
+
+
+def test_point_flags_both_rows_beyond_a_phase_of_2_20(capsys):
+    # the phase p2 L / hbar_c is 3.6e100 here: its sine has no digits, and
+    # both solvers refuse it (the closed row read T1 = 0.886)
     argv = ["point", "--v0", "1e200", "--length", "1", "--e-over-v0", "1.5", "--format", "json"]
     assert run(argv) == 2
     numeric, closed = loads(capsys.readouterr().out)
     assert numeric["method"] == "numeric" and numeric["T1"] is None
     assert numeric["flag"].startswith("DegenerateConfigurationError")
-    assert "phase" in numeric["flag"]
-    assert closed["method"] == "closed" and "flag" not in closed
-    assert abs(closed["sum"] - 1.0) <= 1e-10
+    assert closed["method"] == "closed" and closed["T1"] is None
+    assert closed["flag"].startswith("ValueError")
+    assert "phase" in numeric["flag"] and "phase" in closed["flag"]
 
 
 @pytest.mark.parametrize("v0, flagged", [(1e13, True), (3.9e10, False)])
@@ -671,7 +685,7 @@ def test_pauli_rejects_nonpositive_extent(extent, capsys):
 @pytest.mark.parametrize("bz", ["1e150", "1e300"])
 def test_pauli_rejects_a_field_too_strong_to_square(bz, capsys, monkeypatch):
     # the residuals would be inf or nan rows; a usage error instead.  The
-    # second run takes the path of N >= 128, whose worker thread squares
+    # second run takes the threaded path of N >= 64, whose worker thread squares
     # under the caller's numpy error state, so it neither warns nor raises
     # RuntimeWarning
     for threaded_n, threads in ((128, 1), (16, 2)):
@@ -700,8 +714,9 @@ def test_precision_controls_mantissa(tmp_path):
         (["barrier", "--v0", "5", "--length", "1", "--mass", "1", "--emin", "0.7",
           "--emax", "0.9", "--steps", "3", "--method", "both", "--spin", "down"],
          {1: "ConventionSingularityError"}),
-        (["step", "--v0", "5", "--mass", "1", "--emin", "0.7", "--emax", "0.9", "--steps", "3"],
-         {1: "ConventionSingularityError"}),
+        # E = 2.5 V0 overflows (the step solves through its component pole)
+        (["step", "--v0", "1e308", "--mass", "1", "--emin", "0.5", "--emax", "2.5", "--steps", "3"],
+         {2: "ValueError"}),
         (["well", "--length", "10", "--nmax", "4", "--numeric"], {}),
         (["pauli", "--base-size", "8", "--levels", "1"], {}),
         (["point", "--v0", "10", "--length", "10", "--e-over-v0", "1.5"], {}),

@@ -651,42 +651,47 @@ def test_slabs_cover_every_plane_once_in_order(monkeypatch):
     def slab(lo, hi, halo):
         return lo, hi, halo
 
-    # slabs of 8 planes with a halo below N = 128: N = 64 makes eight (2^15
+    # slabs of 8 planes with a halo below N = 64: N = 32 makes four (2^13
     # sites each) and N = 16 two
-    assert pg._over_slabs(slab, 64, 2) == [(lo, lo + 8, 2) for lo in range(0, 64, 8)]
+    assert pg._over_slabs(slab, 32, 2) == [(lo, lo + 8, 2) for lo in range(0, 32, 8)]
     assert pg._over_slabs(slab, 16, 1) == [(0, 8, 1), (8, 16, 1)]
     # a plane count that does not divide N leaves a narrower last slab
     assert pg._over_slabs(slab, 40, 1) == [(lo, lo + 8, 1) for lo in range(0, 40, 8)]
     assert pg._over_slabs(slab, 9, 2) == [(0, 8, 2), (8, 9, 2)]
     # a box of at most 8 planes is one slab, whose halo wraps around it
     assert pg._over_slabs(slab, 8, 2) == [(0, 8, 2)]
-    # from N = 128 on, slabs of 3 planes whatever the thread count: N = 128
-    # makes 43, the last of 2 planes; on two threads the calling thread runs
-    # the first 22 and a worker the other 21
+    # from N = 64 on, slabs of 4 planes below N = 128 and of 3 from it,
+    # whatever the thread count: N = 64 makes 16 slabs, of which the calling
+    # thread runs the first 8 and a worker the last 8 on two threads; N = 128
+    # makes 43, the last of 2 planes, the calling thread running the first 22
     caller = threading.get_ident()
     for threads in (1, 2):
         monkeypatch.setattr(pg, "_THREADS", threads)
-        for n in (128, 256):
+        for n, width in ((64, 4), (100, 4), (127, 4), (128, 3), (256, 3)):
             ran = pg._over_slabs(lambda lo, hi, halo: (lo, hi, halo, threading.get_ident()), n, 2)
-            assert [r[:3] for r in ran] == [(lo, min(lo + 3, n), 2) for lo in range(0, n, 3)]
+            expected = [(lo, min(lo + width, n), 2) for lo in range(0, n, width)]
+            assert [r[:3] for r in ran] == expected
             half = (len(ran) + 1) // 2 if threads == 2 else len(ran)
             assert {r[3] for r in ran[:half]} == {caller}
             assert caller not in {r[3] for r in ran[half:]}
+        assert len(pg._over_slabs(slab, 64, 2)) == 16
         assert len(pg._over_slabs(slab, 128, 2)) == 43
 
 
 @pytest.mark.parametrize("failing", [0, 127])
 def test_an_error_in_a_threaded_slab_reaches_the_caller(failing, monkeypatch):
-    # a slab of the calling thread's half or of the worker's half
+    # a slab of the calling thread's half or of the worker's half, of the
+    # 4-plane slabs at N = 64 (plane 127 % 64 = 63) and the 3-plane ones at 128
     monkeypatch.setattr(pg, "_THREADS", 2)
+    for n in (64, 128):
 
-    def slab(lo, hi, halo):
-        if lo <= failing < hi:
-            raise MemoryError(lo)
-        return lo
+        def slab(lo, hi, halo):
+            if lo <= failing % n < hi:
+                raise MemoryError(lo)
+            return lo
 
-    with pytest.raises(MemoryError):
-        pg._over_slabs(slab, 128, 1)
+        with pytest.raises(MemoryError):
+            pg._over_slabs(slab, n, 1)
 
 
 def general_field(n, rng):
@@ -970,20 +975,25 @@ def test_checks_on_the_factored_state_equal_its_dense_product_bitwise(width, mon
 
 @pytest.mark.parametrize("n", [16, 24])
 def test_threaded_checks_equal_the_serial_ones_bitwise(n, monkeypatch):
-    # N = 16 and 24 take the path of N >= 128: 3-plane slabs, whose first and
-    # last wrap their halos, the second half of them on a worker thread; on
-    # the factored state and on the dense one, against one thread and
-    # against the reference
+    # N = 16 and 24 take the threaded paths: the 4-plane slabs of N = 64
+    # (large_n 128) and the 3-plane slabs of N >= 128 (large_n 16), whose
+    # first and last wrap their halos, the second half of them on a worker
+    # thread; on the factored state and on the dense one, against one thread
+    # and against the reference
     monkeypatch.setattr(pg, "_THREADED_N", 16)
     f = pg.uniform_b_field(n, EXTENT, 0.3)
     theta = pg.commensurate_theta(n, EXTENT)
-    for psi in (pg._bump(n, EXTENT), pg.gaussian_bump_state(n, EXTENT)):
-        calls = check_calls(f, theta, psi) + (lambda: pg.wave_form_value(f, psi, 2.0, 1.5, 0.7),)
-        values = {}
-        for threads in (1, 2):
-            monkeypatch.setattr(pg, "_THREADS", threads)
-            values[threads] = [np.complex128(call()).tobytes() for call in calls]
-        assert values[1] == values[2]
+    for large_n in (128, 16):
+        monkeypatch.setattr(pg, "_LARGE_N", large_n)
+        for psi in (pg._bump(n, EXTENT), pg.gaussian_bump_state(n, EXTENT)):
+            calls = check_calls(f, theta, psi) + (
+                lambda: pg.wave_form_value(f, psi, 2.0, 1.5, 0.7),
+            )
+            values = {}
+            for threads in (1, 2):
+                monkeypatch.setattr(pg, "_THREADS", threads)
+                values[threads] = [np.complex128(call()).tobytes() for call in calls]
+            assert values[1] == values[2]
     dense = pg.gaussian_bump_state(n, EXTENT)
     pairs = (
         (pg.pauli_identity_check(f, dense, 0.7), ref_identity_check(f, dense, 0.7)),
@@ -1094,20 +1104,53 @@ def test_a_forked_child_runs_threaded_checks(monkeypatch):
         assert child.apply_async(pg.commutator_check, (f, psi)).get(timeout=60) == expected
 
 
+def slab_pool_peaks(monkeypatch, n, width, threads):
+    """The tracemalloc peaks of the three checks at N = `n` in slabs of
+    `width` planes on `threads` threads, in one-component x-planes; `n`
+    must lie in [_THREADED_N, _LARGE_N).  The worker thread is started
+    first, so its start is not counted."""
+    monkeypatch.setattr(pg, "_THREADED_SLAB_PLANES", width)
+    monkeypatch.setattr(pg, "_THREADS", threads)
+    pg._worker()
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    calls = check_calls(f, pg.commensurate_theta(n, EXTENT), pg._bump(n, EXTENT))
+    return [traced_peak(call) / (n * n * 16) for call in calls]
+
+
 def test_two_threads_allocate_less_than_one_8_plane_pool(monkeypatch):
     # each thread has a pool of 3-plane slab arrays; at N = 64 the two take
-    # 93, 79 and 68 one-component x-planes in the identity, commutator and
-    # gauge checks, against 97, 85 and 75 for 8-plane slabs on one thread
-    n = 64
-    f = pg.uniform_b_field(n, EXTENT, 0.3)
-    theta = pg.commensurate_theta(n, EXTENT)
-    psi = pg._bump(n, EXTENT)
-    serial = [traced_peak(call) for call in check_calls(f, theta, psi)]
-    monkeypatch.setattr(pg, "_THREADED_N", n)
-    monkeypatch.setattr(pg, "_THREADS", 2)
-    threaded = [traced_peak(call) for call in check_calls(f, theta, psi)]
+    # 93, 68 and 79 one-component x-planes in the identity, gauge and
+    # commutator checks, against 97, 77 and 85 for 8-plane slabs on one thread
+    serial = slab_pool_peaks(monkeypatch, 64, 8, 1)
+    threaded = slab_pool_peaks(monkeypatch, 64, 3, 2)
     for two, one in zip(threaded, serial):
         assert two <= one
+
+
+def test_n64_pools_stay_within_1_2_times_one_8_plane_pool(monkeypatch):
+    # the slabs of N = 64 as they run: two pools of 4-plane slab arrays take
+    # 113, 85 and 97 one-component x-planes in the identity, gauge and
+    # commutator checks, against 97, 77 and 85 for 8-plane slabs on one thread
+    assert pg._THREADED_N <= 64 < pg._LARGE_N
+    threaded = slab_pool_peaks(monkeypatch, 64, pg._THREADED_SLAB_PLANES, 2)
+    serial = slab_pool_peaks(monkeypatch, 64, 8, 1)
+    for two, one in zip(threaded, serial):
+        assert two <= 1.2 * one
+
+
+def test_n64_row_on_two_threads_equals_one_thread_and_8_plane_slabs(monkeypatch):
+    # the 4-plane slabs add their partial sums in another order than the
+    # 8-plane ones: the row moves by rounding only, and its bits do not
+    # depend on the thread count
+    monkeypatch.setattr(pg, "_THREADS", 1)
+    one = pg.convergence_table((64,))
+    monkeypatch.setattr(pg, "_THREADS", 2)
+    assert pg.convergence_table((64,)) == one
+    monkeypatch.setattr(pg, "_THREADS", 1)
+    monkeypatch.setattr(pg, "_THREADED_SLAB_PLANES", 8)
+    (serial,) = pg.convergence_table((64,))
+    for got, want in zip(one[0], serial):
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_checks_of_scaled_factors_equal_those_of_the_state():

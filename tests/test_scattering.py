@@ -138,15 +138,22 @@ def test_continuity_residual_refuses_what_solve_barrier_refuses(monkeypatch):
 @pytest.mark.parametrize("offset", [0.0, 0.5e-6, -0.5e-6])
 def test_component_pole_raises_on_matching_paths(offset):
     # m = 1, V0 = 5: E - V0 + m lies within DENOMINATOR_RTOL * m of the pole
-    # of the barrier region's mode columns
+    # of the barrier region's mode columns.  The barrier refuses; the step,
+    # whose channels are written on den-scaled columns, solves within the
+    # criterion-04 bound of a 50-digit solve (at the pole itself, one 1e-30
+    # beside it, whose columns are finite)
+    mpmath = pytest.importorskip("mpmath")
     m, v0, length = 1.0, 5.0, 0.1
     e_energy = 4.0 + offset
     assert abs(e_energy - v0 + m) <= sp.DENOMINATOR_RTOL * m
     with pytest.raises(sp.ConventionSingularityError):
         sc.solve_barrier(sc.BarrierProblem(e_energy, v0, length, m))
+    mpmath.mp.dps = 50
+    beside = mpmath.mpf(e_energy) + (0 if offset else mpmath.mpf("1e-30"))
     for spin in (sp.UP, sp.DOWN):
-        with pytest.raises(sp.ConventionSingularityError):
-            sc.solve_step(e_energy, v0, m, spin)
+        exact = _step_at_50_digits(mpmath, beside, v0, m, spin)
+        for got, want in zip(_channels(sc.solve_step(e_energy, v0, m, spin)), exact):
+            assert abs(got - want) <= 1e-10 * abs(want) + 1e-11
     table = sc.sweep(sc.BarrierProblem(v0, v0, length, m), [2.0, e_energy, 7.0], method="both")
     assert [row.flag is not None for row in table.rows] == [False, True, False]
     assert table.rows[1].flag.startswith("ConventionSingularityError")
@@ -685,30 +692,38 @@ def _heights(m_sides):
 
 def _height(e_energy, m, height):
     scale, side, size = height
+    if scale == "pole":
+        return e_energy + m * (1.0 + side * size)
     return e_energy * (1.0 + side * size) if scale == "E" else side * size * m
 
 
+# V0 - E - m within 1e-12 m to 1e-1 m of the component pole, on either side
+_pole_heights = st.tuples(st.just("pole"), st.sampled_from([-1.0, 1.0]), _log_uniform(1e-12, 1e-1))
+
+
 @settings(max_examples=300, deadline=None)
-@given(_log_uniform(1e-6, 1e3), _heights([-1.0, 1.0]), _log_uniform(1e-3, 1e9), spins)
+@given(
+    _log_uniform(1e-6, 1e3),
+    st.one_of(_heights([-1.0, 1.0]), _pole_heights),
+    _log_uniform(1e-3, 1e9),
+    spins,
+)
 def test_step_against_a_50_digit_matching_solve(e_over_m, height, m, spin):
+    # through the band beside V0 = E + m too, where dc and s d2 cancel in one
+    # channel and the den-scaled columns do not
     mpmath = pytest.importorskip("mpmath")
     e_energy = e_over_m * m
     v0 = _height(e_energy, m, height)
-    # within 1e-3 m of V0 = E + m the columns' dc and s d2 cancel unflagged
-    # (ROADMAP item 9): that band is shown by the xfail below, not drawn here
-    assume(abs(v0 - e_energy - m) > 1e-3 * m)
     exact = _step_at_50_digits(mpmath, e_energy, v0, m, spin)
     for got, want in zip(_channels(sc.solve_step(e_energy, v0, m, spin)), exact):
         assert abs(got - want) <= 1e-10 * abs(want) + 1e-11
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="ROADMAP item 9: dc and s d2 cancel near V0 = E + m"
-)
 @pytest.mark.parametrize("spin", [sp.UP, sp.DOWN])
 def test_step_near_the_component_pole_against_50_digits(spin):
-    # V0 - E - m = 2e-6 m, outside the refused band of 1e-6 m: the error is
-    # about 8.6 times the criterion-04 bound
+    # V0 - E - m = 2e-6 m: dc and s d2 cancel in one channel, which the
+    # den-scaled columns take without the cancellation (8.6 times the
+    # criterion-04 bound when g was formed as dc + s d2)
     mpmath = pytest.importorskip("mpmath")
     exact = _step_at_50_digits(mpmath, 0.5, 1.500002, 1.0, spin)
     for got, want in zip(_channels(sc.solve_step(0.5, 1.500002, 1.0, spin)), exact):
@@ -922,6 +937,24 @@ def test_a_propagating_phase_beyond_2_20_is_refused():
     assert row.coeffs is None and "phase" in row.flag
 
 
+@pytest.mark.parametrize("spin", [sp.UP, sp.DOWN])
+def test_closed_form_refuses_a_phase_beyond_2_20(spin):
+    # as the matching solve: E = 2 V0, m = 0.5e6 and k L = 2^20 (1 +- 1e-3),
+    # and the phase 3.6e100 of V0 = 1e200, E = 1.5 V0, L = 1, whose sine has
+    # no digits at all; a sweep flags the row
+    e_energy, v0, m = 20.0, 10.0, 0.5e6
+    unit = complex_momentum(e_energy, v0, m).real / CONSTANTS.hbar_c
+    below, above = (
+        barrier(e_energy, v0, sc.MAX_PHASE * f / unit, m, spin) for f in (1 - 1e-3, 1 + 1e-3)
+    )
+    assert abs(sc.closed_form(below).total - 1.0) <= 1e-14
+    for prob in (above, barrier(1.5e200, 1e200, 1.0, m, spin)):
+        with pytest.raises(ValueError, match="beyond 2\\^20"):
+            sc.closed_form(prob)
+        (row,) = sc.sweep(prob, [prob.e_energy], "closed").rows
+        assert row.coeffs is None and row.flag.startswith("ValueError") and "phase" in row.flag
+
+
 def _s_form_t1(e_energy, v0, length, m):
     """T1 below the top written with s = exp(-2 kappa L): the same formula
     through other floating-point operations."""
@@ -973,9 +1006,10 @@ def test_closed_form_beyond_the_float_range(spin):
     # spin down exchanges the channels: read both in spin-up order
     view = _channels if spin == sp.UP else _swapped
     # V0^2 = 1e400 is beyond the float range while q is not: above the top q
-    # is V0^2 sin^2(kL) / (4 E (E - V0)), at most 1 / 0.3 here
+    # is V0^2 sin^2(kL) / (4 E (E - V0)), at most 1 / 0.3 here.  L = 1e-95
+    # puts the phase k L at 3.6e5, below MAX_PHASE
     e_energy, v0, m = 1.5e200, 1e200, 0.5e6
-    c = sc.closed_form(barrier(e_energy, v0, 1.0, m, spin))
+    c = sc.closed_form(barrier(e_energy, v0, 1e-95, m, spin))
     t1, t2, r1, r2 = view(c)
     assert 1.0 / (1.0 + 1.0 / 0.3) <= t1 <= 1.0 and t2 == 0.0
     assert abs(c.total - 1.0) <= 1e-14
