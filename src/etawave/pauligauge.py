@@ -37,8 +37,10 @@ finished norm ratio once by 4h^2 (see `_stencil_scale`): no stencil pays a
 pass for its scale, and the ratio is the same at every scale of the box,
 where the squares of Pi would underflow or overflow.  The weights 2ih e A_a
 and 4h^2 e B_a are taken on the (x, y) rows where the field is constant
-along z (`_z_rows`), and a weight that is zero on a slab (A_z and B_x, B_y
-of the uniform field along z; a test by value) costs no product.  P is
+along z (`_z_rows`).  A field that is zero on a slab (A_z and B_x, B_y of
+the uniform field along z) gives no weight at all: `_weights` tests each
+field by value once per slab, and the stencils skip the missing weight
+with no product and no further test.  P is
 spin-diagonal, so sigma_x P_x psi is P_x of psi with its components
 swapped, written straight to the sigma.P buffer.
 
@@ -52,7 +54,10 @@ rows wherever they are constant along z, as every field of
 `convergence_table` is, and enter the row sums as a third factor
 elsewhere.  Each form's terms are combined row by row before one pairwise
 sum, and the change of the form under the gauge transformation is taken
-from the link phases directly (see `gauge_invariance_check`).
+from the link phases directly (see `gauge_invariance_check`).  Along an
+axis where the slab's theta does not vary (a test by value, `_varies`;
+along y and z for `commensurate_theta`) the links and the shift are zero
+and are not formed.
 
 The fields and the test state are stored at their true dimension:
 `uniform_b_field` and `commensurate_theta` return read-only broadcast views
@@ -277,16 +282,24 @@ def _buffers():
     """get(name, shape, dtype=complex): a work array that is allocated at the
     first request for `name` and reused by every later one, so slabs after
     the first allocate nothing.  A smaller request (the narrower last slab,
-    or a stage on fewer planes) gets the leading part of it.  Each thread
-    has its own arrays, so the slabs of one check may run on two threads."""
+    or a stage on fewer planes) gets the leading part of it, and a request
+    seen before gets the view it got then.  Each thread has its own arrays,
+    so the slabs of one check may run on two threads."""
     local = threading.local()
 
     def get(name, shape, dtype=complex):
-        flat = local.__dict__
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        if name not in flat or flat[name].nbytes < nbytes:
-            flat[name] = np.empty(nbytes, np.uint8)
-        return flat[name][:nbytes].view(dtype).reshape(shape)
+        arrays = local.__dict__
+        key = name, shape, dtype
+        if key not in arrays:
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            flat = arrays.get(name)
+            if flat is None or flat.nbytes < nbytes:
+                flat = arrays[name] = np.empty(nbytes, np.uint8)
+                # the views of the array it replaces are made again
+                for old in [k for k in arrays if isinstance(k, tuple) and k[0] == name]:
+                    del arrays[old]
+            arrays[key] = flat[:nbytes].view(dtype).reshape(shape)
+        return arrays[key]
 
     return get
 
@@ -321,30 +334,34 @@ def _difference(
     dst = out.reshape(src.shape)
     lag = (1 + back) * step
     np.subtract(src[..., lag:], src[..., :-lag], out=dst[..., back * step : -step])
-    src = np.moveaxis(core, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
+    lead = (slice(None),) * axis
     if back:
-        np.subtract(src[1], src[-1], out=dst[0])
-    np.subtract(src[0], src[-1 - back], out=dst[-1])
+        np.subtract(core[lead + (1,)], core[lead + (-1,)], out=out[lead + (0,)])
+    np.subtract(core[lead + (0,)], core[lead + (-1 - back,)], out=out[lead + (-1,)])
     return out
 
 
-def _momentum(psi: np.ndarray, w: np.ndarray, axis: int, out=None, scratch=None) -> np.ndarray:
-    """The unscaled momentum P_axis psi = D_axis psi - w psi on the x-planes
-    that the weight `w` (2ih e A_axis there, see `_weights`) covers, written
-    to `out` (a new array when it is None); Pi_axis = -i/(2h) P_axis.
-    `psi` holds those planes and an equal halo at each end of its first
-    spatial axis; without a halo it is periodic in x.  w psi is formed one
-    component at a time in `scratch`, a complex array of one component's
-    sites, and skipped when w is zero (a test by value)."""
-    halo = (psi.shape[-3] - w.shape[-3]) // 2
+def _momentum(psi: np.ndarray, w, axis: int, out=None, scratch=None) -> np.ndarray:
+    """The unscaled momentum P_axis psi = D_axis psi - w psi, written to
+    `out` (a new array when it is None); Pi_axis = -i/(2h) P_axis.  `w` is
+    2ih e A_axis (see `_weights`), or None where A_axis is zero.  `psi`
+    holds the x-planes that `out` covers (that `w` covers when `out` is
+    None, and all of psi's when both are) and an equal halo at each end of
+    its first spatial axis; without a halo it is periodic in x.  w psi is
+    formed one component at a time in `scratch`, a complex array of one
+    component's sites."""
+    sized = w if out is None else out
+    halo = 0 if sized is None else (psi.shape[-3] - sized.shape[-3]) // 2
     out = _difference(psi, psi.ndim - 3 + axis, halo, out)
-    if w.any():
+    if w is not None:
         core = _trim(psi, halo)
         if scratch is None:
             scratch = np.empty(core.shape[-3:], dtype=complex)
-        for comp in np.ndindex(out.shape[:-3]):
-            out[comp] -= np.multiply(w, core[comp], out=scratch)
+        if out.ndim == 3:
+            out -= np.multiply(w, core, out=scratch)
+        else:
+            for component, values in zip(out, core):
+                component -= np.multiply(w, values, out=scratch)
     return out
 
 
@@ -352,11 +369,17 @@ def _weights(fields, lo: int, hi: int, scale, get=None, name: str = "w") -> list
     """[scale * field on planes lo..hi-1 (periodic) of its first spatial axis]
     for each field of `fields`: on its (x, y) rows where it is constant
     along z there (`_z_rows`), else site by site; in the work arrays of `get`
-    (a new pool when it is None), named `name` and the field's index."""
+    (a new pool when it is None), named `name` and the field's index.  A
+    field that is zero on those planes (A_z, B_x and B_y of
+    `uniform_b_field`; a test by value, once per slab and field) gives None,
+    and its users skip it."""
     get = get or _buffers()
     out = []
     for k, field in enumerate(fields):
         rows = _z_rows(_planes(field, lo, hi, get, "planes"))
+        if not rows.any():
+            out.append(None)
+            continue
         dtype = np.result_type(rows, scale)
         out.append(np.multiply(rows, scale, out=get(f"{name}{k}", rows.shape, dtype)))
     return out
@@ -369,9 +392,11 @@ def covariant_momentum_apply(
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1 or 2")
     (w,) = _weights(f.a[axis : axis + 1], 0, f.n, 2j * f.h * e_charge)
-    out = _momentum(np.ascontiguousarray(psi, dtype=complex), w, axis)
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    # any leading axes as one, which `_momentum` takes component by component
+    out = _momentum(psi.reshape((-1,) + psi.shape[-3:]), w, axis)
     out *= -0.5j / f.h
-    return out
+    return out.reshape(psi.shape)
 
 
 def _add_term(out: np.ndarray, coeff: complex, term: np.ndarray) -> None:
@@ -396,8 +421,8 @@ def _xor_diagonals(matrix: np.ndarray) -> list:
     matrix[a, a ^ k] = c[a], k ascending: one for each Pauli matrix and
     standard spatial gamma, k = 0 and 2 for eta and eta^+."""
     index = np.arange(len(matrix))
-    diagonals = [(k, matrix[index, index ^ k]) for k in range(len(matrix))]
-    return [(k, c) for k, c in diagonals if c.any()]
+    diagonals = matrix[index, index ^ index[:, None]]  # row k: matrix[a, a ^ k]
+    return [(k, diagonals[k]) for k in np.flatnonzero(diagonals.any(axis=1)).tolist()]
 
 
 # (k, c) of sigma_x, sigma_y and sigma_z, one xor diagonal each
@@ -624,7 +649,7 @@ def pauli_identity_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) 
         inner = halo - 1
         psi_s = _planes(psi, lo - halo, hi + halo, get, "psi")
         w_in = _weights(f.a, lo - inner, hi + inner, 2j * f.h * e_charge, get)
-        w = [_trim(x, inner) for x in w_in]
+        w = [None if x is None else _trim(x, inner) for x in w_in]
         wide = (hi - lo + 2 * inner,) + psi.shape[-2:]
         sites = (hi - lo,) + psi.shape[-2:]
         # "pi" holds P_a psi_b, one component on the wide planes, and later
@@ -645,12 +670,12 @@ def pauli_identity_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) 
                 _add_term(sigma_pi[b ^ k], c[b ^ k], pi)
                 rhs[b] += _momentum(pi, w[axis], axis, pi_pi, get("scratch", sites))
         # rhs += 4h^2 e sigma.B psi: each component of 4h^2 e B as rows times
-        # its Pauli diagonal, skipped where it is zero
+        # its Pauli diagonal, skipped where it is zero (None)
         core = _trim(psi_s, halo)
         term = get("scratch", sites)
         weights = _weights(f.b, lo, hi, scale * e_charge, get, "b")
         for weight, (k, c) in zip(weights, _PAULI_DIAGONALS):
-            if weight.any():
+            if weight is not None:
                 for a in range(len(psi)):
                     _add_term(rhs[a], c[a], np.multiply(core[a ^ k], weight, out=term))
         # lhs = sigma.P (sigma.P psi)
@@ -679,7 +704,7 @@ def commutator_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> f
     def slab(lo, hi, halo):
         psi_s = _planes(psi, lo - halo, hi + halo, get, "psi")
         w_s = _weights(f.a[:2], lo - halo, hi + halo, 2j * f.h * e_charge, get)
-        w = [_trim(x, halo) for x in w_s]
+        w = [None if x is None else _trim(x, halo) for x in w_s]
         core_shape = (len(psi), hi - lo) + psi.shape[-2:]
         inner = get("inner", psi_s.shape)
         _momentum(psi_s, w_s[1], 1, inner, get("scratch", psi_s.shape[1:]))
@@ -693,7 +718,7 @@ def commutator_check(f: GaugeField, psi: np.ndarray, e_charge: float = 1.0) -> f
         # and imaginary parts
         core = _trim(psi_s, halo)
         (bz,) = _weights(f.b[2:], lo, hi, scale * e_charge, get, "b")
-        if bz.any():
+        if bz is not None:
             for comp in range(len(psi)):
                 _add_term(residual[comp], 1j, np.multiply(core[comp], bz, out=scratch))
         return _sq_norm(residual, residual), _sq_norm(core, outer)
@@ -727,8 +752,9 @@ def _z_rows(field: np.ndarray) -> np.ndarray:
     The test is by value, so a dense copy of a broadcast field takes the
     same path to the same bits as the rows `_planes` takes of the broadcast
     field.  A nan is unequal to itself: a dense field holding one is used
-    site by site."""
-    if (field == field[..., :1]).all():
+    site by site.  A field whose last axis has length 1 is its rows as it
+    is, with no compare."""
+    if field.shape[-1] == 1 or (field == field[..., :1]).all():
         return field[..., :1]
     return field
 
@@ -811,6 +837,16 @@ def _link_and_shift(theta_s: np.ndarray, axis: int, halo: int, e_charge: float, 
     return link, _difference(theta_s, axis, halo, get("angle", sites, float))
 
 
+def _varies(field: np.ndarray, axis: int) -> bool:
+    """Whether `field` varies along array `axis`, by value: False when it
+    equals its first plane along the axis exactly, so every difference
+    along it is 0.  An inf, whose differences are nan, varies."""
+    if field.shape[axis] == 1:
+        return False
+    first = field[(slice(None),) * axis + (slice(0, 1),)]
+    return bool(np.subtract(field, first).any())
+
+
 def _forms(f: GaugeField, psi: np.ndarray, e_energy, m, e_charge, theta=None):
     """(q0, q1 - q0) / h^3 of `gauge_invariance_check`, each added over the
     slabs in slab order; q1 - q0 is 0 when `theta` is None.  `psi` is a
@@ -843,8 +879,9 @@ def _forms(f: GaugeField, psi: np.ndarray, e_energy, m, e_charge, theta=None):
             # sum_ab gamma_ab (H_ab - conj H_ba), is 2 Re sum_ab gamma_ab H_ab
             form = form + (-1j / f.h) * rows(gamma, None, axis).real
             form = form - e_charge * rows(gamma, _z_rows(potential[axis]))
-            # a theta constant along z has no z links: u_z = s_z = 0
-            if theta is None or axis == 2 and theta_s.shape[-1] == 1:
+            # a theta constant along the axis on the slab (along y and z, that
+            # of `commensurate_theta`) has no links there: u = s = 0
+            if theta is None or not _varies(theta_s, axis):
                 continue
             link, shift = _link_and_shift(theta_s, axis, halo, e_charge, get)
             change = change - 2j * rows(gamma, link, axis).real + e_charge * rows(gamma, shift)
@@ -907,8 +944,9 @@ def gauge_invariance_check(
     eta), m (of eta^+), A_i, the shift s_i and the link u_i, the last two
     formed on the rows.  A weight is used on the rows when its slab is
     constant along z, a test by value (`_z_rows`); otherwise it enters the
-    row reduction as a third factor.  A theta constant along z has no z
-    links.  Each form's terms are combined row by row before one pairwise
+    row reduction as a third factor.  A theta that does not vary along an
+    axis on a slab has no links along it there, and none are formed.  Each
+    form's terms are combined row by row before one pairwise
     sum per slab: the terms of q1 - q0 cancel to O(h^2), and adding them row
     by row keeps their digits.  theta is read slab by slab and may be a
     broadcast view.

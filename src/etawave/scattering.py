@@ -190,8 +190,8 @@ def _assemble_barrier(d1, d2, dc, cols):
 
 
 def _solve_matching(p: BarrierProblem):
-    """(columns, x) of the solved barrier channels, x the (2, 4) amplitudes
-    (r, a, b, t) of the "+" and "-" channels; refuses the critical band and
+    """(columns, x) of the solved barrier channels, x the amplitudes
+    [r, a, b, t] of the "+" and the "-" channel; refuses the critical band and
     turns a singular system into DegenerateConfigurationError."""
     if classify_regime(p.e_energy, p.v0) == CRITICAL:
         raise CriticalBandError(
@@ -211,13 +211,14 @@ def _solve_matching(p: BarrierProblem):
 def solve_barrier(p: BarrierProblem):
     """Interface matching for the rectangular barrier.
 
-    Returns (x, Coefficients), x the (2, 4) solution (r, a, b, t) of the
-    "+" and "-" channels.  Inside the critical band around E = V0 the
-    internal basis degenerates and this refuses, and closed_form holds
-    there; both refuse a propagating phase beyond MAX_PHASE.
+    Returns (x, Coefficients), x the solution [r, a, b, t] of the "+" and
+    then the "-" channel, as nested lists of complex numbers.  Inside the
+    critical band around E = V0 the internal basis degenerates and this
+    refuses, and closed_form holds there; both refuse a propagating phase
+    beyond MAX_PHASE.
     """
     _, x = _solve_matching(p)
-    return np.array(x, dtype=complex), _channel_coeffs(x, 1.0, p.incident_spin)
+    return x, _channel_coeffs(x, 1.0, p.incident_spin)
 
 
 def continuity_residual(p: BarrierProblem) -> float:

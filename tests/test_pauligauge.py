@@ -1218,16 +1218,20 @@ def gathered_weights(fields, lo, hi):
 def test_weights_of_a_wrapping_slab_are_rows_of_the_dense_copy_bitwise():
     # where the slab's halo wraps (the first and the last slab at N = 24) a
     # broadcast field is gathered as its (x, y) rows, not as dense planes; a
-    # dense copy is gathered whole and the value test takes the same rows
+    # dense copy is gathered whole and the value test takes the same rows.
+    # A_z, B_x and B_y of the field along z are zero: None on both sides
     n = 24
     (f, _), (dense, _) = broadcast_and_dense_fields(n)
     for lo, hi in ((-2, 18), (15, 25)):
-        for name in ("a", "b"):
+        for name, zero in (("a", [2]), ("b", [0, 1])):
             got, on_broadcast = gathered_weights(getattr(f, name), lo, hi)
             expected, on_dense = gathered_weights(getattr(dense, name), lo, hi)
             assert on_broadcast == [(hi - lo, n, 1)] * 3
             assert on_dense == [(hi - lo, n, n)] * 3
-            for g, e in zip(got, expected):
+            for k, (g, e) in enumerate(zip(got, expected)):
+                if k in zero:
+                    assert g is None and e is None
+                    continue
                 assert g.shape == e.shape == (hi - lo, n, 1)
                 assert g.tobytes() == e.tobytes()
 
@@ -1237,3 +1241,107 @@ def test_uniform_field_and_theta_are_read_only():
     for array in (f.a0, f.a, f.b, pg.commensurate_theta(16, EXTENT)):
         with pytest.raises(ValueError):
             array[..., 0, 0, 0] = 1.0
+
+
+def test_weights_are_none_exactly_where_the_field_is_zero_on_the_slab():
+    # A_z, B_x and B_y of the field along z are zero: None on every slab, of
+    # the broadcast field and of its dense copy alike; a field that is zero
+    # on planes 4..9 only is None on a slab inside them and an array on any
+    # slab that reaches beyond, wrapping or not
+    n = 16
+    (f, _), (dense, _) = broadcast_and_dense_fields(n)
+    for fields in (f, dense):
+        for lo, hi in ((-2, 6), (3, 9), (12, 18)):
+            a = pg._weights(fields.a, lo, hi, 0.7j)
+            assert [w is None for w in a] == [False, False, True]
+            b = pg._weights(fields.b, lo, hi, 0.7)
+            assert [w is None for w in b] == [True, True, False]
+    profile = np.zeros(n)
+    profile[:4] = 1.0
+    profile[10:] = -2.0
+    partial = np.broadcast_to(profile[:, None, None], (n, n, n))
+    for field in (partial, np.array(partial)):
+        for lo, hi in ((4, 10), (5, 7)):
+            assert pg._weights([field], lo, hi, 0.7j) == [None]
+        for lo, hi in ((3, 10), (4, 11), (-3, 5), (9, 18)):
+            (w,) = pg._weights([field], lo, hi, 0.7j)
+            expected = 0.7j * np.take(profile, np.arange(lo, hi), mode="wrap")
+            assert w.shape == (hi - lo, n, 1)
+            assert np.array_equal(w, np.broadcast_to(expected[:, None, None], w.shape))
+
+
+@pytest.mark.parametrize("halo", [0, 1, 2])
+def test_momentum_without_a_weight_is_that_of_a_zero_weight_bitwise(halo):
+    # a None weight skips the product that a zero weight forms; the halo is
+    # taken from `out`, for a state of two components and of one
+    n = 9
+    rng = np.random.default_rng(41 + halo)
+    psi = rng.standard_normal((2, n, n, n)) + 1j * rng.standard_normal((2, n, n, n))
+    for lo, hi in ((0, n), (3, 7), (n - 2, n + 3)):
+        psi_s = pg._planes(psi, lo - halo, hi + halo)
+        zero = np.zeros((hi - lo, n, 1), complex)
+        for axis in range(3):
+            expected = pg._momentum(psi_s, zero, axis)
+            got = pg._momentum(psi_s, None, axis, np.empty_like(expected))
+            assert got.tobytes() == expected.tobytes(), (lo, hi, axis)
+            expected = pg._momentum(psi_s[1], zero, axis)
+            got = pg._momentum(psi_s[1], None, axis, np.empty_like(expected))
+            assert got.tobytes() == expected.tobytes(), (lo, hi, axis)
+    # the whole box with neither a weight nor `out`: no halo
+    expected = pg._momentum(psi, np.zeros((n, n, 1), complex), 2)
+    assert pg._momentum(psi, None, 2).tobytes() == expected.tobytes()
+
+
+def test_momentum_apply_takes_any_leading_axes_bitwise():
+    # a state with two leading axes is the stack of its 4-D parts
+    n = 8
+    rng = np.random.default_rng(43)
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    psi = rng.standard_normal((3, 2, n, n, n)) + 1j * rng.standard_normal((3, 2, n, n, n))
+    for axis in range(3):
+        got = pg.covariant_momentum_apply(f, psi, axis, 0.7)
+        expected = np.stack([pg.covariant_momentum_apply(f, p, axis, 0.7) for p in psi])
+        assert got.shape == psi.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("varies", ["x", "y", "xyz"])
+def test_gauge_check_forms_links_only_along_axes_where_theta_varies(varies, monkeypatch):
+    # a theta that is constant along an axis on a slab has no links there:
+    # the check forms none, and equals the reference; a dense copy of theta
+    # gives the same bits
+    n = 16
+    f = pg.uniform_b_field(n, EXTENT, 0.3)
+    psi = pg.gaussian_bump_state(n, EXTENT)
+    coords, _ = pg.grid_coordinates(n, EXTENT)
+    theta = sum(0.4 * np.sin(2.0 * np.pi * coords["xyz".index(a)] / EXTENT) for a in varies)
+    theta = np.broadcast_to(theta, (n, n, n))
+    axes = set()
+    link_and_shift = pg._link_and_shift
+
+    def recorded(theta_s, axis, *args):
+        axes.add(axis)
+        return link_and_shift(theta_s, axis, *args)
+
+    monkeypatch.setattr(pg, "_link_and_shift", recorded)
+    got = pg.gauge_invariance_check(f, theta, psi, 2.0, 1.5, 0.7)
+    assert axes == {"xyz".index(a) for a in varies}
+    assert got == pytest.approx(ref_gauge_check(f, theta, psi, 2.0, 1.5, 0.7), rel=1e-12)
+    dense = pg.gauge_invariance_check(f, np.array(theta), psi, 2.0, 1.5, 0.7)
+    assert np.float64(dense).tobytes() == np.float64(got).tobytes()
+    # an infinite theta is constant along every axis, yet its differences
+    # are nan: the check still refuses it
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        pg.gauge_invariance_check(f, np.full((n, n, n), np.inf), psi, 2.0, 1.5)
+
+
+def test_convergence_table_rows_are_the_committed_values():
+    # the rows (h, identity, gauge, commutator) at N = 16, 24 and 32, to
+    # 1e-14 relative: numpy versions may differ in the last bit of sin and exp
+    expected = [
+        (0.5, 0.05533267730479195, 0.004308584578736757, 0.05533267730479201),
+        (0.3333333333333333, 0.026060929619650737, 0.002021316310575478, 0.026060929619650706),
+        (0.25, 0.014967455857978176, 0.0011584001589376733, 0.014967455857978278),
+    ]
+    for got, want in zip(pg.convergence_table((16, 24, 32)), expected, strict=True):
+        assert got == pytest.approx(want, rel=1e-14, abs=0)

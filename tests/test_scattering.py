@@ -321,13 +321,24 @@ def test_step_flux_factor_matters():
 @settings(max_examples=200, deadline=None)
 @given(st.floats(1.0, 1e3, exclude_min=True), st.floats(1e-6, 1e6), st.floats(1e-6, 1e9))
 def test_step_flux_is_the_mode_current_ratio(ratio, v0, m):
-    # the step's flux factor Re d2 / Re d1 is the ratio of the conserved
-    # currents u^+ G u of the transmitted and incident spin-up +p columns
+    # the flux factor that solve_step hands to _channel_coeffs, (Re q / den)
+    # / Re d1, is the ratio of the conserved currents u^+ G u of the
+    # transmitted and incident spin-up +p columns
     e_energy = ratio * v0
-    _, d1, d2, _ = sc._interface_scalars(e_energy, v0, m)
+    fluxes = []
+    channel_coeffs = sc._channel_coeffs
+
+    def captured(x, flux, incident_spin):
+        fluxes.append(flux)
+        return channel_coeffs(x, flux, incident_spin)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sc, "_channel_coeffs", captured)
+        sc.solve_step(e_energy, v0, m)
     transmitted = sp.mode_current(sp.mode_column(e_energy, v0, m, sp.UP, True))
     incident = sp.mode_current(sp.mode_column(e_energy, 0.0, m, sp.UP, True))
-    assert d2.real / d1.real == pytest.approx(transmitted / incident, rel=1e-13)
+    (flux,) = fluxes
+    assert flux == pytest.approx(transmitted / incident, rel=1e-13)
 
 
 @pytest.mark.parametrize("spin", [sp.UP, sp.DOWN])
