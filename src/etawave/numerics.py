@@ -1,12 +1,12 @@
 """Small dense linear algebra for the barrier matching and the representation fit.
 
-Everything here operates on plain numpy arrays (complex128 for matrices and
-vectors, float64 for the real least-squares path).  Systems are tiny: a stack
-of two 2x2 channel systems for the barrier's interface matching, which
-solve_linear solves by Cramer's rule in Python complex arithmetic, and 64x32
-for the representation fit, which numpy's LAPACK least squares solves.  This
-module adds the finite-input checks and the singularity threshold the
-matching solve relies on.
+Systems are tiny: a stack of two 2x2 channel systems for the barrier's
+interface matching, which solve_linear takes and returns as lists of Python
+numbers and solves by Cramer's rule in Python complex arithmetic, and 64x32
+for the representation fit, which numpy's LAPACK least squares solves on
+float64 arrays.  This module adds the finite-input checks and the
+singularity threshold the matching solve relies on, and the inf-norm that
+threshold reads, on Python sequences or on arrays.
 """
 
 from __future__ import annotations
@@ -40,13 +40,42 @@ def _as_matrix(m):
 
 def norm_inf(m):
     """Max absolute row sum for matrices (over a whole stack of them: the
-    norm of their block-diagonal matrix), max modulus for vectors."""
-    a = np.asarray(m)
-    if not a.size:
+    norm of their block-diagonal matrix), max modulus for vectors.
+
+    m is given as Python sequences: a vector, rows, or a stack of blocks of
+    rows; an array is read through tolist().  A nan anywhere gives nan, as
+    numpy's reduction does (Python's max passes over one that is not first),
+    and a finite entry whose modulus overflows counts as inf, where abs()
+    raises OverflowError.  A modulus may differ from numpy's complex abs in
+    its last two bits: abs() takes the C library's hypot, which rounds more
+    closely.
+    """
+    rows = m.tolist() if hasattr(m, "tolist") else m
+    if not rows:
         return 0.0
-    if a.ndim == 1:
-        return float(np.abs(a).max())
-    return float(np.abs(a).sum(axis=-1).max())
+    if not isinstance(rows[0], (list, tuple)):
+        # a vector: each entry is a row of its own
+        rows = [[x] for x in rows]
+    while rows[0] and isinstance(rows[0][0], (list, tuple)):
+        rows = [row for block in rows for row in block]
+    try:
+        # rows of two, as the channel solve's are
+        sums = [abs(a) + abs(b) for a, b in rows]
+    except (ValueError, OverflowError):
+        sums = [sum(map(_modulus, row)) for row in rows]
+    # the sums are of moduli: only a nan makes their total nan
+    total = sum(sums)
+    return float(max(sums)) if total == total else math.nan
+
+
+def _modulus(x):
+    """abs(x), or inf where it is beyond the float range."""
+    try:
+        return abs(x)
+    except OverflowError:
+        # CPython raises it for a nan part too where an earlier abs() left
+        # errno at ERANGE
+        return math.nan if cmath.isnan(x) else math.inf
 
 
 def adjoint(a):
@@ -55,7 +84,7 @@ def adjoint(a):
 
 
 def _solve_2x2(a11, a12, a21, a22, y1, y2, norm):
-    """(x1, x2) of one 2x2 block by Cramer's rule, or its distance to
+    """[x1, x2] of one 2x2 block by Cramer's rule, or its distance to
     singularity 1/||M^-1||_inf where that is within PIVOT_RTOL * norm.
 
     The rows and y are scaled by 2^-k, k the exponent of the larger row sum
@@ -79,56 +108,70 @@ def _solve_2x2(a11, a12, a21, a22, y1, y2, norm):
     if not abs(det) > PIVOT_RTOL * (norm * f) * s:
         # ldexp: 2^k may be beyond the float range
         return math.ldexp(abs(det) / s, k) if det else 0.0
-    return (a22 * y1 - a12 * y2) / det, (a11 * y2 - a21 * y1) / det
+    return [(a22 * y1 - a12 * y2) / det, (a11 * y2 - a21 * y1) / det]
 
 
 def solve_linear(m, b):
-    """Solve the 2x2 system M x = b, or a stack of them: M (..., 2, 2),
-    b (..., 2), by Cramer's rule on rows scaled by powers of two.
+    """Solve a stack of 2x2 systems M x = b by Cramer's rule on rows scaled
+    by powers of two: m a list of blocks [[a11, a12], [a21, a22]] and b a
+    list of [y1, y2], Python numbers; returns the list of [x1, x2].
 
-    Raises SingularSystemError when M (a stack: its block-diagonal matrix)
+    Raises SingularSystemError when the stack's block-diagonal matrix M
     lies within PIVOT_RTOL * ||M||_inf of a singular matrix, i.e. when
     1 / ||M^-1||_inf <= PIVOT_RTOL * ||M||_inf, with
     ||A^-1||_inf = max(|a22| + |a12|, |a21| + |a11|) / |det A| for each
-    block, and ValueError for a non-finite or ill-shaped M or b.  A finite
-    M whose inf-norm overflows is singular to within that threshold.  Each
-    block is solved alone, so a stack's solution equals its blocks'
-    solutions bit for bit.
+    block, and ValueError for a non-finite entry, a block that is not 2x2 or
+    a right-hand side that is not a pair.  A finite M whose inf-norm
+    overflows is singular to within that threshold.  Each block is solved
+    alone, so a stack's solution equals its blocks' solutions bit for bit.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2:
-        raise ValueError(f"expected a matrix or a stack of them, got ndim={m.ndim}")
+    try:
+        systems = [
+            (a11, a12, a21, a22, y1, y2)
+            for ((a11, a12), (a21, a22)), (y1, y2) in zip(m, b, strict=True)
+        ]
+        # a right-hand side entry that is no number is a fault of the form too
+        finite_b = all([cmath.isfinite(s[4]) and cmath.isfinite(s[5]) for s in systems])
+    except (TypeError, ValueError):
+        raise ValueError(_stack_fault(m, b)) from None
     # a nan or inf entry makes the norm nan or inf: only then look entry by
     # entry, to tell it from a finite matrix whose row sum overflows
     norm = norm_inf(m)
-    if not norm < math.inf and not np.isfinite(m).all():
+    if not norm < math.inf and not all(cmath.isfinite(a) for s in systems for a in s[:4]):
         raise ValueError("matrix entries must be finite")
-    b = np.asarray(b, dtype=complex)
-    if b.ndim != m.ndim - 1:
-        raise ValueError(f"expected b of ndim {m.ndim - 1}, got ndim={b.ndim}")
-    ys = b.ravel().tolist()
-    if not all(map(cmath.isfinite, ys)):
+    if not finite_b:
         raise ValueError("vector entries must be finite")
-    *stack, rows, cols = m.shape
-    if rows != cols:
-        raise ValueError("matrix must be square")
-    if rows != 2:
-        raise ValueError(f"expected 2x2 systems, got {rows}x{cols}")
-    if b.shape != (*stack, rows):
-        raise ValueError("right-hand side dimension mismatch")
     if not norm < math.inf:
         # finite entries whose row sum overflows, as abs() of one may
         raise SingularSystemError("the inf-norm overflows: singular below threshold inf")
     x = []
-    pairs = iter(ys)
-    for block in m.reshape(-1, 4).tolist():
-        sol = _solve_2x2(*block, next(pairs), next(pairs), norm)
-        if not isinstance(sol, tuple):
+    for system in systems:
+        sol = _solve_2x2(*system, norm)
+        if not isinstance(sol, list):
             raise SingularSystemError(
                 f"distance to singularity {sol:.3e} below threshold {PIVOT_RTOL * norm:.3e}"
             )
-        x += sol
-    return np.array(x, dtype=complex).reshape(b.shape)
+        x.append(sol)
+    return x
+
+
+def _stack_fault(m, b):
+    """What keeps m and b from being a list of 2x2 blocks and a list of as
+    many pairs: the message of solve_linear's ValueError."""
+    mismatch = "right-hand side dimension mismatch"
+    try:
+        if len(m) != len(b):
+            return f"{mismatch}: {len(b)} right-hand sides for {len(m)} blocks"
+        for block, y in zip(m, b):
+            rows = [len(row) for row in block]
+            if rows != [2, 2]:
+                got = f"{len(rows)}x{rows[0]}" if len(set(rows)) == 1 else f"rows of {rows} entries"
+                return f"expected 2x2 systems, got {got}"
+            if len(y) != 2:
+                return f"{mismatch}: {len(y)} entries where a pair is expected"
+    except TypeError:
+        pass
+    return "expected a list of 2x2 blocks and a list of pairs of numbers"
 
 
 def least_squares(m, b):

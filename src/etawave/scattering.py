@@ -167,9 +167,10 @@ def _barrier_columns(p: BarrierProblem):
 
 
 def _assemble_barrier(d1, d2, dc, cols):
-    """(M, rhs): the (2, 2, 2) systems of the two channels, s = +1 first, in
-    the internal amplitudes (a, b), and their (2, 2) right-hand sides, from
-    the _barrier_columns (d1, d2, dc, cols).
+    """(M, rhs): the 2x2 systems of the two channels, s = +1 first, in the
+    internal amplitudes (a, b), as lists [[a11, a12], [a21, a22]] of Python
+    complex numbers, and their right-hand sides [y1, y2], from the
+    _barrier_columns (d1, d2, dc, cols).
 
     The u rows give r = al0 a + al1 b - 1 at z = 0 and t = ga0 a + ga1 b at
     z = L; substituted into the v rows they leave, per channel, the row
@@ -177,16 +178,15 @@ def _assemble_barrier(d1, d2, dc, cols):
     the row ga (dc - s d1) + de s d2 with right-hand side 0 at z = L.
     """
     (al0, be0, ga0, de0), (al1, be1, ga1, de1) = cols
-    rows, rhs = [], []
+    m, rhs = [], []
     for sd1, sd2 in ((d1, d2), (-d1, -d2)):
         g0, g1 = sd1 + dc, dc - sd1
-        rows += [
-            -(al0 * g0 + be0 * sd2), -(al1 * g0 + be1 * sd2),
-            ga0 * g1 + de0 * sd2, ga1 * g1 + de1 * sd2,
-        ]  # fmt: skip
-        rhs += [-2.0 * sd1, 0j]
-    a = np.array(rows + rhs, dtype=complex)
-    return a[:8].reshape(2, 2, 2), a[8:].reshape(2, 2)
+        m.append([
+            [-(al0 * g0 + be0 * sd2), -(al1 * g0 + be1 * sd2)],
+            [ga0 * g1 + de0 * sd2, ga1 * g1 + de1 * sd2],
+        ])  # fmt: skip
+        rhs.append([-2.0 * sd1, 0j])
+    return m, rhs
 
 
 def _solve_matching(p: BarrierProblem):
@@ -204,7 +204,7 @@ def _solve_matching(p: BarrierProblem):
     except SingularSystemError as exc:
         raise DegenerateConfigurationError(f"matching system singular: {exc}") from exc
     (al0, _, ga0, _), (al1, _, ga1, _) = columns[3]
-    x = [[al0 * a + al1 * b - 1.0, a, b, ga0 * a + ga1 * b] for a, b in ab.tolist()]
+    x = [[al0 * a + al1 * b - 1.0, a, b, ga0 * a + ga1 * b] for a, b in ab]
     return columns, x
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,15 @@ def _random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def solve(m, b):
+    """solve_linear on arrays M (..., 2, 2) and b (..., 2): passed as the list
+    of blocks and the list of pairs it takes, its list of solutions read back
+    in b's shape."""
+    m, b = np.asarray(m, dtype=complex), np.asarray(b, dtype=complex)
+    x = solve_linear(m.reshape(-1, 2, 2).tolist(), b.reshape(-1, 2).tolist())
+    return np.array(x, dtype=complex).reshape(b.shape)
+
+
 @st.composite
 def seeded_square(draw):
     seed = draw(st.integers(0, 2**31 - 1))
@@ -25,8 +36,9 @@ def seeded_square(draw):
 
 def test_solve_known_system():
     m = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
-    x = solve_linear(m, np.array([5.0, 10.0], dtype=complex))
+    x = solve(m, np.array([5.0, 10.0], dtype=complex))
     np.testing.assert_allclose(x, [1.0, 3.0], atol=1e-14)
+    assert solve_linear([[[2.0, 1.0], [1.0, 3.0]]], [[5.0, 10.0]]) == [[1.0, 3.0]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -36,7 +48,7 @@ def test_solve_residual_scaled(m):
         return
     rng = np.random.default_rng(int(abs(m[0, 0].real * 1e6)) % 2**31)
     b = _random_complex(rng, m.shape[0])
-    x = solve_linear(m, b)
+    x = solve(m, b)
     residual = norm_inf(m @ x - b)
     assert residual <= 1e-12 * (norm_inf(m) * norm_inf(x) + norm_inf(b))
 
@@ -44,7 +56,7 @@ def test_solve_residual_scaled(m):
 def test_solve_singular_raises():
     m = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     with pytest.raises(SingularSystemError):
-        solve_linear(m, np.array([1.0, 1.0], dtype=complex))
+        solve(m, np.array([1.0, 1.0], dtype=complex))
 
 
 def test_solve_near_singular_raises():
@@ -52,7 +64,7 @@ def test_solve_near_singular_raises():
     # PIVOT_RTOL * ||M||_inf of a singular one
     m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
     with pytest.raises(SingularSystemError):
-        solve_linear(m, np.array([1.0, 2.0], dtype=complex))
+        solve(m, np.array([1.0, 2.0], dtype=complex))
 
 
 def test_the_threshold_reads_the_inverse_norm():
@@ -62,23 +74,29 @@ def test_the_threshold_reads_the_inverse_norm():
     for e, singular in ((1.5e-14, True), (2.5e-14, False)):
         m = np.array([[e, 1.0], [0.0, 1.0]], dtype=complex)
         b = np.array([1.0, 1.0], dtype=complex)
-        for solve in (solve_linear, reference_solve_linear):
+        for run in (solve, reference_solve_linear):
             if singular:
                 with pytest.raises(SingularSystemError, match=f"distance to singularity {e / 2:.3e} "):
-                    solve(m, b)
+                    run(m, b)
             else:
-                np.testing.assert_allclose(solve(m, b), [0.0, 1.0], atol=1e-15)
+                np.testing.assert_allclose(run(m, b), [0.0, 1.0], atol=1e-15)
 
 
 def test_solve_shape_errors():
-    with pytest.raises(ValueError):
-        solve_linear(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(ValueError):
-        solve_linear(np.eye(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        solve_linear(np.array([[np.inf, 0], [0, 1]]), np.zeros(2))
-    with pytest.raises(ValueError, match="expected 2x2 systems, got 3x3"):
-        solve_linear(np.eye(3), np.zeros(3))
+    # each fault of the list form is a ValueError that names it
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    for m, b, message in (
+        ([[[0.0] * 3] * 2], [[0.0, 0.0]], "expected 2x2 systems, got 2x3"),
+        ([[[0.0] * 3] * 3], [[0.0] * 3], "expected 2x2 systems, got 3x3"),
+        ([[[1.0, 0.0]]], [[0.0, 0.0]], "expected 2x2 systems, got 1x2"),
+        ([[[1.0, 0.0], [0.0]]], [[0.0, 0.0]], r"expected 2x2 systems, got rows of \[2, 1\]"),
+        ([eye], [[0.0, 0.0, 0.0]], "dimension mismatch: 3 entries where a pair is expected"),
+        ([eye], [[0.0, 0.0]] * 2, "dimension mismatch: 2 right-hand sides for 1 blocks"),
+        (eye, [0.0, 0.0], "expected a list of 2x2 blocks and a list of pairs of numbers"),
+        ([[[np.inf, 0.0], [0.0, 1.0]]], [[0.0, 0.0]], "matrix entries must be finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            solve_linear(m, b)
 
 
 @settings(max_examples=75, deadline=None)
@@ -180,7 +198,7 @@ def _assert_agrees_with_reference(m, b):
     solve, solutions within 16 eps cond_inf of each other, block by block,
     as two backward-stable solves must be."""
     expected = _outcome(reference_solve_linear, m, b)
-    got = _outcome(solve_linear, m, b)
+    got = _outcome(solve, m, b)
     if isinstance(expected, tuple) and expected[0] is ValueError:
         assert got == expected
         return expected
@@ -254,6 +272,7 @@ def test_solve_rejects_non_finite_input_like_the_reference():
 
 
 def test_solve_rejects_ill_shaped_input_like_the_reference():
+    # what the reference refuses as arrays, solve_linear refuses as lists
     m = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
     for mm, bb in (
         (np.ones(2), np.ones(2)),
@@ -261,8 +280,13 @@ def test_solve_rejects_ill_shaped_input_like_the_reference():
         (m, np.ones(3)),
         (np.ones((2, 3)), np.ones(2)),
         (np.array([m] * 3), np.ones((2, 2))),
+        (m[None], np.ones(3)),
+        (np.ones((1, 2, 3)), np.ones((1, 2))),
+        (np.array([m] * 3), np.ones((3, 2, 1))),
     ):
-        kind, _ = _assert_agrees_with_reference(mm, bb)
+        kind, _ = _outcome(reference_solve_linear, mm, bb)
+        assert kind is ValueError
+        kind, _ = _outcome(solve_linear, mm.tolist(), bb.tolist())
         assert kind is ValueError
 
 
@@ -273,8 +297,8 @@ def test_solve_finite_matrix_whose_norm_overflows_is_singular():
     b = np.array([1.0, 2.0], dtype=complex)
     with np.errstate(over="ignore"):
         assert norm_inf(m) == np.inf
-        for solve in (solve_linear, reference_solve_linear):
-            kind, message = _outcome(solve, m, b)
+        for run in (solve, reference_solve_linear):
+            kind, message = _outcome(run, m, b)
             assert kind is SingularSystemError
             assert message.endswith("below threshold inf")
 
@@ -307,14 +331,14 @@ def stacks(draw):
 def test_a_stack_solves_bitwise_like_each_block_alone(system):
     m, b = system
     try:
-        x = solve_linear(m, b)
+        x = solve(m, b)
     except SingularSystemError:
         # the stack's threshold is its largest block's: some block is that
         # close to singular, or the blocks' scales are PIVOT_RTOL apart
         return
     assert x.shape == b.shape
     for block, rhs, got in zip(m, b, x):
-        assert got.tobytes() == solve_linear(block, rhs).tobytes()
+        assert got.tobytes() == solve(block, rhs).tobytes()
 
 
 def test_a_near_singular_block_makes_the_stack_singular():
@@ -322,7 +346,7 @@ def test_a_near_singular_block_makes_the_stack_singular():
     near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
     for blocks in ((good, near), (near, good)):
         with pytest.raises(SingularSystemError):
-            solve_linear(np.array(blocks), np.ones((2, 2), dtype=complex))
+            solve(np.array(blocks), np.ones((2, 2), dtype=complex))
 
 
 def test_a_non_finite_entry_in_any_block_is_rejected():
@@ -333,16 +357,82 @@ def test_a_non_finite_entry_in_any_block_is_rejected():
             mm, bb = m.copy(), b.copy()
             mm[k, 1, 0] = bad
             with pytest.raises(ValueError, match="matrix entries must be finite"):
-                solve_linear(mm, b)
+                solve(mm, b)
             bb[k, 1] = bad
             with pytest.raises(ValueError, match="vector entries must be finite"):
-                solve_linear(m, bb)
+                solve(m, bb)
 
 
 def test_a_right_hand_side_of_the_wrong_shape_is_rejected():
-    m = np.array([np.eye(2)] * 3, dtype=complex)
-    for b in (np.ones(2), np.ones((2, 2)), np.ones((3, 3)), np.ones((3, 2, 1))):
-        with pytest.raises(ValueError):
-            solve_linear(m, b)
-    with pytest.raises(ValueError, match="square"):
-        solve_linear(np.ones((3, 2, 3)), np.ones((3, 2)))
+    m = np.array([np.eye(2)] * 3, dtype=complex).tolist()
+    for b, message in (
+        (np.ones(2), "2 right-hand sides for 3 blocks"),
+        (np.ones((2, 2)), "2 right-hand sides for 3 blocks"),
+        (np.ones((3, 3)), "3 entries where a pair is expected"),
+        (np.ones((3, 1)), "1 entries where a pair is expected"),
+        (np.ones((3, 2, 1)), "pairs of numbers"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            solve_linear(m, b.tolist())
+    with pytest.raises(ValueError, match="expected 2x2 systems, got 2x3"):
+        solve_linear(np.ones((3, 2, 3)).tolist(), np.ones((3, 2)).tolist())
+
+
+# ------------------------------------------------------------ norm_inf
+
+
+@st.composite
+def norm_inputs(draw):
+    """A vector, a matrix or a stack of matrices, each axis 1 to 4 long, of
+    real or complex entries at scales 1e-300 ... 1e300 entry by entry: some
+    row sums overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    a = _random_complex(rng, shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+    return a.real.copy() if draw(st.booleans()) else a
+
+
+def _numpy_norm(a, modulus):
+    """numpy's reduction of the moduli of a: their max for a vector, the max
+    row sum for a matrix or a stack."""
+    with np.errstate(over="ignore"):
+        mods = modulus(a)
+        return float(mods.max() if a.ndim == 1 else mods.sum(axis=-1).max())
+
+
+def _within_ulps(got, want, ulps):
+    return got == want if math.isinf(want) else abs(got - want) <= ulps * math.ulp(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(norm_inputs(), st.data())
+def test_norm_inf_is_numpys_reduction_from_an_array_and_from_its_rows(a, data):
+    got = norm_inf(a)
+    assert type(got) is float
+    assert np.float64(norm_inf(a.tolist())).tobytes() == np.float64(got).tobytes()
+    if a.ndim == 3:
+        rows = [row for block in a.tolist() for row in block]
+        assert np.float64(norm_inf(rows)).tobytes() == np.float64(got).tobytes()
+    # the moduli are hypot's, as numpy's np.hypot takes them; numpy's complex
+    # abs rounds them less closely, up to 1.5 ulps off
+    assert _within_ulps(got, _numpy_norm(a, lambda x: np.hypot(x.real, x.imag)), 1)
+    assert _within_ulps(got, _numpy_norm(a, np.abs), 4)
+    # a finite entry whose modulus overflows gives inf; a nan at any
+    # position gives nan, with or without such an entry
+    big = a.astype(complex)
+    big.flat[data.draw(st.integers(0, a.size - 1))] = complex(1.7e308, -1.7e308)
+    assert norm_inf(big) == norm_inf(big.tolist()) == _numpy_norm(big, np.abs) == math.inf
+    bad = data.draw(st.sampled_from([np.nan, complex(0.0, np.nan), complex(np.nan, 1.0)]))
+    for c in (a.astype(complex), big):
+        c.flat[data.draw(st.integers(0, a.size - 1))] = bad
+        for got in (norm_inf(c), norm_inf(c.tolist()), _numpy_norm(c, np.abs)):
+            assert math.isnan(got)
+
+
+def test_norm_inf_reads_a_nan_after_an_overflowing_modulus_as_nan():
+    # CPython's abs() raises OverflowError for a nan entry where the abs()
+    # before it overflowed: the nan still wins, in a row and in a vector
+    big, nan = complex(1.7e308, 1.7e308), complex(math.nan, 0.0)
+    for m in ([[big, nan]], [[big, 1.0], [nan, 1.0]], [big, nan], [[[big, 0.0], [0.0, nan]]]):
+        assert math.isnan(norm_inf(m))
+    assert norm_inf([[big, 1.0], [1.0, 1.0]]) == math.inf

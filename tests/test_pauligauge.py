@@ -3,6 +3,7 @@ import inspect
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -1345,3 +1346,26 @@ def test_convergence_table_rows_are_the_committed_values():
     ]
     for got, want in zip(pg.convergence_table((16, 24, 32)), expected, strict=True):
         assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_importing_etawave_starts_no_thread_and_no_executor():
+    # what every fresh process pays before its first call: etawave and its
+    # eight modules start no thread, and concurrent.futures waits for the
+    # first threaded slab (pauligauge._worker imports it, at 5-7 ms per
+    # import).  -S keeps site's .pth files from importing anything first
+    import etawave
+
+    path = [os.path.dirname(os.path.dirname(m.__file__)) for m in (etawave, np)]
+    code = (
+        "import sys, threading\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "import etawave\n"
+        "from etawave import (boundstates, cli, clifford, numerics, pauligauge,\n"
+        "    scattering, spinors, waveop)\n"
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.split() == ["1", "False"]

@@ -634,7 +634,8 @@ def test_barrier_system_equals_mode_column_assembly(ratio, v0, length, m, spin):
     mix = np.eye(4)
     if near_top:
         mix[1:3, 1:3] = [[1.0, 1.0], [1.0, -1.0]]
-    _assert_channel_blocks(sc._assemble_barrier(*sc._barrier_columns(p)), m8, rhs, c1, spin, mix)
+    got = [np.asarray(a) for a in sc._assemble_barrier(*sc._barrier_columns(p))]
+    _assert_channel_blocks(got, m8, rhs, c1, spin, mix)
     x = np.linalg.solve(m8, rhs)
     _, coeffs = sc.solve_barrier(p)
     ref = [abs(x[k]) ** 2 for k in (6, 7, 0, 1)]
@@ -1032,3 +1033,57 @@ def test_closed_form_beyond_the_float_range(spin):
     t1, t2, r1, r2 = view(sc.closed_form(barrier(1e-300, 1e300, 1.0, m, spin)))
     assert (t1, t2, r1) == (0.0, 0.0, 1.0)
     assert r2 == pytest.approx(4.0 * 1e-300 / m, rel=1e-14)
+
+
+def test_barrier_coefficients_are_the_committed_values():
+    # (E, V0, L, m), then the same-spin transmission and the two reflections
+    # (t1, r1, r2 for spin up) of solve_barrier and of closed_form, to 1e-14
+    # relative: above the top at |p2 L / hbar_c| = 113.5 and below it at
+    # 22.7 (the +p and -p basis), 2e-3 V0 above and below it at 0.36 (the
+    # sum and difference basis), kappa L = 219.5, and m = 1.7e308 with
+    # L = 1e-300.  Spin-down incidence exchanges the spins.  The spin-flip
+    # transmission is 0 in the closed form and rounding in the matching
+    # solve: a quarter of the squared difference of two channel amplitudes
+    # that agree to 16 eps
+    expected = [
+        (
+            (15.0, 10.0, 10.0, 500000.0),
+            (0.9499966385885512, 0.04999736136808732, 6.0000433613722636e-06),
+            (0.9499966385885574, 0.04999736136808111, 6.000043361371377e-06),
+        ),
+        (
+            (5.0, 10.0, 2.0, 500000.0),
+            (7.656850511096131e-20, 0.9999600007999883, 3.999920001200076e-05),
+            (7.656850511096241e-20, 0.999960000799988, 3.999920001199984e-05),
+        ),
+        (
+            (10.02, 10.0, 0.5, 500000.0),
+            (0.06099836557471604, 0.9389263670710143, 7.526735426974422e-05),
+            (0.06099836557471605, 0.9389263670710141, 7.526735426974412e-05),
+        ),
+        (
+            (9.98, 10.0, 0.5, 500000.0),
+            (0.05604815598640614, 0.9438764819068534, 7.536210674072035e-05),
+            (0.056048155986406174, 0.9438764819068532, 7.536210674071987e-05),
+        ),
+        (
+            (5.0, 10.0, 19.338186689811433, 500000.0),
+            (8.846723132877526e-191, 0.9999600007999883, 3.999920001200076e-05),
+            (8.846723132878526e-191, 0.999960000799988, 3.999920001199984e-05),
+        ),
+        (
+            (0.5, 1.0, 1e-300, 1.7e308),
+            (1.0, 4.380427220490094e-297, 0.0),
+            (1.0, 4.380427220490093e-297, 0.0),
+        ),
+    ]
+    eps = np.finfo(float).eps
+    for problem, numeric, closed in expected:
+        for spin in (sp.UP, sp.DOWN):
+            p = barrier(*problem, spin)
+            for got, want in ((sc.solve_barrier(p)[1], numeric), (sc.closed_form(p), closed)):
+                t_same, t_flip, r_same, r_flip = (
+                    _channels(got) if spin == sp.UP else _swapped(got)
+                )
+                assert (t_same, r_same, r_flip) == pytest.approx(want, rel=1e-14, abs=0)
+                assert 0.0 <= t_flip <= (16 * eps) ** 2 * t_same
