@@ -15,6 +15,7 @@ rows, 64 usage error.  All output is deterministic given flags and --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -101,27 +102,32 @@ def _render(header, records, fmt: str, precision: int, comment=None) -> str:
     in both.  NaN and Infinity are not JSON: a non-finite float (a flagged
     row's value) is null there.
     """
-    rounded = f"{{:.{precision - 1}e}}".format
-
-    def float_text(v):
-        t = rounded(v)
-        # only a text with the largest exponent can read back as inf
-        return repr(float(v)) if t.endswith("e+308") and math.isinf(float(t)) else t
-
-    def text(v):
-        return float_text(v) if isinstance(v, float) else str(v)
+    spec = f".{precision - 1}e"
 
     def json_value(v):
         if not isinstance(v, float):
             return v
-        return float(float_text(v)) if math.isfinite(v) else None
+        if not math.isfinite(v):
+            return None
+        rounded = float(format(v, spec))
+        return rounded if math.isfinite(rounded) else float(v)
 
     if fmt == "json":
         records = [{k: json_value(v) for k, v in rec.items()} for rec in records]
         return json.dumps(records, allow_nan=False) + "\n"
     lines = [f"# {comment}"] if comment else []
     lines.append(",".join(header))
-    lines += [",".join([text(rec[h]) for h in header]) for rec in records]
+    for rec in records:
+        values = [rec[h] for h in header]
+        cells = [format(v, spec) if isinstance(v, float) else str(v) for v in values]
+        line = ",".join(cells)
+        # only a text with the largest exponent can read back as inf
+        if "e+308" in line:
+            line = ",".join([
+                repr(float(v)) if isinstance(v, float) and t.endswith("e+308") and math.isinf(float(t)) else t
+                for v, t in zip(values, cells)
+            ])
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -491,8 +497,15 @@ _DISPATCH = {
 }
 
 
+# a parse keeps no state in the parser, so one built at the first call serves
+# every later call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    """Run one command; returns its exit code.  The parser is built once per
+    process, at the first call, and every later call reuses it."""
+    args, extra = _parser().parse_known_args(argv)
     if extra:
         args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.output:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -744,6 +745,131 @@ def test_csv_and_json_hold_the_same_table(argv, flagged, capsys):
                 assert float(text) == value
             else:
                 assert text == str(value)
+
+
+def reference_render(header, records, fmt, precision, comment=None):
+    """_render's rule applied value by value: a float prints as
+    {:.(precision - 1)e}, or as its repr where that text reads back as inf,
+    and anything else as str; JSON takes a finite float through the same
+    text and a non-finite one as null."""
+
+    def float_text(v):
+        t = f"{{:.{precision - 1}e}}".format(v)
+        return repr(float(v)) if math.isinf(float(t)) else t
+
+    def text(v):
+        return float_text(v) if isinstance(v, float) else str(v)
+
+    def json_value(v):
+        if not isinstance(v, float):
+            return v
+        return float(float_text(v)) if math.isfinite(v) else None
+
+    if fmt == "json":
+        return json.dumps([{k: json_value(v) for k, v in rec.items()} for rec in records],
+                          allow_nan=False) + "\n"
+    lines = [f"# {comment}"] if comment else []
+    lines.append(",".join(header))
+    lines += [",".join(text(rec[h]) for h in header) for rec in records]
+    return "\n".join(lines) + "\n"
+
+
+_largest = sys.float_info.max
+
+
+def _below_largest(k):
+    v = _largest
+    for _ in range(k):
+        v = math.nextafter(v, 0.0)
+    return v
+
+
+# the floats a table can hold: anything hypothesis draws (+-0, subnormals,
+# nan, inf), values within a few ulps of the largest float and in the range
+# where some precision rounds past it, as np.float64 too (the sweep's
+# e_over_v0 is one), ints and flag strings
+table_floats = st.one_of(
+    st.floats(),
+    st.integers(0, 8).map(_below_largest),
+    st.floats(min_value=1.79769e308, max_value=_largest),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, _largest]),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+table_values = st.one_of(
+    table_floats,
+    table_floats.map(np.float64),
+    st.integers(-10**20, 10**20),
+    st.sampled_from(["numeric", "closed", "ConventionSingularityError: x", "down"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.just([f"c{i}" for i in range(n)]),
+            st.lists(st.lists(table_values, min_size=n, max_size=n), max_size=6),
+        )
+    ),
+    st.sampled_from([None, {"flag": "ValueError: overflow"}, {"incident_spin": "down"}]),
+    st.integers(6, 17),
+    st.sampled_from([None, "incident_spin=down"]),
+)
+def test_render_matches_the_per_value_rule(table, extra, precision, comment):
+    header, rows = table
+    records = [dict(zip(header, row), **(extra or {})) for row in rows]
+    for fmt in ("csv", "json"):
+        assert cli._render(header, records, fmt, precision, comment) == reference_render(
+            header, records, fmt, precision, comment
+        )
+
+
+def test_a_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys, monkeypatch):
+    # one process runs calls that set --spin down, --format json, --precision
+    # 17, --config and --output, then the same commands without them, a usage
+    # error and --help twice: each call gives the exit code and bytes of the
+    # same command on a freshly built parser
+    config = tmp_path / "constants.cfg"
+    config.write_text("mass_c2 = 1e5\nprecision = 8\n")
+    output = tmp_path / "table.out"
+    barrier = ["barrier", "--v0", "10", "--length", "1", "--steps", "4", "--method", "both"]
+    point = ["point", "--v0", "10", "--length", "1", "--e-over-v0", "1.5"]
+    calls = [
+        barrier + ["--spin", "down", "--format", "json", "--precision", "17",
+                   "--config", str(config), "--output", str(output)],
+        barrier,
+        point + ["--spin", "down", "--config", str(config)],
+        point,
+        ["well", "--length", "10", "--nmax", "3", "--precision", "17", "--output", str(output)],
+        ["well", "--length", "10", "--nmax", "3"],
+        ["barrier", "--v0", "10", "--length", "1", "--steps", "0"],
+        ["point", "--help"],
+        ["step", "--v0", "10", "--steps", "3", "--format", "json"],
+        ["step", "--v0", "10", "--steps", "3"],
+        ["point", "--help"],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in calls:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            written = output.read_text() if output.exists() else None
+            output.unlink(missing_ok=True)
+            seen.append((code, out, err, written))
+        return seen
+
+    reused = outcomes()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = outcomes()
+    assert [code for code, *_ in reused] == [0, 0, 0, 0, 0, 0, 64, 0, 0, 0, 0]
+    for argv, r, f in zip(calls, reused, fresh):
+        assert r == f, argv
+    assert reused[7] == reused[10] and reused[10][1].startswith("usage: etawave point")
+    # the omitted flags took their defaults again
+    assert reused[1][1].startswith("e_over_v0,T1,") and reused[3][1].startswith("method,T1,")
 
 
 # hypothesis' own float draws, and draws spread evenly over the binary exponents
