@@ -83,34 +83,6 @@ def adjoint(a):
     return _as_matrix(a).conj().T
 
 
-def _solve_2x2(a11, a12, a21, a22, y1, y2, norm):
-    """[x1, x2] of one 2x2 block by Cramer's rule, or its distance to
-    singularity 1/||M^-1||_inf where that is within PIVOT_RTOL * norm.
-
-    The rows and y are scaled by 2^-k, k the exponent of the larger row sum
-    (at least -1023, so that 2^-k is a float): no product of two entries
-    overflows.  cond_inf(M) is at least the ratio of the row sums, so a
-    block that passes the test has them within 1 / PIVOT_RTOL of each other,
-    and a product underflows only where it is negligible against the
-    determinant.  A product with y leaves the float range only where
-    |y| / ||M||_inf leaves [2^-1020, 2^1020], and x with it.  The caller
-    checks that the stack's inf-norm is finite, so no abs() overflows.
-    """
-    u11, u12, u21, u22 = abs(a11), abs(a12), abs(a21), abs(a22)
-    k = max(math.frexp(max(u11 + u12, u21 + u22))[1], -1023)
-    f = 2.0**-k
-    a11, a12, a21, a22, y1, y2 = a11 * f, a12 * f, a21 * f, a22 * f, y1 * f, y2 * f
-    det = a11 * a22 - a12 * a21
-    # ||M^-1||_inf = max(|a22| + |a12|, |a21| + |a11|) / |det M|, compared
-    # scaled by 2^-k: the threshold never underflows, and it overflows to
-    # inf only for a block 2^1000 below the stack's norm
-    s = max(u22 + u12, u21 + u11) * f
-    if not abs(det) > PIVOT_RTOL * (norm * f) * s:
-        # ldexp: 2^k may be beyond the float range
-        return math.ldexp(abs(det) / s, k) if det else 0.0
-    return [(a22 * y1 - a12 * y2) / det, (a11 * y2 - a21 * y1) / det]
-
-
 def solve_linear(m, b):
     """Solve a stack of 2x2 systems M x = b by Cramer's rule on rows scaled
     by powers of two: m a list of blocks [[a11, a12], [a21, a22]] and b a
@@ -124,6 +96,15 @@ def solve_linear(m, b):
     a right-hand side that is not a pair.  A finite M whose inf-norm
     overflows is singular to within that threshold.  Each block is solved
     alone, so a stack's solution equals its blocks' solutions bit for bit.
+
+    A block's rows and y are scaled by 2^-k, k the exponent of its larger
+    row sum (at least -1023, so that 2^-k is a float): no product of two
+    entries overflows.  cond_inf(A) is at least the ratio of the row sums,
+    so a block that passes the test has them within 1 / PIVOT_RTOL of each
+    other, and a product underflows only where it is negligible against the
+    determinant.  A product with y leaves the float range only where
+    |y| / ||A||_inf leaves [2^-1020, 2^1020], and x with it.  The stack's
+    inf-norm is finite by then, so no abs() overflows.
     """
     try:
         systems = [
@@ -145,13 +126,29 @@ def solve_linear(m, b):
         # finite entries whose row sum overflows, as abs() of one may
         raise SingularSystemError("the inf-norm overflows: singular below threshold inf")
     x = []
-    for system in systems:
-        sol = _solve_2x2(*system, norm)
-        if not isinstance(sol, list):
+    for a11, a12, a21, a22, y1, y2 in systems:
+        # the larger of two sums by a comparison, as max() picks it, without
+        # max()'s call: most of a block's cost is the interpreter's steps
+        u11, u12, u21, u22 = abs(a11), abs(a12), abs(a21), abs(a22)
+        row1, row2 = u11 + u12, u21 + u22
+        k = math.frexp(row2 if row2 > row1 else row1)[1]
+        if k < -1023:
+            k = -1023
+        f = 2.0**-k
+        a11, a12, a21, a22, y1, y2 = a11 * f, a12 * f, a21 * f, a22 * f, y1 * f, y2 * f
+        det = a11 * a22 - a12 * a21
+        # ||A^-1||_inf = max(|a22| + |a12|, |a21| + |a11|) / |det A|, compared
+        # scaled by 2^-k: the threshold never underflows, and it overflows to
+        # inf only for a block 2^1000 below the stack's norm
+        col1, col2 = u22 + u12, u21 + u11
+        s = (col2 if col2 > col1 else col1) * f
+        if not abs(det) > PIVOT_RTOL * (norm * f) * s:
+            # ldexp: 2^k may be beyond the float range
+            dist = math.ldexp(abs(det) / s, k) if det else 0.0
             raise SingularSystemError(
-                f"distance to singularity {sol:.3e} below threshold {PIVOT_RTOL * norm:.3e}"
+                f"distance to singularity {dist:.3e} below threshold {PIVOT_RTOL * norm:.3e}"
             )
-        x.append(sol)
+        x.append([(a22 * y1 - a12 * y2) / det, (a11 * y2 - a21 * y1) / det])
     return x
 
 

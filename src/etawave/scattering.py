@@ -116,18 +116,11 @@ def _channel_coeffs(x, flux, incident_spin) -> Coefficients:
     Same-spin amplitudes are the channels' half sums, spin-flip ones their
     half differences."""
     (r_p, *_, t_p), (r_m, *_, t_m) = x
-    same = (0.25 * abs(t_p + t_m) ** 2 * flux, 0.25 * abs(r_p + r_m) ** 2)
-    flip = (0.25 * abs(t_p - t_m) ** 2 * flux, 0.25 * abs(r_p - r_m) ** 2)
-    up, down = (same, flip) if incident_spin == UP else (flip, same)
-    return Coefficients(up[0], down[0], up[1], down[1])
-
-
-def _interface_scalars(e_energy, v0, m):
-    """(p2, d1, d2, dc): p beyond an interface from zero potential to v0, d
-    before and beyond it, and the shift dc = c2 - c1 of c across it."""
-    _, _, d1 = _mode_scalars(e_energy, 0.0, m)
-    p2, _, d2 = _mode_scalars(e_energy, v0, m)
-    return p2, d1, d2, _c_shift(e_energy, v0, m)
+    same_t, same_r = 0.25 * abs(t_p + t_m) ** 2 * flux, 0.25 * abs(r_p + r_m) ** 2
+    flip_t, flip_r = 0.25 * abs(t_p - t_m) ** 2 * flux, 0.25 * abs(r_p - r_m) ** 2
+    if incident_spin == UP:
+        return Coefficients(same_t, flip_t, same_r, flip_r)
+    return Coefficients(flip_t, same_t, flip_r, same_r)
 
 
 # the largest propagating phase |p2 L / hbar_c| the matching solve takes:
@@ -136,18 +129,33 @@ def _interface_scalars(e_energy, v0, m):
 MAX_PHASE = 2.0**20
 
 
-def _barrier_columns(p: BarrierProblem):
-    """(d1, d2, dc, cols): the interface scalars and the two internal
-    columns (al, be, ga, de) of the barrier, whose entries are -al,
-    -(al dc + be s d2) at z = 0 and ga, ga dc + de s d2 at z = L.
+def _barrier_system(p: BarrierProblem):
+    """(d1, d2, dc, cols, m, rhs) of the barrier's matching.
 
-    Where |p2 L / hbar_c| > 1 the two are the +p mode and the -p mode
-    anchored at z = L, so that |ph2| <= 1 up to kappa L of several hundred.
-    Nearer the top, where those two nearly coincide, they are their sum and
-    difference, written through e = ph2 - 1 = expm1(i p2 L / hbar_c)
-    without cancelling.  A propagating phase beyond MAX_PHASE is refused.
+    d1 and d2 are d before and beyond an interface from zero potential to
+    V0, and dc = c2 - c1 the shift of c across it.  cols are the two
+    internal columns (al, be, ga, de), whose entries are -al,
+    -(al dc + be s d2) at z = 0 and ga, ga dc + de s d2 at z = L.  m holds
+    the 2x2 systems of the two channels, s = +1 first, in the internal
+    amplitudes (a, b), as lists [[a11, a12], [a21, a22]] of Python complex
+    numbers, and rhs their right-hand sides [y1, y2].
+
+    Where |p2 L / hbar_c| > 1 the two columns are the +p mode and the -p
+    mode anchored at z = L, so that |ph2| <= 1 up to kappa L of several
+    hundred.  Nearer the top, where those two nearly coincide, they are
+    their sum and difference, written through e = ph2 - 1 =
+    expm1(i p2 L / hbar_c) without cancelling.  A propagating phase beyond
+    MAX_PHASE is refused.
+
+    The u rows give r = al0 a + al1 b - 1 at z = 0 and t = ga0 a + ga1 b at
+    z = L; substituted into the v rows they leave, per channel, the row
+    -(al (s d1 + dc) + be s d2) with right-hand side -2 s d1 at z = 0, and
+    the row ga (dc - s d1) + de s d2 with right-hand side 0 at z = L.
     """
-    p2, d1, d2, dc = _interface_scalars(p.e_energy, p.v0, p.m)
+    e_energy, v0, mass = p.e_energy, p.v0, p.m
+    d1 = _mode_scalars(e_energy, 0.0, mass)[2]
+    p2, _, d2 = _mode_scalars(e_energy, v0, mass)
+    dc = _c_shift(e_energy, v0, mass)
     ik = 1j * (p2 / p.constants.hbar_c) * p.length
     if abs(ik) > 1.0:
         if abs(ik.imag) > MAX_PHASE:
@@ -156,56 +164,48 @@ def _barrier_columns(p: BarrierProblem):
                 "has no digits left at the criterion-04 tolerance"
             )
         ph2 = cmath.exp(ik)
-        cols = (1 + 0j, 1 + 0j, ph2, ph2), (ph2, -ph2, 1 + 0j, -1 + 0j)
+        al0, be0, ga0, de0 = 1 + 0j, 1 + 0j, ph2, ph2
+        al1, be1, ga1, de1 = ph2, -ph2, 1 + 0j, -1 + 0j
     else:
         x, y = ik.real, ik.imag  # one of them is 0
         e = complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
                     math.exp(x) * math.sin(y))
         w = 2.0 + e
-        cols = (w, -e, w, e), (-e, w, e, w)
-    return d1, d2, dc, cols
-
-
-def _assemble_barrier(d1, d2, dc, cols):
-    """(M, rhs): the 2x2 systems of the two channels, s = +1 first, in the
-    internal amplitudes (a, b), as lists [[a11, a12], [a21, a22]] of Python
-    complex numbers, and their right-hand sides [y1, y2], from the
-    _barrier_columns (d1, d2, dc, cols).
-
-    The u rows give r = al0 a + al1 b - 1 at z = 0 and t = ga0 a + ga1 b at
-    z = L; substituted into the v rows they leave, per channel, the row
-    -(al (s d1 + dc) + be s d2) with right-hand side -2 s d1 at z = 0, and
-    the row ga (dc - s d1) + de s d2 with right-hand side 0 at z = L.
-    """
-    (al0, be0, ga0, de0), (al1, be1, ga1, de1) = cols
-    m, rhs = [], []
-    for sd1, sd2 in ((d1, d2), (-d1, -d2)):
-        g0, g1 = sd1 + dc, dc - sd1
-        m.append([
-            [-(al0 * g0 + be0 * sd2), -(al1 * g0 + be1 * sd2)],
-            [ga0 * g1 + de0 * sd2, ga1 * g1 + de1 * sd2],
-        ])  # fmt: skip
-        rhs.append([-2.0 * sd1, 0j])
-    return m, rhs
+        al0, be0, ga0, de0 = w, -e, w, e
+        al1, be1, ga1, de1 = -e, w, e, w
+    # s d1 + dc and dc - s d1 of s = +1 are those of s = -1 swapped:
+    # -d1 + dc is dc - d1 and dc - (-d1) is d1 + dc, bit for bit
+    g0, g1, nd1, nd2 = d1 + dc, dc - d1, -d1, -d2
+    m = [
+        [[-(al0 * g0 + be0 * d2), -(al1 * g0 + be1 * d2)],
+         [ga0 * g1 + de0 * d2, ga1 * g1 + de1 * d2]],
+        [[-(al0 * g1 + be0 * nd2), -(al1 * g1 + be1 * nd2)],
+         [ga0 * g0 + de0 * nd2, ga1 * g0 + de1 * nd2]],
+    ]  # fmt: skip
+    rhs = [[-2.0 * d1, 0j], [-2.0 * nd1, 0j]]
+    return d1, d2, dc, ((al0, be0, ga0, de0), (al1, be1, ga1, de1)), m, rhs
 
 
 def _solve_matching(p: BarrierProblem):
-    """(columns, x) of the solved barrier channels, x the amplitudes
-    [r, a, b, t] of the "+" and the "-" channel; refuses the critical band and
-    turns a singular system into DegenerateConfigurationError."""
+    """(system, x): the _barrier_system of p and the solved amplitudes x,
+    [r, a, b, t] of the "+" and the "-" channel; refuses the critical band
+    and turns a singular system into DegenerateConfigurationError."""
     if classify_regime(p.e_energy, p.v0) == CRITICAL:
         raise CriticalBandError(
             f"|E - V0| = {abs(p.e_energy - p.v0):.3e} eV is inside the critical "
             "band; evaluate closed_form instead"
         )
-    columns = _barrier_columns(p)
+    system = _barrier_system(p)
+    (al0, _, ga0, _), (al1, _, ga1, _) = system[3]
     try:
-        ab = solve_linear(*_assemble_barrier(*columns))
+        (a_p, b_p), (a_m, b_m) = solve_linear(system[4], system[5])
     except SingularSystemError as exc:
         raise DegenerateConfigurationError(f"matching system singular: {exc}") from exc
-    (al0, _, ga0, _), (al1, _, ga1, _) = columns[3]
-    x = [[al0 * a + al1 * b - 1.0, a, b, ga0 * a + ga1 * b] for a, b in ab]
-    return columns, x
+    x = [
+        [al0 * a_p + al1 * b_p - 1.0, a_p, b_p, ga0 * a_p + ga1 * b_p],
+        [al0 * a_m + al1 * b_m - 1.0, a_m, b_m, ga0 * a_m + ga1 * b_m],
+    ]
+    return system, x
 
 
 def solve_barrier(p: BarrierProblem):
@@ -227,7 +227,7 @@ def continuity_residual(p: BarrierProblem) -> float:
 
     Raises what solve_barrier raises: CriticalBandError inside the band,
     DegenerateConfigurationError for a singular system."""
-    (d1, d2, dc, cols), x = _solve_matching(p)
+    (d1, d2, dc, cols, _, _), x = _solve_matching(p)
     (al0, be0, ga0, de0), (al1, be1, ga1, de1) = cols
     m, rhs = [], []
     for sd1, sd2 in ((d1, d2), (-d1, -d2)):
@@ -283,9 +283,13 @@ def closed_form(p: BarrierProblem) -> Coefficients:
     """
     e_energy, v0, m = p.e_energy, p.v0, p.m
     gap = e_energy - v0
-    (mv, ev), (me, ee), (mm, em), (ml, el), (mh, eh), (mg, eg) = map(
-        math.frexp, (v0, e_energy, m, p.length, p.constants.hbar_c, abs(gap))
-    )
+    frexp = math.frexp
+    mv, ev = frexp(v0)
+    me, ee = frexp(e_energy)
+    mm, em = frexp(m)
+    ml, el = frexp(p.length)
+    mh, eh = frexp(p.constants.hbar_c)
+    mg, eg = frexp(abs(gap))
     # g / 2 = m L^2 / hbar_c^2, then z and c = V0^2 g / (4E), each a mantissa
     # within [2^-8, 2^8] and a binary exponent
     half_g, half_g_exp = mm * ml * ml / (mh * mh), em + 2 * el - 2 * eh
@@ -299,7 +303,8 @@ def closed_form(p: BarrierProblem) -> Coefficients:
                 "digits left at the criterion-04 tolerance"
             )
         # b = c (sin r / r)^2
-        (ms, es), (mr, er) = map(math.frexp, (abs(math.sin(r)), r) if r else (1.0, 1.0))
+        ms, es = frexp(abs(math.sin(r)) if r else 1.0)
+        mr, er = frexp(r if r else 1.0)
         a, b = 1.0, _ldexp(c * ms * ms / (mr * mr), c_exp + 2 * es - 2 * er)
     else:
         # a = 1 / S = (r / sinh r)^2, through exp(-r): it underflows to 0
@@ -419,34 +424,31 @@ def sweep(template: BarrierProblem, e_grid, method: str = "numeric") -> SweepTab
     matching solve refuses, take closed_form for every method."""
     if method not in ("numeric", "closed", "both"):
         raise ValueError(f"method must be numeric, closed or both, got {method!r}")
+    matching, both = method != "closed", method == "both"
+    v0, length, m = template.v0, template.length, template.m
+    spin, constants = template.incident_spin, template.constants
     rows = []
     for e_energy in e_grid:
-        ratio = e_energy / template.v0
+        # a Python float whatever the grid's type: the same value, and
+        # e_over_v0 a float
+        e_energy = float(e_energy)
+        ratio = e_energy / v0
         try:
-            prob = BarrierProblem(
-                float(e_energy),
-                template.v0,
-                template.length,
-                template.m,
-                template.incident_spin,
-                template.constants,
-            )
-            numeric = closed = None
-            if method in ("numeric", "both"):
+            prob = BarrierProblem(e_energy, v0, length, m, spin, constants)
+            delta = None
+            if not matching:
+                coeffs = closed_form(prob)
+            else:
                 try:
-                    _, numeric = solve_barrier(prob)
+                    coeffs = solve_barrier(prob)[1]
                 except CriticalBandError:
-                    numeric = closed_form(prob)
+                    coeffs = closed_form(prob)
                     # with method both, the fallback is the closed row too
-                    closed = numeric if method == "both" else None
-            if method in ("closed", "both") and closed is None:
-                closed = closed_form(prob)
-            coeffs = numeric if numeric is not None else closed
-            delta = (
-                coefficient_delta(numeric, closed)
-                if (numeric is not None and closed is not None)
-                else None
-            )
+                    if both:
+                        delta = coefficient_delta(coeffs, coeffs)
+                else:
+                    if both:
+                        delta = coefficient_delta(coeffs, closed_form(prob))
             rows.append(SweepRow(ratio, coeffs, delta, None))
         except (ValueError, DegenerateConfigurationError) as exc:
             rows.append(SweepRow(ratio, None, None, f"{type(exc).__name__}: {exc}"))

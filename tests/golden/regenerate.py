@@ -33,6 +33,12 @@ COMMANDS = {
     "barrier_json_spin_down": ["barrier", "--v0", "10", "--length", "1", "--emin", "0.5",
                                "--emax", "2", "--steps", "11", "--method", "both",
                                "--spin", "down", "--format", "json"],
+    # every row but the second flagged, with the refusal texts: E - V0 + m = 0
+    # at E/V0 = 0.5 (the component pole), and phases p2 L / hbar_c beyond
+    # 2^20 at 1.5 and 2; the second, E = V0, is bridged by the closed form
+    "barrier_json_flagged_rows": ["barrier", "--v0", "1e6", "--length", "1000", "--emin", "0.5",
+                                  "--emax", "2", "--steps", "4", "--method", "both",
+                                  "--format", "json"],
     # E/V0 = 1 is the 11th of the 21 points
     "step_up": ["step", "--v0", "10", "--emin", "0.5", "--emax", "1.5", "--steps", "21"],
     "step_down": ["step", "--v0", "10", "--emin", "0.5", "--emax", "1.5", "--steps", "21",

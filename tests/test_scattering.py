@@ -35,6 +35,7 @@ ratios_below = st.floats(0.02, 0.9999)
 heights = st.floats(0.5, 50.0)
 lengths = st.floats(0.05, 12.0)
 masses = st.floats(1e4, 1e6)
+spins = st.sampled_from([sp.UP, sp.DOWN])
 
 
 def test_reference_point_values():
@@ -461,6 +462,75 @@ def test_sweep_method_validation():
         sc.sweep(barrier(15.0), [15.0], method="magic")
 
 
+@pytest.mark.parametrize("grid", [
+    [5.0, 10.0, 15.0, -1.0],
+    tuple(np.float64(e) for e in (5.0, 10.0, 15.0, -1.0)),
+    np.array([5.0, 10.0, 15.0, -1.0]),
+], ids=["list", "tuple-of-float64", "ndarray"])
+def test_sweep_rows_carry_python_floats(grid):
+    # e_over_v0 is a float whatever the grid's element type, flagged rows too
+    table = sc.sweep(barrier(10.0, 10.0, 2.0), grid, method="both")
+    assert [row.e_over_v0 for row in table.rows] == [0.5, 1.0, 1.5, -0.1]
+    assert [type(row.e_over_v0) for row in table.rows] == [float] * 4
+    assert table.rows[-1].flag is not None
+
+
+def test_sweep_ratio_beyond_the_float_range_is_inf_without_a_warning():
+    # an ndarray grid's E / V0 was a numpy division, which warned on overflow
+    (row,) = sc.sweep(barrier(1.0, 1e-3, 1.0, 1.0), np.array([1e308]), method="closed").rows
+    assert row.e_over_v0 == math.inf and row.flag.startswith("ValueError")
+
+
+def _row_by_point(template, e_energy, method):
+    """The sweep row of one grid point from its own calls: a BarrierProblem,
+    solve_barrier or closed_form (closed_form inside the critical band), and
+    coefficient_delta; a refusal is the row's flag."""
+    e_energy = float(e_energy)
+    ratio = e_energy / template.v0
+    try:
+        p = sc.BarrierProblem(e_energy, template.v0, template.length, template.m,
+                              template.incident_spin, template.constants)
+        if method == "closed":
+            return sc.SweepRow(ratio, sc.closed_form(p), None, None)
+        try:
+            numeric = sc.solve_barrier(p)[1]
+        except sc.CriticalBandError:
+            numeric = closed = sc.closed_form(p)
+        else:
+            closed = sc.closed_form(p) if method == "both" else None
+        delta = sc.coefficient_delta(numeric, closed) if method == "both" else None
+        return sc.SweepRow(ratio, numeric, delta, None)
+    except (ValueError, sc.DegenerateConfigurationError) as exc:
+        return sc.SweepRow(ratio, None, None, f"{type(exc).__name__}: {exc}")
+
+
+@st.composite
+def sweep_grids(draw):
+    """(template, grid): random points plus a critical-band point, a phase
+    p2 L / hbar_c of 2^21 and, where m < V0, a point at the component pole
+    E - V0 + m = 0."""
+    v0 = draw(heights)
+    m = draw(st.one_of(masses, st.floats(0.01, 0.99).map(lambda f: f * v0)))
+    length = draw(lengths)
+    template = barrier(v0, v0, length, m, draw(spins))
+    grid = draw(st.lists(st.floats(0.02, 4.0).map(lambda r: r * v0), min_size=1, max_size=4))
+    grid.append(v0 * (1.0 + draw(st.floats(-5e-10, 5e-10))))
+    grid.append(v0 + (2.0**21 * CONSTANTS.hbar_c / length) ** 2 / (2.0 * m))
+    if m < v0:
+        grid.append(v0 - m)
+    return template, draw(st.permutations(grid))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_grids())
+def test_sweep_equals_the_per_point_calls(case):
+    template, grid = case
+    for method in ("numeric", "closed", "both"):
+        want = [repr(_row_by_point(template, e, method)) for e in grid]
+        for g in (list(grid), np.array(grid)):
+            assert [repr(row) for row in sc.sweep(template, g, method).rows] == want, method
+
+
 def test_sweep_csv_roundtrip(tmp_path):
     # the CLI table at --precision 17 gives back the library sweep bit for bit
     out = tmp_path / "sweep.csv"
@@ -619,9 +689,6 @@ def _clamp_kappa_l(ratio, v0, length, m, limit=220.0):
     return length
 
 
-spins = st.sampled_from([sp.UP, sp.DOWN])
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(ratios_above, ratios_below), heights, lengths, masses, spins)
 def test_barrier_system_equals_mode_column_assembly(ratio, v0, length, m, spin):
@@ -634,7 +701,7 @@ def test_barrier_system_equals_mode_column_assembly(ratio, v0, length, m, spin):
     mix = np.eye(4)
     if near_top:
         mix[1:3, 1:3] = [[1.0, 1.0], [1.0, -1.0]]
-    got = [np.asarray(a) for a in sc._assemble_barrier(*sc._barrier_columns(p))]
+    got = [np.asarray(a) for a in sc._barrier_system(p)[4:]]
     _assert_channel_blocks(got, m8, rhs, c1, spin, mix)
     # the float system solved at 50 digits: LAPACK's own rounding of the 8x8
     # reached 1.2e-14 in T1 at E/V0 = 1.0001, V0 = 22, L = 11, m = 721352.5
